@@ -11,34 +11,92 @@ exception Parse_error of string
 
 (* ---------- printing ---------- *)
 
+let needs_escape c = c = '"' || c = '\\' || Char.code c < 0x20
+
+let rec clean s i = i >= String.length s || ((not (needs_escape s.[i])) && clean s (i + 1))
+
 let escape buf s =
   Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
+  if clean s 0 then Buffer.add_string buf s
+  else
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string buf "\\\""
+        | '\\' -> Buffer.add_string buf "\\\\"
+        | '\n' -> Buffer.add_string buf "\\n"
+        | '\r' -> Buffer.add_string buf "\\r"
+        | '\t' -> Buffer.add_string buf "\\t"
+        | c when Char.code c < 0x20 ->
+          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char buf c)
+      s;
   Buffer.add_char buf '"'
 
+(* The same digits as [string_of_int], without going through C's printf. *)
+let rec add_digits buf n =
+  if n >= 10 then add_digits buf (n / 10);
+  Buffer.add_char buf (Char.unsafe_chr (Char.code '0' + (n mod 10)))
+
+let add_int buf i =
+  if i >= 0 then add_digits buf i
+  else if i = min_int then Buffer.add_string buf (string_of_int i)
+  else begin
+    Buffer.add_char buf '-';
+    add_digits buf (-i)
+  end
+
+(* The C primitive behind [Printf.sprintf "%.Ng"]: same bytes, without the
+   format interpreter. *)
+external format_float : string -> float -> string = "caml_format_float"
+
+(* Digits 13-17 of a [%.17g] string, counted from its first non-zero
+   digit and read as one integer in [0, 99999]; [-1] when the string has
+   at most 12 digits. *)
+let tail_digits s =
+  let len = String.length s in
+  let rec go i n tail =
+    if i < len && String.unsafe_get s i <> 'e' then
+      match String.unsafe_get s i with
+      | '0' .. '9' as c when n > 0 || c <> '0' ->
+        let n = n + 1 in
+        go (i + 1) n (if n > 12 then (tail * 10) + Char.code c - Char.code '0' else tail)
+      | _ -> go (i + 1) n tail
+    else if n <= 12 then -1
+    else pad n tail
+  and pad n tail = if n >= 17 then tail else pad (n + 1) (tail * 10) in
+  go 0 0 0
+
+(* [%.12g] when that string reads back as [x], otherwise [%.17g] (which
+   always does). Not the shortest round-tripping form: the two fixed
+   precisions are the output contract.
+
+   [%.17g] is formatted first, and [%.12g] only when it can differ and
+   round-trip:
+   - a [%.17g] string of at most 12 digits has exponent -4..11 in plain
+     notation, or lies outside -4..16 in exponent notation; [%.12g]
+     prints the same digits the same way, so it is the answer;
+   - for a normal double, if the 12-digit decimal [d12] reads back as [x]
+     then [|x - d12| <= ulp x / 2], which is under 12 units of the 17th
+     significant digit; so digits 13-17 of the [%.17g] string sit within
+     12 of [00000] or [99999], well inside the margin of 100 used here.
+     Subnormals have a larger relative ulp and always try [%.12g]. *)
 let float_repr x =
   if not (Float.is_finite x) then "null"
   else begin
-    (* shortest representation that still round-trips *)
-    let s = Printf.sprintf "%.12g" x in
-    if float_of_string s = x then s else Printf.sprintf "%.17g" x
+    let s17 = format_float "%.17g" x in
+    let tail = tail_digits s17 in
+    if tail < 0 then s17
+    else if Float.abs x >= Float.min_float && tail > 100 && tail < 99_900 then s17
+    else
+      let s12 = format_float "%.12g" x in
+      if float_of_string s12 = x then s12 else s17
   end
 
 let rec to_buffer buf = function
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-  | Int i -> Buffer.add_string buf (string_of_int i)
+  | Int i -> add_int buf i
   | Float x -> Buffer.add_string buf (float_repr x)
   | String s -> escape buf s
   | List xs ->
@@ -81,22 +139,25 @@ type cursor = { src : string; mutable pos : int }
 
 let fail c msg = raise (Parse_error (Printf.sprintf "at offset %d: %s" c.pos msg))
 
-let peek c = if c.pos < String.length c.src then Some c.src.[c.pos] else None
+let at_end c = c.pos >= String.length c.src
+
+(* The char under the cursor; only call it when [not (at_end c)]. *)
+let peek c = c.src.[c.pos]
 
 let advance c = c.pos <- c.pos + 1
 
 let rec skip_ws c =
-  match peek c with
-  | Some (' ' | '\t' | '\n' | '\r') ->
-    advance c;
-    skip_ws c
-  | Some _ | None -> ()
+  if not (at_end c) then
+    match peek c with
+    | ' ' | '\t' | '\n' | '\r' ->
+      advance c;
+      skip_ws c
+    | _ -> ()
 
 let expect c ch =
-  match peek c with
-  | Some x when x = ch -> advance c
-  | Some x -> fail c (Printf.sprintf "expected %c, found %c" ch x)
-  | None -> fail c (Printf.sprintf "expected %c, found end of input" ch)
+  if at_end c then fail c (Printf.sprintf "expected %c, found end of input" ch)
+  else if peek c = ch then advance c
+  else fail c (Printf.sprintf "expected %c, found %c" ch (peek c))
 
 let literal c word value =
   let n = String.length word in
@@ -106,55 +167,90 @@ let literal c word value =
   end
   else fail c (Printf.sprintf "expected %s" word)
 
+let hex_digit = function
+  | '0' .. '9' as h -> Char.code h - Char.code '0'
+  | 'a' .. 'f' as h -> Char.code h - Char.code 'a' + 10
+  | 'A' .. 'F' as h -> Char.code h - Char.code 'A' + 10
+  | _ -> -1
+
+(* The code of the four hex digits at [i], or a negative number. *)
+let hex4 s i =
+  let d k = hex_digit s.[i + k] in
+  let d0 = d 0 and d1 = d 1 and d2 = d 2 and d3 = d 3 in
+  if d0 < 0 || d1 < 0 || d2 < 0 || d3 < 0 then -1
+  else (d0 lsl 12) lor (d1 lsl 8) lor (d2 lsl 4) lor d3
+
+(* End of the run of plain string chars starting at [i]. *)
+let rec run_end s i =
+  if i < String.length s && s.[i] <> '"' && s.[i] <> '\\' then run_end s (i + 1) else i
+
 let parse_string c =
   expect c '"';
   let buf = Buffer.create 16 in
   let rec loop () =
-    match peek c with
-    | None -> fail c "unterminated string"
-    | Some '"' -> advance c
-    | Some '\\' ->
+    let stop = run_end c.src c.pos in
+    Buffer.add_substring buf c.src c.pos (stop - c.pos);
+    c.pos <- stop;
+    if at_end c then fail c "unterminated string"
+    else if peek c = '"' then advance c
+    else begin
       advance c;
-      (match peek c with
-      | None -> fail c "unterminated escape"
-      | Some e ->
-        advance c;
-        (match e with
-        | '"' -> Buffer.add_char buf '"'
-        | '\\' -> Buffer.add_char buf '\\'
-        | '/' -> Buffer.add_char buf '/'
-        | 'b' -> Buffer.add_char buf '\b'
-        | 'f' -> Buffer.add_char buf '\012'
-        | 'n' -> Buffer.add_char buf '\n'
-        | 'r' -> Buffer.add_char buf '\r'
-        | 't' -> Buffer.add_char buf '\t'
-        | 'u' ->
-          if c.pos + 4 > String.length c.src then fail c "bad \\u escape";
-          let hex = String.sub c.src c.pos 4 in
-          let code =
-            try int_of_string ("0x" ^ hex) with _ -> fail c "bad \\u escape"
-          in
-          c.pos <- c.pos + 4;
-          (* non-ASCII code points are preserved as UTF-8 *)
-          if code < 0x80 then Buffer.add_char buf (Char.chr code)
-          else if code < 0x800 then begin
-            Buffer.add_char buf (Char.chr (0xC0 lor (code lsr 6)));
-            Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-          end
-          else begin
-            Buffer.add_char buf (Char.chr (0xE0 lor (code lsr 12)));
-            Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-            Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-          end
-        | _ -> fail c "unknown escape");
-        loop ())
-    | Some ch ->
+      if at_end c then fail c "unterminated escape";
+      let e = peek c in
       advance c;
-      Buffer.add_char buf ch;
+      (match e with
+      | '"' -> Buffer.add_char buf '"'
+      | '\\' -> Buffer.add_char buf '\\'
+      | '/' -> Buffer.add_char buf '/'
+      | 'b' -> Buffer.add_char buf '\b'
+      | 'f' -> Buffer.add_char buf '\012'
+      | 'n' -> Buffer.add_char buf '\n'
+      | 'r' -> Buffer.add_char buf '\r'
+      | 't' -> Buffer.add_char buf '\t'
+      | 'u' ->
+        if c.pos + 4 > String.length c.src then fail c "bad \\u escape";
+        let code = hex4 c.src c.pos in
+        if code < 0 then fail c "bad \\u escape";
+        c.pos <- c.pos + 4;
+        (* non-ASCII code points are preserved as UTF-8 *)
+        if code < 0x80 then Buffer.add_char buf (Char.chr code)
+        else if code < 0x800 then begin
+          Buffer.add_char buf (Char.chr (0xC0 lor (code lsr 6)));
+          Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
+        end
+        else begin
+          Buffer.add_char buf (Char.chr (0xE0 lor (code lsr 12)));
+          Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
+          Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
+        end
+      | _ -> fail c "unknown escape");
       loop ()
+    end
   in
   loop ();
   Buffer.contents buf
+
+let is_digit ch = ch >= '0' && ch <= '9'
+
+let rec digits_end s i = if i < String.length s && is_digit s.[i] then digits_end s (i + 1) else i
+
+(* RFC 8259: [-? (0 | [1-9][0-9]* ) (. [0-9]+)? ([eE] [+-]? [0-9]+)?]. *)
+let valid_number s =
+  let n = String.length s in
+  let at i ch = i < n && s.[i] = ch in
+  (* one or more digits from [i]; past [n] (never valid) when there are none *)
+  let digits i =
+    let j = digits_end s i in
+    if j > i then j else n + 1
+  in
+  let i = if at 0 '-' then 1 else 0 in
+  let i = if at i '0' then i + 1 else digits i in
+  let i = if at i '.' then digits (i + 1) else i in
+  let i =
+    if at i 'e' || at i 'E' then digits (if at (i + 1) '+' || at (i + 1) '-' then i + 2 else i + 1)
+    else i
+  in
+  i = n
 
 let parse_number c =
   let start = c.pos in
@@ -162,26 +258,29 @@ let parse_number c =
     | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
     | _ -> false
   in
-  while (match peek c with Some ch -> is_number_char ch | None -> false) do
+  while (not (at_end c)) && is_number_char (peek c) do
     advance c
   done;
   let s = String.sub c.src start (c.pos - start) in
-  match int_of_string_opt s with
-  | Some i -> Int i
-  | None ->
-    (match float_of_string_opt s with
-    | Some x -> Float x
-    | None -> fail c (Printf.sprintf "bad number %S" s))
+  let bad () = fail c (Printf.sprintf "bad number %S" s) in
+  if not (valid_number s) then bad ()
+  else
+    match int_of_string_opt s with
+    | Some i -> Int i
+    | None ->
+      (match float_of_string_opt s with
+      | Some x when Float.is_finite x -> Float x
+      | Some _ | None -> bad ())
 
 let rec parse_value c =
   skip_ws c;
+  if at_end c then fail c "unexpected end of input";
   match peek c with
-  | None -> fail c "unexpected end of input"
-  | Some '"' -> String (parse_string c)
-  | Some '{' ->
+  | '"' -> String (parse_string c)
+  | '{' ->
     advance c;
     skip_ws c;
-    if peek c = Some '}' then begin
+    if (not (at_end c)) && peek c = '}' then begin
       advance c;
       Obj []
     end
@@ -193,21 +292,22 @@ let rec parse_value c =
         expect c ':';
         let v = parse_value c in
         skip_ws c;
+        if at_end c then fail c "expected , or } in object";
         match peek c with
-        | Some ',' ->
+        | ',' ->
           advance c;
           fields ((k, v) :: acc)
-        | Some '}' ->
+        | '}' ->
           advance c;
           List.rev ((k, v) :: acc)
         | _ -> fail c "expected , or } in object"
       in
       Obj (fields [])
     end
-  | Some '[' ->
+  | '[' ->
     advance c;
     skip_ws c;
-    if peek c = Some ']' then begin
+    if (not (at_end c)) && peek c = ']' then begin
       advance c;
       List []
     end
@@ -215,22 +315,23 @@ let rec parse_value c =
       let rec elements acc =
         let v = parse_value c in
         skip_ws c;
+        if at_end c then fail c "expected , or ] in array";
         match peek c with
-        | Some ',' ->
+        | ',' ->
           advance c;
           elements (v :: acc)
-        | Some ']' ->
+        | ']' ->
           advance c;
           List.rev (v :: acc)
         | _ -> fail c "expected , or ] in array"
       in
       List (elements [])
     end
-  | Some 't' -> literal c "true" (Bool true)
-  | Some 'f' -> literal c "false" (Bool false)
-  | Some 'n' -> literal c "null" Null
-  | Some ('-' | '0' .. '9') -> parse_number c
-  | Some ch -> fail c (Printf.sprintf "unexpected character %c" ch)
+  | 't' -> literal c "true" (Bool true)
+  | 'f' -> literal c "false" (Bool false)
+  | 'n' -> literal c "null" Null
+  | '-' | '0' .. '9' -> parse_number c
+  | ch -> fail c (Printf.sprintf "unexpected character %c" ch)
 
 let of_string s =
   let c = { src = s; pos = 0 } in

@@ -14,8 +14,11 @@ type t =
 exception Parse_error of string
 
 val to_string : t -> string
-(** Compact (single-line) serialization. Non-finite floats are emitted
-    as [null] so the output is always valid JSON. *)
+(** Compact (single-line) serialization. A finite float prints as
+    [Printf.sprintf "%.12g"] when that string reads back to the same
+    float, and as [Printf.sprintf "%.17g"] otherwise; non-finite floats
+    are emitted as [null] so the output is always valid JSON. Reports
+    are compared byte for byte, so this format is part of the contract. *)
 
 val to_buffer : Buffer.t -> t -> unit
 
@@ -26,7 +29,9 @@ val write_file : string -> t -> unit
 
 val of_string : string -> t
 (** Strict parser for the subset this module emits (all of standard
-    JSON except surrogate-pair [\u] escapes).
+    JSON except surrogate-pair [\u] escapes). Numbers follow the RFC 8259
+    grammar (no leading zeros, no bare trailing dot); one that overflows
+    to infinity is rejected.
     @raise Parse_error on malformed input. *)
 
 val member : string -> t -> t option

@@ -14,7 +14,10 @@ module Series = Tqwm_obs.Series
 module Trace = Tqwm_obs.Trace
 module Newton = Tqwm_num.Newton
 module Vec = Tqwm_num.Vec
+module Arrival = Tqwm_sta.Arrival
 module Parallel = Tqwm_sta.Parallel
+module Path_enum = Tqwm_sta.Path_enum
+module Report = Tqwm_sta.Report
 module Stage_cache = Tqwm_sta.Stage_cache
 module Timing_graph = Tqwm_sta.Timing_graph
 module Workloads = Tqwm_sta.Workloads
@@ -46,9 +49,158 @@ let test_json_roundtrip () =
   Alcotest.(check string)
     "nan -> null" "[null,null,null]"
     (Json.to_string (Json.List [ Json.Float nan; Json.Float infinity; Json.Float neg_infinity ]));
-  Alcotest.check_raises "trailing garbage rejected"
-    (Json.Parse_error "at offset 2: trailing garbage") (fun () ->
-      ignore (Json.of_string "{}x"))
+  let rejects name msg input =
+    Alcotest.check_raises name (Json.Parse_error msg) (fun () -> ignore (Json.of_string input))
+  in
+  rejects "trailing garbage rejected" "at offset 2: trailing garbage" "{}x";
+  rejects "unterminated string" "at offset 4: unterminated string" "\"abc";
+  rejects "unterminated object" "at offset 6: expected , or } in object" "{\"a\":1";
+  (* RFC 8259 strictness *)
+  rejects "separator in \\u escape" "at offset 3: bad \\u escape" "\"\\u1_2f\"";
+  rejects "leading zero" "at offset 2: bad number \"01\"" "01";
+  rejects "trailing dot" "at offset 2: bad number \"1.\"" "1.";
+  rejects "overflowing exponent" "at offset 5: bad number \"1e999\"" "1e999";
+  Alcotest.(check bool)
+    "valid numbers accepted" true
+    (Json.of_string "[0,-0,10,-1.5e+3,2E-2,0.25]"
+    = Json.List
+        [ Json.Int 0; Json.Int 0; Json.Int 10; Json.Float (-1500.0); Json.Float 0.02;
+          Json.Float 0.25 ]);
+  Alcotest.(check bool)
+    "escapes decoded" true
+    (Json.of_string "\"a\\u00e9\\u002F\\n\\\"b\"" = Json.String "a\xc3\xa9/\n\"b")
+
+(* The printer as it was when every float went through [Printf]: [%.12g],
+   a [float_of_string] round-trip check, then [%.17g]. [Json.to_string]
+   must reproduce it byte for byte. *)
+let reference_float_repr x =
+  if not (Float.is_finite x) then "null"
+  else begin
+    let s = Printf.sprintf "%.12g" x in
+    if float_of_string s = x then s else Printf.sprintf "%.17g" x
+  end
+
+let reference_escape buf s =
+  Buffer.add_char buf '"';
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string buf "\\\""
+      | '\\' -> Buffer.add_string buf "\\\\"
+      | '\n' -> Buffer.add_string buf "\\n"
+      | '\r' -> Buffer.add_string buf "\\r"
+      | '\t' -> Buffer.add_string buf "\\t"
+      | c when Char.code c < 0x20 ->
+        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char buf c)
+    s;
+  Buffer.add_char buf '"'
+
+let rec reference_to_buffer buf = function
+  | Json.Null -> Buffer.add_string buf "null"
+  | Json.Bool b -> Buffer.add_string buf (if b then "true" else "false")
+  | Json.Int i -> Buffer.add_string buf (string_of_int i)
+  | Json.Float x -> Buffer.add_string buf (reference_float_repr x)
+  | Json.String s -> reference_escape buf s
+  | Json.List xs ->
+    Buffer.add_char buf '[';
+    List.iteri
+      (fun i x ->
+        if i > 0 then Buffer.add_char buf ',';
+        reference_to_buffer buf x)
+      xs;
+    Buffer.add_char buf ']'
+  | Json.Obj fields ->
+    Buffer.add_char buf '{';
+    List.iteri
+      (fun i (k, v) ->
+        if i > 0 then Buffer.add_char buf ',';
+        reference_escape buf k;
+        Buffer.add_char buf ':';
+        reference_to_buffer buf v)
+      fields;
+    Buffer.add_char buf '}'
+
+let reference_to_string j =
+  let buf = Buffer.create 256 in
+  reference_to_buffer buf j;
+  Buffer.contents buf
+
+let rec step_ulps x k =
+  if k > 0 then step_ulps (Float.succ x) (k - 1)
+  else if k < 0 then step_ulps (Float.pred x) (k + 1)
+  else x
+
+let gen_json_float =
+  let open QCheck2.Gen in
+  let any_bits = map Int64.float_of_bits int64 in
+  let subnormal =
+    map2
+      (fun neg m ->
+        let x = Int64.float_of_bits (Int64.of_int m) in
+        if neg then -.x else x)
+      bool
+      (int_bound ((1 lsl 52) - 1))
+  in
+  (* a 12-digit decimal, then 0-2 ulps either side of it *)
+  let near_decimal =
+    map3
+      (fun m e k -> step_ulps (float_of_string (Printf.sprintf "%de%d" m e)) k)
+      (int_range 100_000_000_000 999_999_999_999)
+      (int_range (-330) 290) (int_range (-2) 2)
+  in
+  (* seconds scaled to picoseconds, the way reports print times *)
+  let picoseconds =
+    oneof
+      [
+        map (fun s -> s *. 1e12) (float_range 1e-13 1e-8);
+        map (fun n -> float_of_int n *. 1e-12 *. 1e12) (int_range 0 1_000_000);
+      ]
+  in
+  frequency
+    [
+      (4, any_bits);
+      (2, subnormal);
+      (1, oneofl [ 0.0; -0.0; Float.min_float; -.Float.min_float ]);
+      (4, near_decimal);
+      (3, picoseconds);
+    ]
+
+let prop_float_matches_reference =
+  QCheck2.Test.make ~name:"json floats print as the Printf reference" ~count:1_000_000
+    ~print:(Printf.sprintf "%h") gen_json_float (fun x ->
+      String.equal (Json.to_string (Json.Float x)) (reference_float_repr x))
+
+let test_scalars_match_reference () =
+  List.iter
+    (fun j ->
+      Alcotest.(check string) "same bytes as the reference" (reference_to_string j)
+        (Json.to_string j))
+    [
+      Json.Int 0; Json.Int 7; Json.Int (-7); Json.Int 10; Json.Int (-10); Json.Int max_int;
+      Json.Int min_int; Json.String ""; Json.String "plain"; Json.String "a\"b\\c\n\r\t\x01\x1fz";
+      Json.Obj [ ("k\"ey", Json.List [ Json.Null; Json.Bool true; Json.Float 1e13 ]) ];
+    ]
+
+let test_report_documents_match_reference () =
+  let model = Lazy.force table in
+  let document graph =
+    let cache = Stage_cache.create () in
+    let analysis = Arrival.propagate ~model ~cache graph in
+    let clock_period = 0.9 *. analysis.Arrival.worst_arrival in
+    let required = Arrival.required graph analysis ~clock_period in
+    let paths = Path_enum.k_worst ~clock_period ~k:10 graph analysis in
+    let explained = List.map (Path_enum.explain ~model ~cache graph analysis) paths in
+    Report.timing_to_json graph analysis required explained
+  in
+  List.iter
+    (fun (name, graph) ->
+      let doc = document graph in
+      Alcotest.(check string) name (reference_to_string doc) (Json.to_string doc))
+    [
+      ("decoder tree", Workloads.decoder_tree ~fanout:4 ~depth:4 tech);
+      ("random stacks", Workloads.random_stacks ~width:4 ~depth:3 ~seed:7 tech);
+    ]
 
 (* ---------- metrics ---------- *)
 
@@ -754,7 +906,14 @@ let () =
   Alcotest.run "tqwm_obs"
     [
       ( "json",
-        [ Alcotest.test_case "round-trip and errors" `Quick test_json_roundtrip ] );
+        [
+          Alcotest.test_case "round-trip and errors" `Quick test_json_roundtrip;
+          Alcotest.test_case "scalars match the reference printer" `Quick
+            test_scalars_match_reference;
+          QCheck_alcotest.to_alcotest prop_float_matches_reference;
+          Alcotest.test_case "report documents match the reference printer" `Slow
+            test_report_documents_match_reference;
+        ] );
       ( "ledger",
         [
           Alcotest.test_case "append rejects schema-less records" `Quick

@@ -287,6 +287,21 @@ let test_timing_report_bit_identical_seq_vs_parallel () =
   Alcotest.(check string) "tqwm-report/1 identical across 1 vs 4 domains"
     (document ~domains:1) (document ~domains:4)
 
+(* A small report generated before the float printer was rewritten:
+   the bytes of [tqwm-report/1] must not move. *)
+let test_timing_report_golden () =
+  let model = Lazy.force table in
+  let graph = Workloads.decoder_tree ~fanout:3 ~depth:2 tech in
+  let cache = Stage_cache.create () in
+  let analysis = Arrival.propagate ~model ~cache graph in
+  let clock_period = 600e-12 in
+  let required = Arrival.required graph analysis ~clock_period in
+  let paths = Path_enum.k_worst ~clock_period ~k:5 graph analysis in
+  let explained = List.map (Path_enum.explain ~model ~cache graph analysis) paths in
+  let golden = In_channel.with_open_bin "golden/decoder-report.json" In_channel.input_all in
+  Alcotest.(check string) "tqwm-report/1 equals test/golden/decoder-report.json" golden
+    (Json.to_string (Report.timing_to_json graph analysis required explained) ^ "\n")
+
 (* ---------- property tests ---------- *)
 
 let prop_k1_matches_critical_path =
@@ -413,6 +428,7 @@ let () =
             test_timing_report_bit_identical_seq_vs_parallel;
           QCheck_alcotest.to_alcotest prop_k1_matches_critical_path;
           QCheck_alcotest.to_alcotest prop_slack_monotone_in_clock;
+          slow "golden report bytes" test_timing_report_golden;
         ] );
       ("report", [ slow "rendering" test_report_rendering ]);
       ( "characterize",
