@@ -439,8 +439,7 @@ let sta_parallel ?(smoke = false) ?(domains = 4) () =
       ]
   in
   Printf.printf
-    "\n=== Parallel STA propagation: %d domains vs sequential, work-stealing vs \
-     ready-queue, stage cache ===\n"
+    "\n=== Parallel STA propagation: %d domains vs sequential, stage cache ===\n"
     domains;
   let cores = Parallel.default_domains () in
   (* honesty: oversubscribed runs (more domains than cores) cannot show a
@@ -457,9 +456,9 @@ let sta_parallel ?(smoke = false) ?(domains = 4) () =
        oversubscribed; speedup figures below are degraded and not asserted\n"
       domains cores
       (if cores = 1 then "" else "s");
-  Printf.printf "%-14s %7s %10s %10s %10s %8s %7s %7s %10s %8s %7s %10s\n" "workload"
-    "stages" "seq" "steal" "ready" "speedup" "steals" "chunks" "identical" "hits"
-    "solves" "warm";
+  Printf.printf "%-14s %7s %10s %10s %8s %7s %7s %10s %8s %7s %10s\n" "workload"
+    "stages" "seq" "par" "speedup" "steals" "chunks" "identical" "hits" "solves"
+    "warm";
   Metrics.reset ();
   let counter name = Option.value (Metrics.find_counter name) ~default:0 in
   let rows =
@@ -473,12 +472,7 @@ let sta_parallel ?(smoke = false) ?(domains = 4) () =
       let t_par =
         time_median ~repeat (fun () -> Parallel.propagate ~model ~domains graph)
       in
-      (* A/B: the legacy per-stage ready queue on the same workload *)
-      let t_ready =
-        time_median ~repeat (fun () ->
-            Parallel.propagate ~model ~domains ~scheduler:Parallel.Ready_queue graph)
-      in
-      (* steal telemetry of one representative work-stealing run *)
+      (* steal telemetry of one representative run *)
       let steals0 = counter "sta.steals" and chunks0 = counter "sta.chunks" in
       let (_ : Arrival.analysis) = Parallel.propagate ~model ~domains graph in
       let steals = counter "sta.steals" - steals0 in
@@ -486,12 +480,11 @@ let sta_parallel ?(smoke = false) ?(domains = 4) () =
       let identical =
         let seq = Parallel.propagate ~model ~domains:1 graph in
         let par = Parallel.propagate ~model ~domains graph in
-        let ready = Parallel.propagate ~model ~domains ~scheduler:Parallel.Ready_queue graph in
         let cache_seq = Stage_cache.create () in
         let cseq = Parallel.propagate ~model ~cache:cache_seq ~domains:1 graph in
         let cache_par = Stage_cache.create () in
         let cpar = Parallel.propagate ~model ~cache:cache_par ~domains graph in
-        same_analysis seq par && same_analysis seq ready && same_analysis cseq cpar
+        same_analysis seq par && same_analysis cseq cpar
       in
       let cache = Stage_cache.create () in
       let (_ : Arrival.analysis) = Parallel.propagate ~model ~cache ~domains graph in
@@ -511,10 +504,10 @@ let sta_parallel ?(smoke = false) ?(domains = 4) () =
          number meaningless *)
       if not degraded then assert (t_seq /. t_par > 0.5);
       Printf.printf
-        "%-14s %7d %8.1fms %8.1fms %8.1fms %7.2fx %7d %7d %10s %7.0f%% %7d %8.2fms\n"
+        "%-14s %7d %8.1fms %8.1fms %7.2fx %7d %7d %10s %7.0f%% %7d %8.2fms\n"
         name
         (Timing_graph.num_stages graph) (t_seq *. 1e3) (t_par *. 1e3)
-        (t_ready *. 1e3) (t_seq /. t_par) steals chunks
+        (t_seq /. t_par) steals chunks
         (if identical then "yes" else "NO")
         (100.0 *. cold_hit_rate)
         stats.Stage_cache.misses (t_warm *. 1e3);
@@ -524,9 +517,7 @@ let sta_parallel ?(smoke = false) ?(domains = 4) () =
           ("stages", Json.Int (Timing_graph.num_stages graph));
           ("seq_ms", Json.Float (t_seq *. 1e3));
           ("par_ms", Json.Float (t_par *. 1e3));
-          ("ready_ms", Json.Float (t_ready *. 1e3));
           ("speedup", Json.Float (t_seq /. t_par));
-          ("speedup_ready", Json.Float (t_seq /. t_ready));
           ("steals", Json.Int steals);
           ("chunks", Json.Int chunks);
           (* stamped per row, not just top-level: a scenario record cut out
@@ -545,18 +536,16 @@ let sta_parallel ?(smoke = false) ?(domains = 4) () =
       workloads
   in
   Printf.printf
-    "(identical = steal, ready and cached timings bit-equal to sequential;\n\
-    \ steal/ready = %d-domain wall clock under each scheduler; steals/chunks =\n\
-    \ telemetry of one work-stealing run; solves = QWM runs through a cold shared\n\
-    \ cache; warm = propagation with a fully warm cache, i.e. pure scheduling\n\
-    \ overhead)\n"
+    "(identical = parallel and cached timings bit-equal to sequential;\n\
+    \ par = %d-domain wall clock; steals/chunks = telemetry of one parallel run;\n\
+    \ solves = QWM runs through a cold shared cache; warm = propagation with a\n\
+    \ fully warm cache, i.e. pure scheduling overhead)\n"
     domains;
   Json.Obj
     [
-      ("schema", Json.String "tqwm-bench-parallel/2");
+      ("schema", Json.String "tqwm-bench-parallel/3");
       ("smoke", Json.Bool smoke);
       ("domains", Json.Int domains);
-      ("scheduler", Json.String (Parallel.scheduler_name Parallel.Work_stealing));
       (* 0 = auto-sized from level width and domain count (Parallel.propagate
          default); a fixed positive value would be recorded verbatim *)
       ("chunk_size", Json.Int 0);
@@ -759,8 +748,8 @@ let alloc_table ?(smoke = false) () =
       scenarios
   in
   (* Arena leg: one sequential propagation over a decoder tree through
-     the SoA timing arena, reporting the packed per-level waveform
-     footprint and the whole-propagation allocation per stage. *)
+     the timing arena, reporting the packed per-level waveform footprint
+     and the whole-propagation allocation per stage. *)
   let arena_json =
     let fanout, depth = if smoke then (3, 2) else (4, 3) in
     let graph = Workloads.decoder_tree ~fanout ~depth tech in

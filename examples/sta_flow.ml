@@ -36,18 +36,18 @@ let () =
 
   (* required times and slack against a 300 ps cycle *)
   let clock_period = 300e-12 in
-  let slack = Arrival.slacks graph analysis ~clock_period in
+  let r = Arrival.required graph analysis ~clock_period in
   Printf.printf "\nslack at %.0f ps clock:\n" (clock_period *. 1e12);
   Array.iteri
     (fun id t ->
       Printf.printf "  %-14s required %7.2f ps  slack %+7.2f ps%s\n"
         (Timing_graph.scenario graph id).Scenario.name
-        (slack.Arrival.required.(id) *. 1e12)
-        (slack.Arrival.slack.(id) *. 1e12)
-        (if slack.Arrival.slack.(id) < 0.0 then "  << VIOLATION" else "");
+        (r.Arrival.req.(id) *. 1e12)
+        (r.Arrival.req_slack.(id) *. 1e12)
+        (if r.Arrival.req_slack.(id) < 0.0 then "  << VIOLATION" else "");
       ignore t)
     analysis.Arrival.timings;
-  Printf.printf "worst slack: %+.2f ps\n" (slack.Arrival.worst_slack *. 1e12);
+  Printf.printf "worst slack: %+.2f ps\n" (r.Arrival.req_worst_slack *. 1e12);
 
   (* channel-connected components of a two-inverter netlist *)
   let b = Netlist.create () in

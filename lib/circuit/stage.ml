@@ -64,7 +64,8 @@ let add_edge b ?gate device ~src ~snk =
 
 let add_load b node c =
   if node < 0 || node >= b.count then invalid_arg "Stage.add_load: unknown node";
-  if c < 0.0 then invalid_arg "Stage.add_load: negative capacitance";
+  if not (Float.is_finite c) || c < 0.0 then
+    invalid_arg "Stage.add_load: capacitance must be finite and >= 0";
   b.b_loads <- (node, c) :: b.b_loads
 
 let mark_output b node =
@@ -99,7 +100,8 @@ let with_device t i device =
 
 let with_load t node c =
   if node < 0 || node >= t.num_nodes then invalid_arg "Stage.with_load: unknown node";
-  if c < 0.0 then invalid_arg "Stage.with_load: negative capacitance";
+  if not (Float.is_finite c) || c < 0.0 then
+    invalid_arg "Stage.with_load: capacitance must be finite and >= 0";
   let loads = Array.copy t.loads in
   loads.(node) <- c;
   { t with loads }

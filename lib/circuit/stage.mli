@@ -42,7 +42,9 @@ val add_edge : builder -> ?gate:string -> Tqwm_device.Device.t -> src:node -> sn
     edge has one. *)
 
 val add_load : builder -> node -> float -> unit
-(** Accumulate external load capacitance on a node. *)
+(** Accumulate external load capacitance on a node.
+    @raise Invalid_argument on an unknown node or a negative or
+    non-finite value. *)
 
 val mark_output : builder -> node -> unit
 
@@ -64,7 +66,8 @@ val with_device : t -> int -> Tqwm_device.Device.t -> t
 val with_load : t -> node -> float -> t
 (** [with_load t n c] is [t] with the external load at node [n] {e set}
     (not accumulated) to [c] farads.
-    @raise Invalid_argument on an unknown node or a negative value. *)
+    @raise Invalid_argument on an unknown node or a negative or
+    non-finite value. *)
 
 (** {2 Queries} *)
 

@@ -3,6 +3,7 @@ module Arrival = Tqwm_sta.Arrival
 module Parallel = Tqwm_sta.Parallel
 module Path_enum = Tqwm_sta.Path_enum
 module Stage_cache = Tqwm_sta.Stage_cache
+module Timing_arena = Tqwm_sta.Timing_arena
 module Metrics = Tqwm_obs.Metrics
 module Trace = Tqwm_obs.Trace
 module Json = Tqwm_obs.Json
@@ -28,10 +29,9 @@ type t = {
   cache : Stage_cache.t option;
   domains : int;
   parallel_threshold : int;
-  chunk : int option;
   epsilon : float;
   mutable pi : Arrival.pi_timing option array;
-  mutable timings : Arrival.stage_timing option array;
+  arena : Timing_arena.t;
   mutable dirty : bool array;
   mutable num_dirty : int;
   mutable clean : Arrival.analysis option;  (** memoized while [num_dirty = 0] *)
@@ -42,28 +42,25 @@ type t = {
   mutable s_last : int;
 }
 
-(* keep the id-indexed session arrays exactly as long as the graph,
-   marking stages that appeared since the last sync as dirty *)
+(* keep the id-indexed session arrays and the store exactly as long as
+   the graph, marking stages that appeared since the last sync as dirty *)
 let sync t =
   let n = Timing_graph.num_stages t.graph in
-  let old = Array.length t.timings in
+  let old = Array.length t.dirty in
   if n > old then begin
     let grow a fill = Array.init n (fun i -> if i < old then a.(i) else fill) in
     t.pi <- grow t.pi None;
-    t.timings <- grow t.timings None;
+    Timing_arena.resize t.arena n;
     t.dirty <- grow t.dirty true;
     t.num_dirty <- t.num_dirty + (n - old);
     t.clean <- None
   end
 
 let create ~model ?(config = Tqwm_core.Config.default) ?(default_slew = 20e-12) ?cache
-    ?(domains = 1) ?(parallel_threshold = 4) ?chunk ?(epsilon = 0.0) graph =
+    ?(domains = 1) ?(parallel_threshold = 4) ?(epsilon = 0.0) graph =
   if default_slew <= 0.0 then invalid_arg "Session.create: default_slew <= 0";
   if not (Float.is_finite epsilon) || epsilon < 0.0 then
     invalid_arg "Session.create: epsilon must be finite and >= 0";
-  (match chunk with
-  | Some c when c < 1 -> invalid_arg "Session.create: chunk < 1"
-  | Some _ | None -> ());
   let t =
     {
       graph;
@@ -73,10 +70,9 @@ let create ~model ?(config = Tqwm_core.Config.default) ?(default_slew = 20e-12) 
       cache;
       domains = max domains 1;
       parallel_threshold = max parallel_threshold 2;
-      chunk;
       epsilon;
       pi = [||];
-      timings = [||];
+      arena = Timing_arena.create 0;
       dirty = [||];
       num_dirty = 0;
       clean = None;
@@ -92,12 +88,13 @@ let create ~model ?(config = Tqwm_core.Config.default) ?(default_slew = 20e-12) 
 
 (* Snapshot fork: an isolated what-if overlay over the same baseline.
    The graph forks copy-on-write (shared scenarios, adjacency and frozen
-   schedule until either side mutates), the timing/dirty/override arrays
-   are copied so the fork starts exactly where the parent stands — no
-   re-propagation — and lifetime stats restart at zero. The fork's cache
-   defaults to a [copy_uses] fork of the parent's, so a clean parent's
-   provenance (cache_uses in path attributions) reads in the fork as if
-   the fork had run the baseline analysis itself. *)
+   schedule until either side mutates), the timing store and the
+   dirty/override arrays are copied so the fork starts exactly where the
+   parent stands — no re-propagation — and lifetime stats restart at
+   zero. The fork's cache defaults to a [copy_uses] fork of the
+   parent's, so a clean parent's provenance (cache_uses in path
+   attributions) reads in the fork as if the fork had run the baseline
+   analysis itself. *)
 let fork ?cache ?domains ?epsilon t =
   let cache =
     match cache with
@@ -115,7 +112,7 @@ let fork ?cache ?domains ?epsilon t =
       | Some _ -> invalid_arg "Session.fork: epsilon must be finite and >= 0"
       | None -> t.epsilon);
     pi = Array.copy t.pi;
-    timings = Array.copy t.timings;
+    arena = Timing_arena.copy t.arena;
     dirty = Array.copy t.dirty;
     s_edits = 0;
     s_recomputes = 0;
@@ -202,7 +199,14 @@ let add_stage t scenario =
    records are bit-identical to a from-scratch run (at [epsilon = 0]).
    A stage whose recomputed [arrival_out] and [slew] land within
    [epsilon] of the previous analysis does not dirty its fanout: the
-   edit's influence is cut off there. *)
+   edit's influence is cut off there.
+
+   Evaluation overwrites the level's slots in place, so the previous
+   records are kept aside for the cutoff test. If a stage of the level
+   raises, the stages timed before it are overwritten but still dirty;
+   a retry would compare them with themselves and cut off, leaving
+   their fanout stale. So on failure the fanout of every dirty stage of
+   the level is dirtied before the exception is re-raised. *)
 let recompute t =
   sync t;
   if t.num_dirty = 0 then 0
@@ -213,7 +217,12 @@ let recompute t =
     let reeval = ref 0 and cutoff = ref 0 in
     let eval id =
       Arrival.evaluate_stage ~model:t.model ~config:t.config
-        ~default_slew:t.default_slew ?cache:t.cache ~pi:t.pi frozen t.timings id
+        ~default_slew:t.default_slew ?cache:t.cache ~pi:t.pi frozen t.arena id
+    in
+    let dirty_fanout id =
+      Array.iter
+        (fun (c : Timing_graph.connection) -> mark_dirty t c.Timing_graph.to_stage)
+        frozen.Timing_graph.fanout.(id)
     in
     Array.iter
       (fun level ->
@@ -221,33 +230,29 @@ let recompute t =
           Array.of_seq (Seq.filter (fun id -> t.dirty.(id)) (Array.to_seq level))
         in
         if Array.length dirty_ids > 0 then begin
-          let results =
-            if t.domains > 1 && Array.length dirty_ids >= t.parallel_threshold then
-              Parallel.evaluate_stages ~domains:t.domains ?chunk:t.chunk ~eval
-                dirty_ids
-            else Array.map eval dirty_ids
-          in
+          let previous = Array.map (Timing_arena.timing t.arena) dirty_ids in
+          (try
+             if t.domains > 1 && Array.length dirty_ids >= t.parallel_threshold then
+               Parallel.evaluate_stages ~domains:t.domains ~f:eval dirty_ids
+             else Array.iter eval dirty_ids
+           with e ->
+             Array.iter dirty_fanout dirty_ids;
+             raise e);
           Array.iteri
             (fun k id ->
-              let fresh = results.(k) in
+              let fresh = Option.get (Timing_arena.timing t.arena id) in
               incr reeval;
               let unchanged =
-                match t.timings.(id) with
+                match previous.(k) with
                 | None -> false
                 | Some old ->
                   Float.abs (old.Arrival.arrival_out -. fresh.Arrival.arrival_out)
                   <= t.epsilon
                   && Float.abs (old.Arrival.slew -. fresh.Arrival.slew) <= t.epsilon
               in
-              t.timings.(id) <- Some fresh;
               t.dirty.(id) <- false;
               t.num_dirty <- t.num_dirty - 1;
-              if unchanged then incr cutoff
-              else
-                Array.iter
-                  (fun (c : Timing_graph.connection) ->
-                    mark_dirty t c.Timing_graph.to_stage)
-                  frozen.Timing_graph.fanout.(id))
+              if unchanged then incr cutoff else dirty_fanout id)
             dirty_ids
         end)
       frozen.Timing_graph.levels;
@@ -276,14 +281,7 @@ let analysis t =
   match t.clean with
   | Some a -> a
   | None ->
-    let a =
-      Arrival.analysis_of_timings
-        (Array.map
-           (function
-             | Some timing -> timing
-             | None -> raise (Arrival.Analysis_failure "stage never timed"))
-           t.timings)
-    in
+    let a = Arrival.analysis_of_arena t.arena in
     t.clean <- Some a;
     a
 
@@ -328,7 +326,7 @@ let query t ~from_stage ~to_stage =
   check_stage t from_stage "query";
   check_stage t to_stage "query";
   let frozen = Timing_graph.freeze t.graph in
-  let timing id = Option.get t.timings.(id) in
+  let timing id = Option.get (Timing_arena.timing t.arena id) in
   let n = Array.length frozen.Timing_graph.scenarios in
   let via = Array.make n neg_infinity in
   let pred = Array.make n (-1) in

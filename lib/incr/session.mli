@@ -1,15 +1,17 @@
 (** Incremental static timing analysis.
 
-    A session wraps a {!Tqwm_sta.Timing_graph.t} together with the last
-    per-stage timings and re-times {e only} what an edit can have
-    changed. Applying an {!Edit.t} marks the touched stages dirty;
-    {!recompute} walks the frozen level schedule, re-evaluates dirty
-    stages with the very same {!Tqwm_sta.Arrival.evaluate_stage} the
-    full engines use, and propagates dirtiness along fanout edges —
-    stopping early wherever a recomputed stage's [arrival_out] and
-    [slew] come back within [epsilon] of the previous analysis (the
-    edit's influence is {e cut off} there, so a local edit costs
-    O(affected cone), not O(graph)).
+    A session wraps a {!Tqwm_sta.Timing_graph.t} together with a
+    {!Tqwm_sta.Timing_arena} holding the last per-stage timings, and
+    re-times {e only} what an edit can have changed. Applying an
+    {!Edit.t} marks the touched stages dirty; {!recompute} walks the
+    frozen level schedule, re-evaluates dirty stages with the very same
+    {!Tqwm_sta.Arrival.evaluate_stage} the full engines use — which
+    overwrites their slots in the session's store — and propagates
+    dirtiness along fanout edges, stopping early wherever a recomputed
+    stage's [arrival_out] and [slew] come back within [epsilon] of the
+    previous analysis (the edit's influence is {e cut off} there, so a
+    local edit costs O(affected cone), not O(graph)). Clean stages keep
+    their stored records, which {!analysis} reuses as they are.
 
     Equivalence: with [epsilon = 0] (the default), {!analysis} is
     bit-identical to a from-scratch {!Tqwm_sta.Arrival.propagate} of the
@@ -23,7 +25,7 @@
     evaluated concurrently through {!Tqwm_sta.Parallel.evaluate_stages}
     — the work-stealing chunk scheduler over one synthetic level — when
     the session was created with [domains > 1]; results do not depend on
-    the domain count, the chunk size, or steal interleaving. *)
+    the domain count or steal interleaving. *)
 
 module Timing_graph = Tqwm_sta.Timing_graph
 module Arrival = Tqwm_sta.Arrival
@@ -37,7 +39,6 @@ val create :
   ?cache:Tqwm_sta.Stage_cache.t ->
   ?domains:int ->
   ?parallel_threshold:int ->
-  ?chunk:int ->
   ?epsilon:float ->
   Timing_graph.t ->
   t
@@ -46,9 +47,7 @@ val create :
     full propagation through the incremental path. [epsilon] (seconds,
     default [0.] = exact) is the early-cutoff tolerance on
     [arrival_out] and [slew]; [domains] (default 1) and
-    [parallel_threshold] (default 4) govern parallel level evaluation,
-    and [chunk] is the stages-per-chunk batch size handed to
-    {!Tqwm_sta.Parallel.evaluate_stages} (default: auto-sized);
+    [parallel_threshold] (default 4) govern parallel level evaluation;
     [cache], [config] and [default_slew] are as in
     {!Tqwm_sta.Arrival.propagate}.
     @raise Invalid_argument when [default_slew <= 0] or [epsilon] is
@@ -57,7 +56,8 @@ val create :
 val fork : ?cache:Tqwm_sta.Stage_cache.t -> ?domains:int -> ?epsilon:float -> t -> t
 (** Snapshot fork: a fully isolated what-if session starting exactly
     where this one stands — same graph (copied copy-on-write through
-    {!Timing_graph.copy}), same computed timings and primary-input
+    {!Timing_graph.copy}), same computed timings (a
+    {!Tqwm_sta.Timing_arena.copy} of the store) and primary-input
     overrides, no re-propagation needed. Edits on either side never
     affect the other; the immutable frozen schedule and scenario values
     stay shared until a side mutates. [cache] defaults to
@@ -87,7 +87,11 @@ val recompute : t -> int
 (** Re-time every dirty stage (and whatever their changes reach).
     Returns the number of stages re-evaluated — 0 when the session is
     already clean. Emits an [incr.recompute] trace span and bumps the
-    [incr.stages_reeval] / [incr.cutoff_hits] counters. *)
+    [incr.stages_reeval] / [incr.cutoff_hits] counters.
+    @raise Tqwm_sta.Arrival.Analysis_failure when a stage cannot be
+    timed (its output never crosses 50 %). The session stays dirty, and
+    once an edit removes the cause the next recompute is again
+    bit-identical to a from-scratch run. *)
 
 val analysis : t -> Arrival.analysis
 (** Current analysis, recomputing first if dirty. Memoized while clean. *)

@@ -17,7 +17,7 @@ let h_endpoint_slack =
 
 exception Analysis_failure of string
 
-type stage_timing = {
+type stage_timing = Timing_arena.timing = {
   id : Timing_graph.stage_id;
   arrival_in : float;
   delay : float;
@@ -45,12 +45,6 @@ let ramp_of ~slew source =
     if low = high then source else Source.ramp ~t0:0.0 ~low ~high ~rise_time:slew ()
 
 let settled source = Source.constant (Source.value source 1e3)
-
-type slack_report = {
-  required : float array;
-  slack : float array;
-  worst_slack : float;
-}
 
 type required_report = {
   clock_period : float;
@@ -111,28 +105,27 @@ let required graph analysis ~clock_period =
   Array.iter (fun id -> Metrics.observe h_endpoint_slack (req_slack.(id) *. ps)) endpoints;
   { clock_period; req; req_slack; endpoints; req_worst_slack; wns; tns }
 
-let slacks graph analysis ~clock_period =
-  let r = required graph analysis ~clock_period in
-  { required = r.req; slack = r.req_slack; worst_slack = r.req_worst_slack }
-
 (* Shape one stage's input sources from its fanin timings: the critical
    (latest-arriving) driver's input becomes a ramp of that driver's
    bucketed slew, other driven inputs settle, everything else is left
-   alone. Pure with respect to [timings] and deterministic, so the very
+   alone. Pure with respect to [find] and deterministic, so the very
    same shaped scenario (and hence cache fingerprint) is reproducible
    after the fact — the contract [replay_stage] builds on. *)
-let shaped_inputs_via ~arrival_out_of ~slew_of ~default_slew ?cache ?pi
-    (frozen : Timing_graph.frozen) id =
+let shaped_inputs ~find ~default_slew ?cache ?pi (frozen : Timing_graph.frozen) id =
   let scenario = frozen.Timing_graph.scenarios.(id) in
   let fanin = frozen.Timing_graph.fanin.(id) in
   (* the latest-arriving driver defines the switching input *)
   let critical =
     Array.fold_left
       (fun acc (c : Timing_graph.connection) ->
-        let ao = arrival_out_of c.Timing_graph.from_stage in
+        let driver =
+          match find c.Timing_graph.from_stage with
+          | Some t -> t
+          | None -> raise (Analysis_failure "fanin stage not yet timed")
+        in
         match acc with
-        | Some (_, best_ao) when best_ao >= ao -> acc
-        | Some _ | None -> Some (c, ao))
+        | Some (_, best) when best.arrival_out >= driver.arrival_out -> acc
+        | Some _ | None -> Some (c, driver))
       None fanin
   in
   let arrival_in, input_slew, critical_fanin, sources =
@@ -157,9 +150,8 @@ let shaped_inputs_via ~arrival_out_of ~slew_of ~default_slew ?cache ?pi
           Some slew,
           None,
           List.map (fun (name, s) -> (name, ramp_of ~slew s)) scenario.Scenario.sources ))
-    | Some (c, driver_arrival_out) ->
-      let driver_slew = slew_of c.Timing_graph.from_stage in
-      let slew = if driver_slew > 0.0 then driver_slew else default_slew in
+    | Some (c, driver) ->
+      let slew = if driver.slew > 0.0 then driver.slew else default_slew in
       (* bucket before shaping the ramp so the cached solve and the
          waveform actually used agree exactly *)
       let slew =
@@ -175,23 +167,12 @@ let shaped_inputs_via ~arrival_out_of ~slew_of ~default_slew ?cache ?pi
         then (name, settled source)
         else (name, source)
       in
-      ( driver_arrival_out,
+      ( driver.arrival_out,
         Some slew,
         Some c.Timing_graph.from_stage,
         List.map reshape scenario.Scenario.sources )
   in
   (arrival_in, input_slew, critical_fanin, { scenario with Scenario.sources })
-
-let shaped_inputs ~default_slew ?cache ?pi (frozen : Timing_graph.frozen) timings id =
-  let timing_exn id =
-    match timings.(id) with
-    | Some t -> t
-    | None -> raise (Analysis_failure "fanin stage not yet timed")
-  in
-  shaped_inputs_via
-    ~arrival_out_of:(fun i -> (timing_exn i).arrival_out)
-    ~slew_of:(fun i -> (timing_exn i).slew)
-    ~default_slew ?cache ?pi frozen id
 
 (* Turn a stage's QWM solve into its timing record. *)
 let timing_of_solve ~arrival_in ~input_slew ~critical_fanin scenario id
@@ -218,96 +199,29 @@ let timing_of_solve ~arrival_in ~input_slew ~critical_fanin scenario id
     critical_fanin;
   }
 
-let evaluate_stage_inner ~model ~config ~default_slew ?cache ?pi
-    (frozen : Timing_graph.frozen) timings id =
+(* Time one stage from its fanins' stored records and store the result
+   in its own slot. Every engine calls this: the sequential run below,
+   the parallel chunk kernel and incremental re-propagation. With
+   tracing on, each evaluation is one trace slice labelled with the
+   stage's scenario name and carrying the timing it produced; the
+   counter feeds the sequential-vs-parallel equality check in the
+   telemetry tests. *)
+let evaluate_stage ~model ~config ~default_slew ?cache ?pi
+    (frozen : Timing_graph.frozen) arena id =
+  Metrics.incr c_stages_timed;
+  let traced = Trace.enabled () in
+  let t0 = if traced then Trace.now () else 0.0 in
   let arrival_in, input_slew, critical_fanin, scenario =
-    shaped_inputs ~default_slew ?cache ?pi frozen timings id
+    shaped_inputs ~find:(Timing_arena.timing arena) ~default_slew ?cache ?pi frozen id
   in
   let report =
     match cache with
     | None -> Tqwm_core.Qwm.run ~model ~config scenario
     | Some c -> Stage_cache.run c ~model ~config scenario
   in
-  timing_of_solve ~arrival_in ~input_slew ~critical_fanin scenario id report
-
-(* Re-derive a completed stage's solve without disturbing the cache:
-   shaping is deterministic, so the shaped scenario fingerprints to the
-   key the original evaluation used and [Stage_cache.peek] returns the
-   very report that produced the timing (a fresh solve only when the
-   stage was never evaluated through [cache], e.g. cache-less runs). *)
-let replay_stage ~model ~config ~default_slew ?cache ?pi
-    (frozen : Timing_graph.frozen) timings id =
-  let arrival_in, input_slew, critical_fanin, scenario =
-    shaped_inputs ~default_slew ?cache ?pi frozen timings id
-  in
-  let report =
-    match Option.bind cache (fun c -> Stage_cache.peek c ~model ~config scenario) with
-    | Some report -> report
-    | None -> Tqwm_core.Qwm.run ~model ~config scenario
-  in
-  (timing_of_solve ~arrival_in ~input_slew ~critical_fanin scenario id report, report, scenario)
-
-(* Per-stage delay/slew spans: one trace slice per stage evaluation,
-   labelled with the stage's scenario name and carrying the timing it
-   produced. The counter feeds the sequential-vs-parallel equality check
-   in the telemetry tests. *)
-let evaluate_stage ~model ~config ~default_slew ?cache ?pi
-    (frozen : Timing_graph.frozen) timings id =
-  Metrics.incr c_stages_timed;
-  if not (Trace.enabled ()) then
-    evaluate_stage_inner ~model ~config ~default_slew ?cache ?pi frozen timings id
-  else begin
-    let t0 = Trace.now () in
-    let t = evaluate_stage_inner ~model ~config ~default_slew ?cache ?pi frozen timings id in
-    Trace.complete
-      ~name:frozen.Timing_graph.scenarios.(id).Scenario.name ~cat:"sta.stage" ~ts:t0
-      ~dur:(Trace.now () -. t0)
-      ~args:
-        [
-          ("stage", Json.Int id);
-          ("arrival_in_ps", Json.Float (t.arrival_in *. 1e12));
-          ("delay_ps", Json.Float (t.delay *. 1e12));
-          ("slew_ps", Json.Float (t.slew *. 1e12));
-          ("arrival_out_ps", Json.Float (t.arrival_out *. 1e12));
-        ]
-      ();
-    t
-  end
-
-(* Arena-backed evaluation: fanin timings are read from, and the result
-   stored into, a {!Timing_arena} — no per-stage option/record boxing on
-   the propagation hot path. The arithmetic is exactly
-   [evaluate_stage]'s, so values are bit-identical to the boxed path. *)
-let evaluate_stage_arena ~model ~config ~default_slew ?cache ?pi
-    (frozen : Timing_graph.frozen) arena id =
-  Metrics.incr c_stages_timed;
-  let fanin_exn i =
-    if Timing_arena.has arena i then i
-    else raise (Analysis_failure "fanin stage not yet timed")
-  in
-  let inner () =
-    let arrival_in, input_slew, critical_fanin, scenario =
-      shaped_inputs_via
-        ~arrival_out_of:(fun i -> Timing_arena.arrival_out arena (fanin_exn i))
-        ~slew_of:(fun i -> Timing_arena.slew arena (fanin_exn i))
-        ~default_slew ?cache ?pi frozen id
-    in
-    let report =
-      match cache with
-      | None -> Tqwm_core.Qwm.run ~model ~config scenario
-      | Some c -> Stage_cache.run c ~model ~config scenario
-    in
-    let t = timing_of_solve ~arrival_in ~input_slew ~critical_fanin scenario id report in
-    Timing_arena.store arena id ~arrival_in:t.arrival_in ~delay:t.delay ~slew:t.slew
-      ~arrival_out:t.arrival_out
-      ~critical_fanin:(match critical_fanin with None -> -1 | Some s -> s);
-    Timing_arena.put_output arena id report.Tqwm_core.Qwm.output;
-    t
-  in
-  if not (Trace.enabled ()) then ignore (inner ())
-  else begin
-    let t0 = Trace.now () in
-    let t = inner () in
+  let t = timing_of_solve ~arrival_in ~input_slew ~critical_fanin scenario id report in
+  Timing_arena.store arena id t report.Tqwm_core.Qwm.output;
+  if traced then
     Trace.complete
       ~name:frozen.Timing_graph.scenarios.(id).Scenario.name ~cat:"sta.stage" ~ts:t0
       ~dur:(Trace.now () -. t0)
@@ -320,22 +234,31 @@ let evaluate_stage_arena ~model ~config ~default_slew ?cache ?pi
           ("arrival_out_ps", Json.Float (t.arrival_out *. 1e12));
         ]
       ()
-  end
 
-let timing_of_arena arena id =
-  {
-    id;
-    arrival_in = Timing_arena.arrival_in arena id;
-    delay = Timing_arena.delay arena id;
-    slew = Timing_arena.slew arena id;
-    arrival_out = Timing_arena.arrival_out arena id;
-    critical_fanin =
-      (match Timing_arena.critical_fanin arena id with
-      | -1 -> None
-      | s -> Some s);
-  }
+(* Re-derive a completed stage's solve without disturbing the cache:
+   shaping is deterministic, so the shaped scenario fingerprints to the
+   key the original evaluation used and [Stage_cache.peek] returns the
+   very report that produced the timing (a fresh solve only when the
+   stage was never evaluated through [cache], e.g. cache-less runs). *)
+let replay_stage ~model ~config ~default_slew ?cache ?pi
+    (frozen : Timing_graph.frozen) timings id =
+  let arrival_in, input_slew, critical_fanin, scenario =
+    shaped_inputs ~find:(fun i -> timings.(i)) ~default_slew ?cache ?pi frozen id
+  in
+  let report =
+    match Option.bind cache (fun c -> Stage_cache.peek c ~model ~config scenario) with
+    | Some report -> report
+    | None -> Tqwm_core.Qwm.run ~model ~config scenario
+  in
+  (timing_of_solve ~arrival_in ~input_slew ~critical_fanin scenario id report, report, scenario)
 
-let analysis_of_timings timings =
+let analysis_of_arena arena =
+  let timings =
+    Array.init (Timing_arena.length arena) (fun id ->
+        match Timing_arena.timing arena id with
+        | Some t -> t
+        | None -> raise (Analysis_failure "stage never timed"))
+  in
   let worst =
     Array.fold_left
       (fun acc t ->
@@ -354,19 +277,15 @@ let analysis_of_timings timings =
     in
     { timings; critical_path = walk sink []; worst_arrival = sink.arrival_out }
 
-let analysis_of_arena arena =
-  analysis_of_timings
-    (Array.init (Timing_arena.length arena) (fun id -> timing_of_arena arena id))
-
 let propagate_arena ~model ?(config = Tqwm_core.Config.default)
     ?(default_slew = 20e-12) ?cache ?pi graph =
   if default_slew <= 0.0 then invalid_arg "Arrival.propagate: default_slew <= 0";
   let frozen = Timing_graph.freeze graph in
-  let arena = Timing_arena.create frozen in
+  let arena = Timing_arena.create (Array.length frozen.Timing_graph.scenarios) in
   Array.iter
-    (fun id -> evaluate_stage_arena ~model ~config ~default_slew ?cache ?pi frozen arena id)
+    (fun id -> evaluate_stage ~model ~config ~default_slew ?cache ?pi frozen arena id)
     frozen.Timing_graph.order;
-  Timing_arena.seal arena;
+  Timing_arena.seal arena frozen;
   (analysis_of_arena arena, arena)
 
 let propagate ~model ?config ?default_slew ?cache ?pi graph =

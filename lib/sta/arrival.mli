@@ -4,13 +4,16 @@
     Each stage is evaluated with its switching input shaped as a ramp
     matching the driving stage's output slew (waveform information the
     paper argues plain delay/slope STA loses); arrival times accumulate
-    along the worst path. Propagation runs over the graph's frozen
-    indexed form; {!Parallel.propagate} evaluates topological levels
-    concurrently and produces identical results. *)
+    along the worst path. One function, {!evaluate_stage}, times a
+    stage: it reads its fanins' records from a {!Timing_arena} and
+    writes its own slot. The sequential run below, the work-stealing
+    chunks of {!Parallel.propagate} and incremental re-propagation
+    ({!Tqwm_incr.Session.recompute}) all call it, so they produce
+    identical results. *)
 
 exception Analysis_failure of string
 
-type stage_timing = {
+type stage_timing = Timing_arena.timing = {
   id : Timing_graph.stage_id;
   arrival_in : float;  (** 50 % crossing time of the switching input *)
   delay : float;  (** stage 50 %-to-50 % delay *)
@@ -55,6 +58,17 @@ val propagate :
     cache's bucket (see {!Stage_cache.bucket_slew}), so repeated gates
     are solved once. [pi] retimes primary-input stages. *)
 
+val propagate_arena :
+  model:Tqwm_device.Device_model.t ->
+  ?config:Tqwm_core.Config.t ->
+  ?default_slew:float ->
+  ?cache:Stage_cache.t ->
+  ?pi:pi_timing option array ->
+  Timing_graph.t ->
+  analysis * Timing_arena.t
+(** {!propagate}, additionally returning the sealed store (packed
+    per-level waveform slabs, see {!Timing_arena.level_digest}). *)
+
 (** {2 Building blocks shared with the parallel and incremental engines} *)
 
 val evaluate_stage :
@@ -64,58 +78,24 @@ val evaluate_stage :
   ?cache:Stage_cache.t ->
   ?pi:pi_timing option array ->
   Timing_graph.frozen ->
-  stage_timing option array ->
-  Timing_graph.stage_id ->
-  stage_timing
-(** Time one stage of a frozen graph given the (already computed) timings
-    of its fanin stages. Pure with respect to [timings] — it only reads
-    fanin entries — so stages of one topological level may be evaluated
-    concurrently in any order with identical results. A stage's timing
-    depends on its fanins only through their [arrival_out] and [slew]
-    (the early-cutoff invariant {!Tqwm_incr.Session} relies on).
-    @raise Analysis_failure if a fanin stage has no timing yet. *)
-
-val analysis_of_timings : stage_timing array -> analysis
-(** Worst arrival and critical-path walk over completed per-stage
-    timings (indexed by stage id). *)
-
-(** {2 Arena-backed propagation}
-
-    The engines' hot path: fanin timings are read from, and results
-    stored into, a {!Timing_arena}'s contiguous columns — no per-stage
-    boxed records until the final analysis is materialized. Values are
-    bit-identical to the boxed building blocks above. *)
-
-val evaluate_stage_arena :
-  model:Tqwm_device.Device_model.t ->
-  config:Tqwm_core.Config.t ->
-  default_slew:float ->
-  ?cache:Stage_cache.t ->
-  ?pi:pi_timing option array ->
-  Timing_graph.frozen ->
   Timing_arena.t ->
   Timing_graph.stage_id ->
   unit
-(** {!evaluate_stage} reading fanins from and storing into the arena
-    (timing columns and output waveform stash).
-    @raise Analysis_failure if a fanin stage has no timing yet. *)
-
-val timing_of_arena : Timing_arena.t -> Timing_graph.stage_id -> stage_timing
-(** Materialize one stage's boxed timing record from the arena columns. *)
+(** Time one stage of a frozen graph from its fanins' stored records and
+    store its timing and output waveform in its own slot. It reads only
+    fanin slots, so stages of one topological level may be evaluated
+    concurrently in any order with identical results. A stage's timing
+    depends on its fanins only through their [arrival_out] and [slew]
+    (the early-cutoff invariant {!Tqwm_incr.Session} relies on).
+    @raise Analysis_failure if a fanin stage has no timing yet or the
+    stage's output never crosses 50 %; the slot is then left as it
+    was. *)
 
 val analysis_of_arena : Timing_arena.t -> analysis
-(** {!analysis_of_timings} over every arena slot (all must be stored). *)
-
-val propagate_arena :
-  model:Tqwm_device.Device_model.t ->
-  ?config:Tqwm_core.Config.t ->
-  ?default_slew:float ->
-  ?cache:Stage_cache.t ->
-  ?pi:pi_timing option array ->
-  Timing_graph.t ->
-  analysis * Timing_arena.t
-(** {!propagate}, additionally returning the sealed arena (packed
-    per-level waveform slabs, see {!Timing_arena.level_digest}). *)
+(** Worst arrival and critical-path walk over the stored records, which
+    become the analysis's timings as they are (every slot must be
+    stored).
+    @raise Analysis_failure when a slot was never timed. *)
 
 val replay_stage :
   model:Tqwm_device.Device_model.t ->
@@ -139,14 +119,6 @@ val replay_stage :
     [timings] must hold the timings of [id]'s fanins. *)
 
 (** {2 Required times and slack} *)
-
-type slack_report = {
-  required : float array;
-      (** latest allowed output arrival per stage (backward-propagated
-          from [clock_period] at the sinks) *)
-  slack : float array;  (** [required - arrival_out]; negative = violation *)
-  worst_slack : float;
-}
 
 type required_report = {
   clock_period : float;
@@ -176,7 +148,3 @@ val required : Timing_graph.t -> analysis -> clock_period:float -> required_repo
     the [sta.endpoint_slack_ps] histogram to {!Tqwm_obs.Metrics}.
     @raise Invalid_argument when [clock_period] is non-positive or not
     finite, or when [analysis] has a different stage count than [graph]. *)
-
-val slacks : Timing_graph.t -> analysis -> clock_period:float -> slack_report
-(** {!required} restricted to its classic per-stage view (kept for
-    existing callers). Same validation, same numbers. *)

@@ -30,7 +30,7 @@ module Cand = struct
         (** endpoint id, then the fanin index chosen at each backward
             step: the lexicographic tie-break. Lowest endpoint id and
             first-in-insertion-order fanin win, matching the argmax
-            folds of [Arrival.analysis_of_timings], so the first path
+            folds of [Arrival.analysis_of_arena], so the first path
             out is the critical walk itself. *)
   }
 

@@ -17,10 +17,10 @@
     maximized over every prefix — so the first [k] completed paths are
     the [k] worst. Ties are broken lexicographically (lowest endpoint
     id, then fanin insertion order), matching the critical-path walk of
-    {!Arrival.analysis_of_timings}, so [k_worst ~k:1] reproduces
+    {!Arrival.analysis_of_arena}, so [k_worst ~k:1] reproduces
     {!Report.critical_path_string} exactly. The enumeration consumes
-    only the analysis (itself bit-identical across schedulers, domain
-    counts and chunk sizes), so reports built on it are deterministic
+    only the analysis (itself bit-identical across domain counts and
+    chunk sizes), so reports built on it are deterministic
     and bit-identical across all of those axes. *)
 
 type path = {
@@ -59,7 +59,7 @@ type stage_attribution = {
       (** how many stage evaluations shared this stage's cache key during
           the analysis (1 = solved only for this stage, >1 = the solve
           was reused; 0 = run without a cache). Deterministic across
-          schedulers and domain counts — see {!Stage_cache.uses}. *)
+          domain counts and chunk sizes — see {!Stage_cache.uses}. *)
 }
 
 type explained = {

@@ -49,6 +49,6 @@ val timing_to_json :
     slack, the endpoint table, per-stage timings with required/slack, and
     the enumerated paths with per-stage attribution. A pure function of
     its arguments (no GC/runtime block), so it is bit-identical across
-    schedulers, domain counts and chunk sizes — the contract the CI
+    domain counts and chunk sizes — the contract the CI
     report smoke diffs against. Written by [qwm_sim --report-timing
     --json FILE]. *)

@@ -1,126 +1,92 @@
 module Vec = Tqwm_num.Vec
 module Waveform = Tqwm_wave.Waveform
 
+type timing = {
+  id : Timing_graph.stage_id;
+  arrival_in : float;
+  delay : float;
+  slew : float;
+  arrival_out : float;
+  critical_fanin : Timing_graph.stage_id option;
+}
+
 (* One sealed level: every stage's output waveform as a packed block in
    one slab, [bounds.(i) .. bounds.(i+1)] the float range of the level's
    i-th stage (5 floats per piece). *)
 type pack = { slab : Vec.t; bounds : int array }
 
 type t = {
-  levels : Timing_graph.stage_id array array;
-  (* timing scalars, one slot per stage; the four float columns are
-     views into a single slab *)
-  arrival_in : Vec.t;
-  delay : Vec.t;
-  slew : Vec.t;
-  arrival_out : Vec.t;
-  critical_fanin : int array;
-  present : Bytes.t;
-  (* per-stage stashed outputs (disjoint slots, written by the solving
-     domain only), packed into per-level slabs by [seal] *)
-  outputs : Waveform.quadratic option array;
+  (* one slot per stage, written only by the domain that solved it *)
+  mutable timings : timing option array;
+  mutable outputs : Waveform.quadratic option array;
   mutable packs : pack array option;
 }
 
-let create (frozen : Timing_graph.frozen) =
-  let n = Array.length frozen.Timing_graph.scenarios in
-  let cols = Vec.create (4 * n) in
-  {
-    levels = frozen.Timing_graph.levels;
-    arrival_in = Vec.view cols ~pos:0 ~len:n;
-    delay = Vec.view cols ~pos:n ~len:n;
-    slew = Vec.view cols ~pos:(2 * n) ~len:n;
-    arrival_out = Vec.view cols ~pos:(3 * n) ~len:n;
-    critical_fanin = Array.make n (-1);
-    present = Bytes.make n '\000';
-    outputs = Array.make n None;
-    packs = None;
-  }
+let create n = { timings = Array.make n None; outputs = Array.make n None; packs = None }
 
-let length t = Array.length t.critical_fanin
+let length t = Array.length t.timings
 
-let store t id ~arrival_in ~delay ~slew ~arrival_out ~critical_fanin =
-  t.arrival_in.{id} <- arrival_in;
-  t.delay.{id} <- delay;
-  t.slew.{id} <- slew;
-  t.arrival_out.{id} <- arrival_out;
-  t.critical_fanin.(id) <- critical_fanin;
-  Bytes.set t.present id '\001'
+let resize t n =
+  let grow a = Array.append a (Array.make (n - Array.length a) None) in
+  if n > length t then begin
+    t.timings <- grow t.timings;
+    t.outputs <- grow t.outputs
+  end
 
-let has t id = Bytes.get t.present id <> '\000'
-let arrival_in t id = t.arrival_in.{id}
-let delay t id = t.delay.{id}
-let slew t id = t.slew.{id}
-let arrival_out t id = t.arrival_out.{id}
-let critical_fanin t id = t.critical_fanin.(id)
+let copy t = { t with timings = Array.copy t.timings; outputs = Array.copy t.outputs }
 
-let put_output t id q = t.outputs.(id) <- Some q
+let store t id timing output =
+  t.timings.(id) <- Some timing;
+  t.outputs.(id) <- Some output
 
-let seal t =
-  match t.packs with
-  | Some _ -> ()
-  | None ->
-    let pack_level stages =
-      let w = Array.length stages in
-      let bounds = Array.make (w + 1) 0 in
-      for i = 0 to w - 1 do
-        let sz =
-          match t.outputs.(stages.(i)) with
-          | Some q -> Waveform.packed_size q
-          | None -> 0
-        in
-        bounds.(i + 1) <- bounds.(i) + sz
-      done;
-      let slab = Vec.create bounds.(w) in
-      Array.iteri
-        (fun i id ->
-          match t.outputs.(id) with
-          | Some q -> Waveform.blit_packed q slab ~pos:bounds.(i)
-          | None -> ())
-        stages;
-      (* repoint each stage at its packed zero-copy view, so later reads
-         touch the contiguous level slab instead of scattered report
-         slabs *)
-      Array.iteri
-        (fun i id ->
-          let len = (bounds.(i + 1) - bounds.(i)) / 5 in
-          if len > 0 then
-            t.outputs.(id) <- Some (Waveform.of_packed slab ~pos:bounds.(i) ~len))
-        stages;
-      { slab; bounds }
-    in
-    t.packs <- Some (Array.map pack_level t.levels)
+let timing t id = t.timings.(id)
+
+let seal t (frozen : Timing_graph.frozen) =
+  let pack_level stages =
+    let w = Array.length stages in
+    let bounds = Array.make (w + 1) 0 in
+    for i = 0 to w - 1 do
+      let sz =
+        match t.outputs.(stages.(i)) with
+        | Some q -> Waveform.packed_size q
+        | None -> 0
+      in
+      bounds.(i + 1) <- bounds.(i) + sz
+    done;
+    let slab = Vec.create bounds.(w) in
+    Array.iteri
+      (fun i id ->
+        match t.outputs.(id) with
+        | Some q -> Waveform.blit_packed q slab ~pos:bounds.(i)
+        | None -> ())
+      stages;
+    (* repoint each stage at its packed zero-copy view, so later reads
+       touch the contiguous level slab instead of scattered report
+       slabs *)
+    Array.iteri
+      (fun i id ->
+        let len = (bounds.(i + 1) - bounds.(i)) / 5 in
+        if len > 0 then
+          t.outputs.(id) <- Some (Waveform.of_packed slab ~pos:bounds.(i) ~len))
+      stages;
+    { slab; bounds }
+  in
+  t.packs <- Some (Array.map pack_level frozen.Timing_graph.levels)
 
 let output t id = t.outputs.(id)
 
-let packs_exn t =
-  match t.packs with
-  | Some p -> p
-  | None -> invalid_arg "Timing_arena: not sealed"
-
-let digest_range slab ~lo ~hi =
-  let n = hi - lo in
-  let b = Bytes.create (n * 8) in
-  for i = 0 to n - 1 do
-    Bytes.set_int64_le b (i * 8) (Int64.bits_of_float slab.{lo + i})
-  done;
-  Digest.bytes b
-
 let level_digest t k =
-  let packs = packs_exn t in
+  let packs =
+    match t.packs with
+    | Some p -> p
+    | None -> invalid_arg "Timing_arena: not sealed"
+  in
   if k < 0 || k >= Array.length packs then
     invalid_arg "Timing_arena.level_digest: unknown level";
   let p = packs.(k) in
-  digest_range p.slab ~lo:0 ~hi:(Array.length p.bounds - 1 |> fun w -> p.bounds.(w))
-
-let range_digest t (c : Timing_graph.chunk) =
-  let packs = packs_exn t in
-  if c.Timing_graph.level < 0 || c.Timing_graph.level >= Array.length packs then
-    invalid_arg "Timing_arena.range_digest: unknown level";
-  let p = packs.(c.Timing_graph.level) in
-  let w = Array.length p.bounds - 1 in
-  if c.Timing_graph.start < 0 || c.Timing_graph.length < 0
-     || c.Timing_graph.start + c.Timing_graph.length > w
-  then invalid_arg "Timing_arena.range_digest: chunk out of range";
-  digest_range p.slab ~lo:p.bounds.(c.Timing_graph.start)
-    ~hi:p.bounds.(c.Timing_graph.start + c.Timing_graph.length)
+  let n = p.bounds.(Array.length p.bounds - 1) in
+  let b = Bytes.create (n * 8) in
+  for i = 0 to n - 1 do
+    Bytes.set_int64_le b (i * 8) (Int64.bits_of_float p.slab.{i})
+  done;
+  Digest.bytes b

@@ -154,8 +154,46 @@ let test_invalid_edits_leave_session_consistent () =
   Alcotest.check_raises "unknown stage"
     (Invalid_argument "Session.apply (Retime_input): unknown stage 99") (fun () ->
       ignore (Session.apply s (Edit.Retime_input { stage = 99; arrival = 0.; slew = 0. })));
+  List.iter
+    (fun load ->
+      Alcotest.check_raises
+        (Printf.sprintf "load %g" load)
+        (Invalid_argument "Stage.with_load: capacitance must be finite and >= 0")
+        (fun () -> ignore (Session.apply s (Edit.Set_load { stage = 1; load }))))
+    [ Float.nan; Float.infinity; Float.neg_infinity; -1e-15 ];
   check_identical "unchanged after rejected edits" before (Session.analysis s);
   check_identical "still matches scratch" (Session.analysis s) (Session.scratch_analysis s)
+
+(* A recompute that fails part-way through a level must not leave stale
+   fanout behind: once the failing edit is undone, the next analysis is
+   exact again. *)
+let check_failed_recompute_recovers ?domains ?parallel_threshold () =
+  let s =
+    session ?domains ?parallel_threshold
+      (Workloads.decoder_tree ~fanout:3 ~depth:2 ~levels:2 tech)
+  in
+  ignore (Session.analysis s);
+  let frozen = Timing_graph.freeze (Session.graph s) in
+  let level =
+    Array.to_list frozen.Timing_graph.levels
+    |> List.find (fun l ->
+           Array.length l >= 2
+           && Array.for_all (fun id -> Array.length frozen.Timing_graph.fanout.(id) > 0) l)
+  in
+  let first = level.(0) and last = level.(Array.length level - 1) in
+  let original = Timing_graph.scenario (Session.graph s) last in
+  ignore (Session.apply s (Edit.Resize_device { stage = first; edge = 0; scale = 1.7 }));
+  (* a 1 uF load: the last stage's output never crosses 50 % *)
+  ignore (Session.apply s (Edit.Set_load { stage = last; load = 1e-6 }));
+  (match Session.analysis s with
+  | exception Arrival.Analysis_failure _ -> ()
+  | _ -> Alcotest.fail "an unswitchable stage must fail the analysis");
+  ignore (Session.apply s (Edit.Swap_scenario { stage = last; scenario = original }));
+  check_identical "recovered after undo" (Session.analysis s) (Session.scratch_analysis s)
+
+let test_failed_recompute_recovers () =
+  check_failed_recompute_recovers ();
+  check_failed_recompute_recovers ~domains:4 ~parallel_threshold:2 ()
 
 (* ---------- retiming ---------- *)
 
@@ -326,6 +364,7 @@ let () =
           quick "4 domains" test_equiv_parallel;
           quick "topology edits" test_equiv_topology;
           quick "rejected edits" test_invalid_edits_leave_session_consistent;
+          quick "failed recompute recovers" test_failed_recompute_recovers;
           quick "retiming" test_equiv_retime;
         ] );
       ( "cutoff",

@@ -171,15 +171,13 @@ let test_steal_identical_many_domains () =
   List.iter
     (fun domains ->
       check_identical
-        (Printf.sprintf "steal, %d domains" domains)
+        (Printf.sprintf "auto chunks, %d domains" domains)
         seq
-        (Parallel.propagate ~model:(Lazy.force table) ~domains
-           ~scheduler:Parallel.Work_stealing graph);
+        (Parallel.propagate ~model:(Lazy.force table) ~domains graph);
       check_identical
-        (Printf.sprintf "ready, %d domains" domains)
+        (Printf.sprintf "1-stage chunks, %d domains" domains)
         seq
-        (Parallel.propagate ~model:(Lazy.force table) ~domains
-           ~scheduler:Parallel.Ready_queue graph))
+        (Parallel.propagate ~model:(Lazy.force table) ~domains ~chunk:1 graph))
     [ 2; 4; 8 ]
 
 let test_chunk_size_edges () =
@@ -202,62 +200,51 @@ let test_chunk_validation () =
   let graph = Workloads.diamond tech in
   Alcotest.check_raises "chunk 0 rejected"
     (Invalid_argument "Parallel.propagate: chunk < 1") (fun () ->
-      ignore (Parallel.propagate ~model:(Lazy.force table) ~domains:2 ~chunk:0 graph));
-  Alcotest.check_raises "evaluate_stages chunk 0 rejected"
-    (Invalid_argument "Parallel.evaluate_stages: chunk < 1") (fun () ->
-      ignore
-        (Parallel.evaluate_stages ~domains:2 ~chunk:0 ~eval:fabricated_timing
-           [| 0; 1 |]))
+      ignore (Parallel.propagate ~model:(Lazy.force table) ~domains:2 ~chunk:0 graph))
+
+(* run [evaluate_stages] with each [f id] writing its own result slot *)
+let evaluate_fabricated ~domains ~cost n =
+  let results = Array.make n None in
+  Parallel.evaluate_stages ~domains
+    ~f:(fun id ->
+      cost id;
+      results.(id) <- Some (fabricated_timing id))
+    (Array.init n Fun.id);
+  results
 
 let test_steals_on_imbalance () =
-  (* chunk 1 deals ids round-robin, so deque w owns ids congruent to
-     w mod 4; making deque 0's stages slow guarantees workers 1..3 run
-     dry while work remains there — the steal counter must move *)
-  let n = 32 in
-  let eval id =
-    if id mod 4 = 0 then Unix.sleepf 0.005;
-    fabricated_timing id
-  in
+  (* 32 stages on 4 domains are cut into chunks of
+     max 1 (min 32 (32 / 16)) = 2 stages, dealt round-robin, so deque w
+     owns chunks congruent to w mod 4; making deque 0's chunks slow
+     guarantees workers 1..3 run dry while work remains there — the
+     steal counter must move *)
+  let n = 32 and chunk = 2 in
+  let cost id = if id / chunk mod 4 = 0 then Unix.sleepf 0.005 in
   let steals0 = counter "sta.steals" and chunks0 = counter "sta.chunks" in
-  let results =
-    Parallel.evaluate_stages ~domains:4 ~chunk:1 ~eval (Array.init n Fun.id)
-  in
+  let results = evaluate_fabricated ~domains:4 ~cost n in
   let steals = counter "sta.steals" - steals0 in
   let chunks = counter "sta.chunks" - chunks0 in
   Array.iteri
     (fun i r ->
-      if r <> fabricated_timing i then Alcotest.failf "stage %d result corrupted" i)
+      if r <> Some (fabricated_timing i) then
+        Alcotest.failf "stage %d result corrupted" i)
     results;
-  Alcotest.(check int) "every chunk executed exactly once" n chunks;
+  Alcotest.(check int) "every chunk executed exactly once" (n / chunk) chunks;
   Alcotest.(check bool) "imbalance forced steals" true (steals > 0)
 
 let prop_evaluate_stages_identical =
   QCheck2.Test.make ~name:"evaluate_stages bit-identical under random costs" ~count:20
-    QCheck2.Gen.(
-      triple
-        (list_size (int_range 1 40) (int_range 0 3))
-        (int_range 1 8) (int_range 1 6))
-    (fun (costs, domains, chunk) ->
+    QCheck2.Gen.(pair (list_size (int_range 1 40) (int_range 0 3)) (int_range 1 8))
+    (fun (costs, domains) ->
       let costs = Array.of_list costs in
       let n = Array.length costs in
       (* random per-stage costs skew the deques so steal interleavings
          vary run to run; the result may not *)
-      let eval id =
-        if costs.(id) > 0 then Unix.sleepf (float_of_int costs.(id) *. 2e-4);
-        fabricated_timing id
+      let cost id =
+        if costs.(id) > 0 then Unix.sleepf (float_of_int costs.(id) *. 2e-4)
       in
-      let expected = Array.init n fabricated_timing in
-      Parallel.evaluate_stages ~domains ~chunk ~eval (Array.init n Fun.id) = expected)
-
-let test_scheduler_names () =
-  Alcotest.(check string) "steal" "steal"
-    (Parallel.scheduler_name Parallel.Work_stealing);
-  Alcotest.(check string) "ready" "ready"
-    (Parallel.scheduler_name Parallel.Ready_queue);
-  Alcotest.(check bool) "round-trip" true
-    (Parallel.scheduler_of_string "steal" = Some Parallel.Work_stealing
-    && Parallel.scheduler_of_string "ready" = Some Parallel.Ready_queue
-    && Parallel.scheduler_of_string "fifo" = None)
+      evaluate_fabricated ~domains ~cost n
+      = Array.init n (fun id -> Some (fabricated_timing id)))
 
 (* ---------- timing arena ---------- *)
 
@@ -280,22 +267,15 @@ let test_arena_race_four_domains () =
   let model = Lazy.force table in
   let seq, seq_arena = Arrival.propagate_arena ~model graph in
   List.iter
-    (fun (scheduler, chunk) ->
-      let par, par_arena =
-        Parallel.propagate_arena ~model ~domains:4 ~scheduler ?chunk graph
-      in
+    (fun chunk ->
+      let par, par_arena = Parallel.propagate_arena ~model ~domains:4 ?chunk graph in
       let what =
-        Printf.sprintf "4 domains, %s%s"
-          (Parallel.scheduler_name scheduler)
-          (match chunk with Some c -> Printf.sprintf ", chunk %d" c | None -> "")
+        Printf.sprintf "4 domains, %s"
+          (match chunk with Some c -> Printf.sprintf "chunk %d" c | None -> "auto chunk")
       in
       check_identical what seq par;
       check_level_digests what graph seq_arena par_arena)
-    [
-      (Parallel.Work_stealing, None);
-      (Parallel.Work_stealing, Some 1);
-      (Parallel.Ready_queue, None);
-    ]
+    [ None; Some 1 ]
 
 let test_arena_reuse_and_seal_idempotent () =
   let graph = Workloads.diamond tech in
@@ -306,39 +286,45 @@ let test_arena_reuse_and_seal_idempotent () =
   let _, a = Arrival.propagate_arena ~model graph in
   let _, b = Arrival.propagate_arena ~model graph in
   check_level_digests "repeated propagation" graph a b;
-  (* sealing an already-sealed arena is a no-op: digests survive *)
+  (* sealing again repacks the same values: digests survive *)
   let d0 = Timing_arena.level_digest a 0 in
-  Timing_arena.seal a;
+  Timing_arena.seal a frozen;
   Alcotest.(check string) "re-seal keeps digests" d0 (Timing_arena.level_digest a 0);
   (* slot reuse: a re-stored slot keeps the last write, untouched slots
      stay empty *)
-  let m = Timing_arena.create frozen in
-  Alcotest.(check int) "sized for the graph" (Timing_graph.num_stages graph)
-    (Timing_arena.length m);
-  Timing_arena.store m 0 ~arrival_in:1.0 ~delay:2.0 ~slew:3.0 ~arrival_out:9.0
-    ~critical_fanin:(-1);
-  Timing_arena.store m 0 ~arrival_in:0.5 ~delay:1.5 ~slew:2.5 ~arrival_out:2.0
-    ~critical_fanin:(-1);
-  Alcotest.(check bool) "stored slot present" true (Timing_arena.has m 0);
-  Alcotest.(check (float 0.0)) "overwrite wins" 2.0 (Timing_arena.arrival_out m 0);
-  Alcotest.(check int) "PI critical fanin" (-1) (Timing_arena.critical_fanin m 0);
-  Alcotest.(check bool) "untouched slot empty" false (Timing_arena.has m 1)
+  let n = Timing_graph.num_stages graph in
+  let m = Timing_arena.create n in
+  Alcotest.(check int) "sized for the graph" n (Timing_arena.length m);
+  let output = Option.get (Timing_arena.output a 0) in
+  Timing_arena.store m 0 (fabricated_timing 3) output;
+  Timing_arena.store m 0 (fabricated_timing 0) output;
+  Alcotest.(check bool) "overwrite wins" true
+    (Timing_arena.timing m 0 = Some (fabricated_timing 0));
+  Alcotest.(check bool) "untouched slot empty" true (Timing_arena.timing m 1 = None);
+  (* a copy is independent of its source; growing keeps stored slots *)
+  let c = Timing_arena.copy m in
+  Timing_arena.store c 1 (fabricated_timing 1) output;
+  Alcotest.(check bool) "copy writes stay in the copy" true
+    (Timing_arena.timing m 1 = None
+    && Timing_arena.timing c 1 = Some (fabricated_timing 1));
+  Timing_arena.resize m (n + 2);
+  Alcotest.(check int) "grown" (n + 2) (Timing_arena.length m);
+  Alcotest.(check bool) "resize keeps slots, new ones empty" true
+    (Timing_arena.timing m 0 = Some (fabricated_timing 0)
+    && Timing_arena.timing m (n + 1) = None);
+  Timing_arena.resize m 1;
+  Alcotest.(check int) "never shrinks" (n + 2) (Timing_arena.length m)
 
 let prop_arena_digests_stable =
   QCheck2.Test.make
-    ~name:"arena slab digests identical across domains, chunks and schedulers"
+    ~name:"arena slab digests identical across domains and chunks"
     ~count:8
-    QCheck2.Gen.(triple (int_range 1 6) (int_range 1 6) bool)
-    (fun (domains, chunk, steal) ->
+    QCheck2.Gen.(pair (int_range 1 6) (int_range 1 6))
+    (fun (domains, chunk) ->
       let graph = Workloads.decoder_tree ~fanout:2 ~depth:2 tech in
       let model = Lazy.force table in
-      let scheduler =
-        if steal then Parallel.Work_stealing else Parallel.Ready_queue
-      in
       let _, ref_arena = Arrival.propagate_arena ~model graph in
-      let _, arena =
-        Parallel.propagate_arena ~model ~domains ~scheduler ~chunk graph
-      in
+      let _, arena = Parallel.propagate_arena ~model ~domains ~chunk graph in
       Array.for_all
         (fun k ->
           String.equal
@@ -352,10 +338,10 @@ let test_chain_slack_identity () =
   let graph = Workloads.chain ~n:3 tech in
   let analysis = propagate ~domains:2 graph in
   let clock_period = 1e-9 in
-  let report = Arrival.slacks graph analysis ~clock_period in
+  let report = Arrival.required graph analysis ~clock_period in
   Alcotest.(check (float 1e-15)) "worst slack = clock_period - worst_arrival"
     (clock_period -. analysis.Arrival.worst_arrival)
-    report.Arrival.worst_slack
+    report.Arrival.req_worst_slack
 
 let () =
   let quick name f = Alcotest.test_case name `Quick f in
@@ -375,11 +361,10 @@ let () =
         ] );
       ( "work stealing",
         [
-          slow "bit-identical at 2/4/8 domains, both schedulers"
+          slow "bit-identical at 2/4/8 domains, auto and 1-stage chunks"
             test_steal_identical_many_domains;
           slow "chunk size edge cases" test_chunk_size_edges;
           quick "chunk validation" test_chunk_validation;
-          quick "scheduler names" test_scheduler_names;
           slow "imbalance forces steals" test_steals_on_imbalance;
           QCheck_alcotest.to_alcotest prop_evaluate_stages_identical;
         ] );

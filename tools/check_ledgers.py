@@ -61,10 +61,13 @@ def check_bench_parallel(record, ctx, version):
     # the oversubscription flag arrived mid-version-1; /2 requires it
     if version >= 2 or "degraded" in record:
         expect(record, "degraded", bool, ctx)
-    if version >= 2:
+    # /2 recorded which of two schedulers ran and an A/B column for the
+    # other; /3 has one scheduler and drops both
+    if version == 2:
         scheduler = expect(record, "scheduler", str, ctx)
         if scheduler not in ("steal", "ready"):
             fail(f"{ctx}: unknown scheduler {scheduler!r}")
+    if version >= 2:
         chunk_size = expect(record, "chunk_size", int, ctx)
         if chunk_size < 0:
             fail(f"{ctx}: chunk_size {chunk_size} < 0 (0 means auto)")
@@ -79,9 +82,10 @@ def check_bench_parallel(record, ctx, version):
             expect(row, field, NUM, rctx)
         expect(row, "identical", bool, rctx)
         check_cache(expect(row, "cache", dict, rctx), rctx + ".cache")
-        if version >= 2:
+        if version == 2:
             for field in ("ready_ms", "speedup_ready"):
                 expect(row, field, NUM, rctx)
+        if version >= 2:
             for field in ("steals", "chunks"):
                 if expect(row, field, int, rctx) < 0:
                     fail(f"{rctx}: negative {field}")
@@ -191,8 +195,8 @@ def check_incr_report(record, ctx):
 def check_timing_report(record, ctx):
     """tqwm-report/1: the k-worst-path / slack document of
     ``qwm_sim --report-timing --json`` — a pure function of the analysis,
-    so CI additionally diffs the bytes across schedulers and domain
-    counts; here we validate the shape."""
+    so CI additionally diffs the bytes across domain counts; here we
+    validate the shape."""
     for field in ("clock_period_ps", "wns_ps", "tns_ps", "worst_slack_ps",
                   "worst_arrival_ps"):
         expect(record, field, NUM, ctx)
@@ -404,6 +408,7 @@ def check_access_log(path):
 SCHEMAS = {
     "tqwm-bench-parallel/1": lambda r, c: check_bench_parallel(r, c, 1),
     "tqwm-bench-parallel/2": lambda r, c: check_bench_parallel(r, c, 2),
+    "tqwm-bench-parallel/3": lambda r, c: check_bench_parallel(r, c, 3),
     "tqwm-bench-incr/1": check_bench_incr,
     "tqwm-bench-alloc/1": check_bench_alloc,
     "tqwm-bench-alloc/2": lambda r, c: check_bench_alloc(r, c, 2),
@@ -558,6 +563,42 @@ def _alloc2_sample():
     }
 
 
+def _parallel3_sample():
+    return {
+        "schema": "tqwm-bench-parallel/3",
+        "date": "2026-10-17",
+        "commit": "0000000",
+        "smoke": True,
+        "domains": 2,
+        "chunk_size": 0,
+        "available_cores": 2,
+        "degraded": True,
+        "workloads": [
+            {
+                "name": "decoder-tree",
+                "stages": 13,
+                "seq_ms": 4.1,
+                "par_ms": 6.0,
+                "speedup": 0.68,
+                "steals": 1,
+                "chunks": 6,
+                "degraded": True,
+                "identical": True,
+                "cache": {"hits": 11, "misses": 2, "hit_rate": 0.85},
+                "warm_ms": 0.9,
+            }
+        ],
+    }
+
+
+def _parallel2_sample():
+    record = _parallel3_sample()
+    record["schema"] = "tqwm-bench-parallel/2"
+    record["scheduler"] = "steal"
+    record["workloads"][0].update({"ready_ms": 6.5, "speedup_ready": 0.63})
+    return record
+
+
 def _access_sample():
     return {
         "ts": 1754600000.25,
@@ -626,6 +667,24 @@ def self_test():
     mistyped["date"] = 20260808
     cases.append(("ledger with non-string date stamp", [mistyped], False,
                   check_ledger))
+
+    cases.append(("good parallel/3 record", _parallel3_sample(), True,
+                  check_versioned))
+    bad("parallel/3 missing chunk_size", lambda r: r.pop("chunk_size"),
+        _parallel3_sample)
+    bad("parallel/3 negative steals",
+        lambda r: r["workloads"][0].update({"steals": -1}), _parallel3_sample)
+    bad("parallel/3 row missing degraded",
+        lambda r: r["workloads"][0].pop("degraded"), _parallel3_sample)
+    bad("parallel/3 empty workloads", lambda r: r.update({"workloads": []}),
+        _parallel3_sample)
+    # /2 keeps requiring its scheduler fields and A/B columns
+    cases.append(("good parallel/2 record", _parallel2_sample(), True,
+                  check_versioned))
+    bad("parallel/2 missing scheduler", lambda r: r.pop("scheduler"),
+        _parallel2_sample)
+    bad("parallel/2 missing ready_ms",
+        lambda r: r["workloads"][0].pop("ready_ms"), _parallel2_sample)
 
     cases.append(("good obs record", _obs_sample(), True, check_versioned))
     bad("obs zero trace events",
