@@ -748,8 +748,8 @@ let alloc_table ?(smoke = false) () =
       scenarios
   in
   (* Arena leg: one sequential propagation over a decoder tree through
-     the timing arena, reporting the packed per-level waveform footprint
-     and the whole-propagation allocation per stage. *)
+     the timing arena, reporting the stored output waveforms' footprint
+     in packed floats and the whole-propagation allocation per stage. *)
   let arena_json =
     let fanout, depth = if smoke then (3, 2) else (4, 3) in
     let graph = Workloads.decoder_tree ~fanout ~depth tech in

@@ -217,7 +217,9 @@ let evaluate_stage ~model ~config ~default_slew ?cache ?pi
   let report =
     match cache with
     | None -> Tqwm_core.Qwm.run ~model ~config scenario
-    | Some c -> Stage_cache.run c ~model ~config scenario
+    | Some c ->
+      Stage_cache.run c ~structure:frozen.Timing_graph.structure.(id) ~model ~config
+        scenario
   in
   let t = timing_of_solve ~arrival_in ~input_slew ~critical_fanin scenario id report in
   Timing_arena.store arena id t report.Tqwm_core.Qwm.output;
@@ -236,17 +238,20 @@ let evaluate_stage ~model ~config ~default_slew ?cache ?pi
       ()
 
 (* Re-derive a completed stage's solve without disturbing the cache:
-   shaping is deterministic, so the shaped scenario fingerprints to the
-   key the original evaluation used and [Stage_cache.peek] returns the
-   very report that produced the timing (a fresh solve only when the
-   stage was never evaluated through [cache], e.g. cache-less runs). *)
+   shaping is deterministic, so the shaped scenario and the frozen
+   structure digest key to the entry the original evaluation used, and
+   [Stage_cache.peek] returns the very report that produced the timing
+   (a fresh solve only when the stage was never evaluated through
+   [cache], e.g. cache-less runs). *)
 let replay_stage ~model ~config ~default_slew ?cache ?pi
     (frozen : Timing_graph.frozen) timings id =
   let arrival_in, input_slew, critical_fanin, scenario =
     shaped_inputs ~find:(fun i -> timings.(i)) ~default_slew ?cache ?pi frozen id
   in
+  let structure = frozen.Timing_graph.structure.(id) in
+  let peek c = Stage_cache.peek c ~structure ~model ~config scenario in
   let report =
-    match Option.bind cache (fun c -> Stage_cache.peek c ~model ~config scenario) with
+    match Option.bind cache peek with
     | Some report -> report
     | None -> Tqwm_core.Qwm.run ~model ~config scenario
   in
@@ -285,7 +290,6 @@ let propagate_arena ~model ?(config = Tqwm_core.Config.default)
   Array.iter
     (fun id -> evaluate_stage ~model ~config ~default_slew ?cache ?pi frozen arena id)
     frozen.Timing_graph.order;
-  Timing_arena.seal arena frozen;
   (analysis_of_arena arena, arena)
 
 let propagate ~model ?config ?default_slew ?cache ?pi graph =

@@ -66,8 +66,8 @@ val propagate_arena :
   ?pi:pi_timing option array ->
   Timing_graph.t ->
   analysis * Timing_arena.t
-(** {!propagate}, additionally returning the sealed store (packed
-    per-level waveform slabs, see {!Timing_arena.level_digest}). *)
+(** {!propagate}, additionally returning the filled store (see
+    {!Timing_arena.level_digest}). *)
 
 (** {2 Building blocks shared with the parallel and incremental engines} *)
 
@@ -111,7 +111,9 @@ val replay_stage :
     returns the stage timing, the full QWM report behind it (region /
     Newton counts) and the {e shaped} scenario that was actually solved
     (ramped critical input, settled side inputs — the value whose
-    {!Stage_cache.fingerprint} keyed the solve). Input shaping is
+    {!Stage_cache.fingerprint} keyed the solve; with the cache, the
+    frozen structure digest stands in for hashing its unshaped part, as
+    it does in {!evaluate_stage}). Input shaping is
     deterministic in [timings], so with the same [cache] the analysis
     ran with this is a {!Stage_cache.peek} of the original report — no
     new solve, no hit/miss/use accounting; without a cache the stage is

@@ -341,7 +341,6 @@ let propagate_arena ~model ?(config = Tqwm_core.Config.default)
           done
         in
         run_stealing ~domains ~exec_chunk ~chunks;
-        Timing_arena.seal arena frozen;
         (Arrival.analysis_of_arena arena, arena))
   end
 

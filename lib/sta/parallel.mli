@@ -63,10 +63,9 @@ val propagate_arena :
   ?chunk:int ->
   Timing_graph.t ->
   Arrival.analysis * Timing_arena.t
-(** {!propagate}, additionally returning the sealed {!Timing_arena}:
-    [seal] packs every level's output waveforms into one slab whose
-    {!Timing_arena.level_digest} is equal across domain counts and chunk
-    sizes. *)
+(** {!propagate}, additionally returning the filled {!Timing_arena},
+    whose {!Timing_arena.level_digest}s are equal across domain counts
+    and chunk sizes. *)
 
 val evaluate_stages :
   domains:int -> f:(Timing_graph.stage_id -> unit) -> Timing_graph.stage_id array -> unit

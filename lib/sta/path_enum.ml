@@ -163,7 +163,9 @@ let explain ~model ?(config = Tqwm_core.Config.default) ?(default_slew = 20e-12)
           cache_uses =
             (match cache with
             | None -> 0
-            | Some c -> Stage_cache.uses c ~model ~config shaped);
+            | Some c ->
+              Stage_cache.uses c ~structure:frozen.Timing_graph.structure.(id) ~model
+                ~config shaped);
         })
       path.stages
   in

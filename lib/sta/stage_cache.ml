@@ -31,7 +31,8 @@ type t = {
 }
 
 let create ?(slew_bucket = 1e-12) () =
-  if slew_bucket <= 0.0 then invalid_arg "Stage_cache.create: slew_bucket <= 0";
+  if (not (Float.is_finite slew_bucket)) || slew_bucket <= 0.0 then
+    invalid_arg "Stage_cache.create: slew_bucket must be finite and > 0";
   {
     slew_bucket;
     table = Hashtbl.create 256;
@@ -70,33 +71,62 @@ let bucket_slew t s =
   else Float.max t.slew_bucket (Float.round (s /. t.slew_bucket) *. t.slew_bucket)
 
 (* A scenario is pure data (stage arrays, source shapes, floats), as is a
-   config, so marshalling yields a canonical byte string covering stage
-   topology, device sizes, loads and (pre-bucketed) input source shapes.
+   config, so marshalling yields a canonical byte string. The key is
+   split in two so that the part input shaping never touches is hashed
+   once per stage instead of once per lookup:
+
+   - [structure]: everything but the input sources — stage topology,
+     device sizes, loads, technology, simulation window — with the
+     initial-bias vector hashed as its raw float64 bits rather than
+     having Marshal walk a boxed float array;
+   - the key proper: MD5 of the config's digest and the structure
+     digest (16 bytes each), the marshalled shaped sources (self-
+     delimiting: Marshal's header carries its length) and, last, the
+     model name. Fixed widths and a self-delimiting middle keep the
+     encoding unambiguous without escaping.
+
    Device models contain closures and cannot be marshalled; only the
    model name enters the key, so a cache must not be shared between
-   models that answer differently under the same name. The initial-bias
-   vector is the one bulk-numeric field: it is hashed as its raw float64
-   bits directly (the same flat encoding the timing arena digests use)
-   instead of having Marshal walk a boxed float array, and spliced into
-   the digest alongside the structural remainder. *)
-let fingerprint ~model ~config scenario =
+   models that answer differently under the same name. *)
+let structure (scenario : Tqwm_circuit.Scenario.t) =
   let initial = scenario.Tqwm_circuit.Scenario.initial in
   let n = Array.length initial in
   let bits = Bytes.create (n * 8) in
   for i = 0 to n - 1 do
     Bytes.set_int64_le bits (i * 8) (Int64.bits_of_float initial.(i))
   done;
-  let structural =
+  let rest =
     Marshal.to_string
-      ( model.Tqwm_device.Device_model.name,
-        config,
-        { scenario with Tqwm_circuit.Scenario.initial = [||] } )
+      { scenario with Tqwm_circuit.Scenario.sources = []; initial = [||] }
       []
   in
-  Digest.string (structural ^ Bytes.unsafe_to_string bits)
+  Digest.string (rest ^ Bytes.unsafe_to_string bits)
 
-let run t ~model ~config scenario =
-  let key = fingerprint ~model ~config scenario in
+let digest_config config = Digest.string (Marshal.to_string config [])
+
+(* every propagation engine is handed [Config.default] itself, so its
+   digest is computed once *)
+let default_config_digest = digest_config Tqwm_core.Config.default
+
+let config_digest config =
+  if config == Tqwm_core.Config.default then default_config_digest
+  else digest_config config
+
+let key ?structure:s ~model ~config (scenario : Tqwm_circuit.Scenario.t) =
+  let s = match s with Some s -> s | None -> structure scenario in
+  Digest.string
+    (String.concat ""
+       [
+         config_digest config;
+         s;
+         Marshal.to_string scenario.Tqwm_circuit.Scenario.sources [];
+         model.Tqwm_device.Device_model.name;
+       ])
+
+let fingerprint ~model ~config scenario = key ~model ~config scenario
+
+let run t ?structure ~model ~config scenario =
+  let key = key ?structure ~model ~config scenario in
   Mutex.lock t.lock;
   Hashtbl.replace t.uses key
     (1 + Option.value (Hashtbl.find_opt t.uses key) ~default:0);
@@ -142,15 +172,15 @@ let run t ~model ~config scenario =
       Mutex.unlock t.lock;
       report)
 
-let peek t ~model ~config scenario =
-  let key = fingerprint ~model ~config scenario in
+let peek t ?structure ~model ~config scenario =
+  let key = key ?structure ~model ~config scenario in
   Mutex.protect t.lock (fun () ->
       match Hashtbl.find_opt t.table key with
       | Some (Ready report) -> Some report
       | Some In_flight | None -> None)
 
-let uses t ~model ~config scenario =
-  let key = fingerprint ~model ~config scenario in
+let uses t ?structure ~model ~config scenario =
+  let key = key ?structure ~model ~config scenario in
   Mutex.protect t.lock (fun () ->
       Option.value (Hashtbl.find_opt t.uses key) ~default:0)
 

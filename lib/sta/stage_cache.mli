@@ -4,9 +4,19 @@
     the same stage (same topology, device sizes, load) hundreds of times,
     and after slew bucketing their switching inputs coincide too. The
     cache keys each {!Tqwm_core.Qwm.run} on a canonical fingerprint of
-    the full scenario — stage topology, device geometry, external loads,
-    initial node biases and input source shapes — so every repeated gate
-    is solved exactly once.
+    (model name, config, scenario), so every repeated gate is solved
+    exactly once.
+
+    The key covers the whole scenario in two parts. Its {!structure}
+    digest covers everything input shaping leaves alone — stage
+    topology, device geometry, external loads, technology, simulation
+    window and initial node biases. The shaped input sources are hashed
+    per lookup. A frozen timing graph digests each stage's structure
+    once ({!Timing_graph.frozen}[.structure]) and propagation passes it
+    as [?structure] to {!run}, {!peek} and {!uses}, so a cache hit
+    hashes about 120 bytes instead of marshalling the stage, the
+    technology and the initial biases. A precomputed digest yields the
+    very key {!fingerprint} computes from scratch.
 
     Thread-safety: the table is mutex-protected and the counters are
     atomic, so one cache may be shared by all domains of the
@@ -35,8 +45,10 @@ type stats = {
 }
 
 val create : ?slew_bucket:float -> unit -> t
-(** [slew_bucket] (default 1 ps, must be positive) quantizes input slews
-    before they are used as cache keys — see {!bucket_slew}. *)
+(** [slew_bucket] (default 1 ps) quantizes input slews before they are
+    used as cache keys — see {!bucket_slew}.
+    @raise Invalid_argument unless [slew_bucket] is finite and
+    positive. *)
 
 val fork : ?copy_uses:bool -> t -> t
 (** A new cache handle sharing this cache's solve table — and its
@@ -60,17 +72,32 @@ val bucket_slew : t -> float -> float
     are deterministic regardless of hit order. The default 1 ps bucket
     perturbs delays well below the QWM-vs-reference model error. *)
 
+val structure : Tqwm_circuit.Scenario.t -> string
+(** Digest of the scenario without its input sources (initial biases
+    hashed as raw float64 bits). The model and config are not part of
+    it. Scenarios are never mutated in place, so a digest stays valid
+    for the scenario value it was computed from. *)
+
 val fingerprint :
   model:Tqwm_device.Device_model.t ->
   config:Tqwm_core.Config.t ->
   Tqwm_circuit.Scenario.t ->
   string
-(** Canonical digest of (model name, config, scenario). Device models
-    are identified by name only — do not share one cache between models
-    that answer differently under the same name. *)
+(** Canonical digest of (model name, config, scenario): MD5 over the
+    config's digest, the {!structure} digest, the marshalled input
+    sources and the model name. Device models are identified by name
+    only — do not share one cache between models that answer
+    differently under the same name. *)
+
+(** [?structure], where {!run}, {!peek} and {!uses} accept it, must be
+    {!structure} of a scenario equal to the one passed except for its
+    input sources — in practice the unshaped scenario the shaped one was
+    derived from. A digest of any other scenario silently files the
+    solve under the wrong key. Omitted, it is computed. *)
 
 val run :
   t ->
+  ?structure:string ->
   model:Tqwm_device.Device_model.t ->
   config:Tqwm_core.Config.t ->
   Tqwm_circuit.Scenario.t ->
@@ -80,6 +107,7 @@ val run :
 
 val peek :
   t ->
+  ?structure:string ->
   model:Tqwm_device.Device_model.t ->
   config:Tqwm_core.Config.t ->
   Tqwm_circuit.Scenario.t ->
@@ -91,6 +119,7 @@ val peek :
 
 val uses :
   t ->
+  ?structure:string ->
   model:Tqwm_device.Device_model.t ->
   config:Tqwm_core.Config.t ->
   Tqwm_circuit.Scenario.t ->

@@ -8,10 +8,10 @@
     added and {!copy} it when forked. Analyses copy the stored records
     into their timing array, so a record is built once per evaluation.
 
-    Once a run completes, {!seal} packs every topological level's
-    piecewise-quadratic outputs into one contiguous slab per level,
-    which {!level_digest} hashes directly without walking boxed piece
-    records.
+    A stored output is the solve's own waveform, not a copy: with a
+    {!Stage_cache} it is shared read-only with the cache entry (and with
+    every other stage that hit it), so it must never be mutated.
+    {!level_digest} hashes a level's outputs for the determinism checks.
 
     Writes go to disjoint per-stage slots, so stages of one level may be
     stored concurrently from different domains without coordination; the
@@ -52,18 +52,14 @@ val store : t -> Timing_graph.stage_id -> timing -> Tqwm_wave.Waveform.quadratic
 val timing : t -> Timing_graph.stage_id -> timing option
 (** The stored record, [None] for a slot never written. *)
 
-val seal : t -> Timing_graph.frozen -> unit
-(** Pack every level of the frozen schedule into one contiguous slab per
-    level (stages in level order, each output as a {!Tqwm_wave.Waveform}
-    packed block); stages without a stored output occupy an empty range.
-    Sealing again repacks the same values, so digests are unchanged. *)
-
 val output : t -> Timing_graph.stage_id -> Tqwm_wave.Waveform.quadratic option
-(** After {!seal}: the packed zero-copy view of the stage's output;
-    before {!seal}: the waveform as given to {!store}. *)
+(** The waveform as given to {!store} — the solve's own, shared
+    read-only with the stage cache. *)
 
-val level_digest : t -> int -> string
-(** Content hash of level [k]'s slab as of the last {!seal} (raw float64
-    bits). Equal timing results hash equally across domain counts and
+val level_digest : t -> Timing_graph.frozen -> int -> string
+(** Content hash of level [k] of the frozen schedule: the raw float64
+    bits of each stored output in {!Tqwm_wave.Waveform} packed order,
+    stages in level order (a stage without a stored output adds
+    nothing). Equal timing results hash equally across domain counts and
     chunk sizes.
-    @raise Invalid_argument before {!seal} or on an unknown level. *)
+    @raise Invalid_argument on an unknown level. *)

@@ -8,6 +8,7 @@ type frozen = {
   fanout : connection array array;
   order : stage_id array;
   levels : stage_id array array;
+  structure : string array;
 }
 
 type t = {
@@ -18,7 +19,9 @@ type t = {
   mutable fanin_rev : connection list array;
   mutable fanout_rev : connection list array;
   mutable num_connections : int;
-  mutable cache : frozen option;  (** invalidated by any mutation *)
+  mutable snapshot : frozen option;  (** the last frozen view built *)
+  mutable stale : bool;  (** [snapshot] predates a mutation *)
+  mutable rewired : bool;  (** [snapshot] predates a stage or edge change *)
 }
 
 let create () =
@@ -28,16 +31,27 @@ let create () =
     fanin_rev = [||];
     fanout_rev = [||];
     num_connections = 0;
-    cache = None;
+    snapshot = None;
+    stale = false;
+    rewired = false;
   }
 
-let invalidate t = t.cache <- None
+(* The stale snapshot is kept: the next [freeze] carries its structure
+   digests over for every stage whose scenario is unchanged, and its
+   adjacency and level schedule too unless the graph was [rewire]d. *)
+let invalidate t = t.stale <- true
+
+let rewire t =
+  t.stale <- true;
+  t.rewired <- true
 
 (* Copy-on-write fork: fresh mutable containers over shared immutable
    content. Scenario values and adjacency lists are never mutated in
    place (edits replace whole cells), so sharing them is safe; sharing
-   the frozen snapshot means a fork's first [freeze] is free and each
-   side re-freezes privately only after its own first mutation. *)
+   the frozen snapshot means a fork's first [freeze] is free, each side
+   re-freezes privately only after its own first mutation, and both
+   carry the shared snapshot's structure digests (and, until rewired,
+   its schedule) over. *)
 let copy t =
   {
     stages = Array.copy t.stages;
@@ -45,7 +59,9 @@ let copy t =
     fanin_rev = Array.copy t.fanin_rev;
     fanout_rev = Array.copy t.fanout_rev;
     num_connections = t.num_connections;
-    cache = t.cache;
+    snapshot = t.snapshot;
+    stale = t.stale;
+    rewired = t.rewired;
   }
 
 let ensure_capacity t =
@@ -67,7 +83,7 @@ let add_stage t scenario =
   let id = t.count in
   t.stages.(id) <- Some scenario;
   t.count <- id + 1;
-  invalidate t;
+  rewire t;
   id
 
 let num_stages t = t.count
@@ -114,7 +130,7 @@ let connect t ~from_stage ~to_stage ~input =
   t.fanout_rev.(from_stage) <- edge :: t.fanout_rev.(from_stage);
   t.fanin_rev.(to_stage) <- edge :: t.fanin_rev.(to_stage);
   t.num_connections <- t.num_connections + 1;
-  invalidate t
+  rewire t
 
 let disconnect t ~from_stage ~to_stage ~input =
   if from_stage < 0 || from_stage >= t.count || to_stage < 0 || to_stage >= t.count then
@@ -126,7 +142,7 @@ let disconnect t ~from_stage ~to_stage ~input =
   t.fanin_rev.(to_stage) <- drop t.fanin_rev.(to_stage);
   t.fanout_rev.(from_stage) <- drop t.fanout_rev.(from_stage);
   t.num_connections <- t.num_connections - 1;
-  invalidate t
+  rewire t
 
 let set_scenario t id scenario' =
   if id < 0 || id >= t.count then invalid_arg "Timing_graph.set_scenario: unknown stage";
@@ -140,47 +156,108 @@ let set_scenario t id scenario' =
   t.stages.(id) <- Some scenario';
   invalidate t
 
+(* [Array.init n f] for an array first filled with [empty], which must
+   be an immediate or long-lived value. An array of more than 256
+   elements is allocated in the major heap, and the runtime runs a minor
+   collection before filling one from a young initial value, which is
+   what [Array.init] passes when [f 0] allocates. With several domains
+   that collection stops all of them. *)
+let init_from empty n f =
+  let a = Array.make n empty in
+  for i = 0 to n - 1 do
+    a.(i) <- f i
+  done;
+  a
+
+(* One structure digest per stage. A stage whose scenario value is the
+   one [prev] held at the same id keeps its digest: scenarios are never
+   mutated in place, so an edit re-digests only the stages it replaced.
+   The rest are digested once per distinct value — stages sharing a
+   value (a fan-out tree built from one cell) share the digest — found
+   by physical equality within structural-hash buckets. *)
+let structure_digests ~(prev : frozen option) scenarios =
+  let seen = Hashtbl.create 16 in
+  let digest sc =
+    let h = Hashtbl.hash sc in
+    let bucket = Option.value (Hashtbl.find_opt seen h) ~default:[] in
+    match List.assq_opt sc bucket with
+    | Some d -> d
+    | None ->
+      let d = Stage_cache.structure sc in
+      Hashtbl.replace seen h ((sc, d) :: bucket);
+      d
+  in
+  init_from "" (Array.length scenarios) (fun i ->
+      let sc = scenarios.(i) in
+      match prev with
+      | Some p when i < Array.length p.scenarios && p.scenarios.(i) == sc ->
+        p.structure.(i)
+      | Some _ | None -> digest sc)
+
+(* Indexed adjacency and the level schedule: Kahn's algorithm by waves,
+   each wave one topological level whose stages depend only on earlier
+   waves and are mutually independent. Ids within a wave ascend, making
+   the schedule deterministic. *)
+let schedule t =
+  let n = t.count in
+  let fanin = init_from [||] n (fun i -> Array.of_list (List.rev t.fanin_rev.(i))) in
+  let fanout = init_from [||] n (fun i -> Array.of_list (List.rev t.fanout_rev.(i))) in
+  let indegree = Array.init n (fun i -> Array.length fanin.(i)) in
+  let wave = ref [] in
+  for i = n - 1 downto 0 do
+    if indegree.(i) = 0 then wave := i :: !wave
+  done;
+  let levels_rev = ref [] in
+  let scheduled = ref 0 in
+  while !wave <> [] do
+    let level = Array.of_list !wave in
+    levels_rev := level :: !levels_rev;
+    scheduled := !scheduled + Array.length level;
+    let next = ref [] in
+    Array.iter
+      (fun id ->
+        Array.iter
+          (fun c ->
+            let d = indegree.(c.to_stage) - 1 in
+            indegree.(c.to_stage) <- d;
+            if d = 0 then next := c.to_stage :: !next)
+          fanout.(id))
+      level;
+    wave := List.sort compare !next
+  done;
+  if !scheduled <> n then
+    (* unreachable as long as [connect] rejects cycles *)
+    invalid_arg "Timing_graph.freeze: cycle detected";
+  let levels = Array.of_list (List.rev !levels_rev) in
+  (fanin, fanout, Array.concat (Array.to_list levels), levels)
+
 let freeze t =
-  match t.cache with
-  | Some f -> f
-  | None ->
-    let n = t.count in
-    let scenarios = Array.init n (fun i -> Option.get t.stages.(i)) in
-    let fanin = Array.init n (fun i -> Array.of_list (List.rev t.fanin_rev.(i))) in
-    let fanout = Array.init n (fun i -> Array.of_list (List.rev t.fanout_rev.(i))) in
-    (* Kahn's algorithm by waves: each wave is one topological level whose
-       stages depend only on earlier waves and are mutually independent.
-       Ids within a wave ascend, making the schedule deterministic. *)
-    let indegree = Array.init n (fun i -> Array.length fanin.(i)) in
-    let wave = ref [] in
-    for i = n - 1 downto 0 do
-      if indegree.(i) = 0 then wave := i :: !wave
-    done;
-    let levels_rev = ref [] in
-    let scheduled = ref 0 in
-    while !wave <> [] do
-      let level = Array.of_list !wave in
-      levels_rev := level :: !levels_rev;
-      scheduled := !scheduled + Array.length level;
-      let next = ref [] in
-      Array.iter
-        (fun id ->
-          Array.iter
-            (fun c ->
-              let d = indegree.(c.to_stage) - 1 in
-              indegree.(c.to_stage) <- d;
-              if d = 0 then next := c.to_stage :: !next)
-            fanout.(id))
-        level;
-      wave := List.sort compare !next
-    done;
-    if !scheduled <> n then
-      (* unreachable as long as [connect] rejects cycles *)
-      invalid_arg "Timing_graph.freeze: cycle detected";
-    let levels = Array.of_list (List.rev !levels_rev) in
-    let order = Array.concat (Array.to_list levels) in
-    let f = { scenarios; fanin; fanout; order; levels } in
-    t.cache <- Some f;
+  match t.snapshot with
+  | Some f when not t.stale -> f
+  | prev ->
+    (* [Array.init] forces a minor collection here only when stage 0
+       itself was just replaced *)
+    let scenarios = Array.init t.count (fun i -> Option.get t.stages.(i)) in
+    let f =
+      match prev with
+      | Some p when not t.rewired ->
+        (* only scenarios were replaced since [p]: its adjacency and
+           schedule still hold, and snapshots are never mutated *)
+        { p with scenarios; structure = structure_digests ~prev scenarios }
+      | Some _ | None ->
+        let fanin, fanout, order, levels = schedule t in
+        {
+          scenarios;
+          fanin;
+          fanout;
+          order;
+          levels;
+          structure = structure_digests ~prev scenarios;
+        }
+    in
+    t.snapshot <- Some f;
+    t.stale <- false;
+    t.rewired <- false;
     f
 
 let topological_order t = Array.to_list (freeze t).order

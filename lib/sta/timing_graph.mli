@@ -11,7 +11,22 @@
     adjacency arrays and a topological level schedule — that propagation
     engines (sequential {!Arrival} and multi-domain {!Parallel}) consume
     without any list scans. Freezing is memoized: the frozen view is
-    rebuilt only after a mutation. *)
+    rebuilt only after a mutation.
+
+    Each snapshot also carries every stage's {!Stage_cache.structure}
+    digest, the half of the stage cache key that input shaping never
+    changes. A stage whose scenario value is physically the one the
+    previous snapshot held keeps that snapshot's digest, so an edit
+    re-digests only the stage it replaced; stages sharing one scenario
+    value share one digest computation. This relies on scenarios never
+    being mutated in place ([Stage.with_load] / [with_device] copy their
+    arrays). Digests are computed eagerly at freeze time, never lazily,
+    so a snapshot stays immutable and safe to read from any domain.
+
+    When the only mutations since the previous snapshot were
+    {!set_scenario} calls, the new snapshot shares that snapshot's
+    adjacency arrays and level schedule; adding a stage or adding or
+    removing an edge rebuilds them. *)
 
 type stage_id = int
 
@@ -35,6 +50,10 @@ type frozen = {
           are mutually independent — the unit of parallelism — and ids
           within a level ascend. [order] is the concatenation of the
           levels. *)
+  structure : string array;
+      (** [structure.(id)] is {!Stage_cache.structure}
+          [scenarios.(id)] — pass it as [?structure] when keying a solve
+          of a shaped copy of that scenario *)
 }
 
 type t
@@ -45,10 +64,11 @@ val copy : t -> t
 (** Copy-on-write fork: an independent graph with the same stages and
     edges. The copy shares the (immutable) scenario values, adjacency
     lists and — until either side mutates — the memoized frozen
-    snapshot, so forking is O(stages) and a fork's first {!freeze} costs
-    nothing. Mutating one side never affects the other; this is the
-    session-isolation primitive the what-if server forks client overlays
-    from. *)
+    snapshot, so forking is O(stages), a fork's first {!freeze} costs
+    nothing and later freezes on either side reuse the shared structure
+    digests of unchanged stages. Mutating one side never affects the
+    other; this is the session-isolation primitive the what-if server
+    forks client overlays from. *)
 
 val add_stage : t -> Tqwm_circuit.Scenario.t -> stage_id
 
@@ -85,7 +105,9 @@ val fanout : t -> stage_id -> connection list
 
 val freeze : t -> frozen
 (** Indexed snapshot of the current graph. Memoized until the next
-    mutation; amortized O(V + E) overall. *)
+    mutation. O(V) after scenario replacements alone, O(V + E) after a
+    stage or edge change, plus one structure digest per scenario value
+    not in the previous snapshot. *)
 
 val topological_order : t -> stage_id list
 (** Primary-input stages first (the frozen [order]). *)

@@ -200,9 +200,9 @@ let sample_quadratic q ~dt =
   of_samples pts
 
 (* Packed-block form: one waveform occupies [5 * len] consecutive floats
-   of a shared slab, columns in t0/dt/v0/dv/ddv order.  The STA waveform
-   arena packs every stage of a topological level this way, so a chunk of
-   adjacent stages is one contiguous byte range. *)
+   of a shared slab, columns in t0/dt/v0/dv/ddv order.  The STA timing
+   arena's level digests hash a level's outputs in this layout, stage
+   after stage. *)
 let packed_size q = 5 * q.len
 
 let blit_packed q dst ~pos =
@@ -214,26 +214,3 @@ let blit_packed q dst ~pos =
     dst.{pos + (3 * n) + i} <- q.dvc.{i};
     dst.{pos + (4 * n) + i} <- q.ddvc.{i}
   done
-
-let of_packed slab ~pos ~len =
-  of_columns
-    ~t0:(Vec.view slab ~pos ~len)
-    ~dt:(Vec.view slab ~pos:(pos + len) ~len)
-    ~v0:(Vec.view slab ~pos:(pos + (2 * len)) ~len)
-    ~dv:(Vec.view slab ~pos:(pos + (3 * len)) ~len)
-    ~ddv:(Vec.view slab ~pos:(pos + (4 * len)) ~len)
-
-(* Stable content hash over the raw float64 bit patterns of all five
-   columns, in column-major piece order.  Used by the STA stage cache to
-   fingerprint slab ranges without walking boxed piece records. *)
-let quadratic_digest q =
-  let b = Bytes.create (q.len * 5 * 8) in
-  let put k x = Bytes.set_int64_le b (k * 8) (Int64.bits_of_float x) in
-  for i = 0 to q.len - 1 do
-    put i q.t0c.{i};
-    put (q.len + i) q.dtc.{i};
-    put ((2 * q.len) + i) q.v0c.{i};
-    put ((3 * q.len) + i) q.dvc.{i};
-    put ((4 * q.len) + i) q.ddvc.{i}
-  done;
-  Digest.bytes b

@@ -69,27 +69,18 @@ val quadratic_pieces : quadratic -> piece list
 val quadratic_length : quadratic -> int
 (** Number of pieces. *)
 
-val quadratic_digest : quadratic -> string
-(** Stable content hash over the raw float64 bits of all columns; equal
-    waveforms (bit-identical pieces) hash equally regardless of which
-    slab backs them. *)
-
 (** {3 Packed-block form}
 
     One waveform as [5 * length] consecutive floats of a shared slab
     (columns in t0/dt/v0/dv/ddv order), so many waveforms packed
-    back-to-back form one contiguous range that can be blitted or hashed
-    without touching boxed structure. *)
+    back-to-back form one contiguous range that can be hashed without
+    touching boxed structure. *)
 
 val packed_size : quadratic -> int
 (** Floats the packed form occupies: [5 * quadratic_length]. *)
 
 val blit_packed : quadratic -> Tqwm_num.Vec.t -> pos:int -> unit
 (** Copy the five columns into [dst] starting at [pos] in packed order. *)
-
-val of_packed : Tqwm_num.Vec.t -> pos:int -> len:int -> quadratic
-(** Zero-copy view of a packed block of [len] pieces at [pos]; validation
-    matches {!quadratic_of_pieces}. *)
 
 val quadratic_value_at : quadratic -> float -> float
 (** Constant extension outside the covered span. *)

@@ -128,6 +128,18 @@ let test_parallel_identical_with_cache () =
     < 1e-12)
 
 let test_cache_bucketing () =
+  (* a NaN or infinite bucket would turn every bucketed slew into NaN *)
+  List.iter
+    (fun (what, slew_bucket) ->
+      Alcotest.check_raises what
+        (Invalid_argument "Stage_cache.create: slew_bucket must be finite and > 0")
+        (fun () -> ignore (Stage_cache.create ~slew_bucket ())))
+    [
+      ("zero bucket rejected", 0.0);
+      ("negative bucket rejected", -1e-12);
+      ("NaN bucket rejected", Float.nan);
+      ("infinite bucket rejected", Float.infinity);
+    ];
   let cache = Stage_cache.create ~slew_bucket:2e-12 () in
   Alcotest.(check (float 1e-18)) "rounds to bucket" 42e-12
     (Stage_cache.bucket_slew cache 41.3e-12);
@@ -145,6 +157,199 @@ let test_cache_bucketing () =
   Alcotest.(check bool) "fingerprint is deterministic" true
     (String.equal a
        (Stage_cache.fingerprint ~model ~config (Scenario.nand_falling ~n:2 tech)))
+
+(* Propagation keys each solve with the frozen structure digest; every
+   stage's replayed shaped scenario must also be found by the
+   from-scratch key, so the two key paths agree. *)
+let test_fast_key_agrees () =
+  let model = Lazy.force table in
+  let config = Tqwm_core.Config.default in
+  List.iter
+    (fun (what, graph) ->
+      let cache = Stage_cache.create () in
+      let analysis = Arrival.propagate ~model ~cache graph in
+      let frozen = Timing_graph.freeze graph in
+      let timings = Array.map Option.some analysis.Arrival.timings in
+      Array.iter
+        (fun id ->
+          Alcotest.(check string)
+            (Printf.sprintf "%s: stage %d structure digest" what id)
+            (Stage_cache.structure frozen.Timing_graph.scenarios.(id))
+            frozen.Timing_graph.structure.(id);
+          let _, report, shaped =
+            Arrival.replay_stage ~model ~config ~default_slew:20e-12 ~cache frozen
+              timings id
+          in
+          (match Stage_cache.peek cache ~model ~config shaped with
+          | Some r when r == report -> ()
+          | Some _ | None ->
+            Alcotest.failf "%s: stage %d not found by the from-scratch key" what id);
+          Alcotest.(check int)
+            (Printf.sprintf "%s: stage %d uses agree" what id)
+            (Stage_cache.uses cache ~structure:frozen.Timing_graph.structure.(id) ~model
+               ~config shaped)
+            (Stage_cache.uses cache ~model ~config shaped))
+        frozen.Timing_graph.order;
+      Alcotest.(check int)
+        (what ^ ": one entry per miss")
+        (Stage_cache.stats cache).Stage_cache.misses
+        (Stage_cache.stats cache).Stage_cache.entries)
+    [
+      ("decoder tree", Workloads.decoder_tree ~fanout:3 ~depth:2 tech);
+      ("random stacks", Workloads.random_stacks ~width:4 ~depth:3 ~seed:7 tech);
+      ("diamond", Workloads.diamond tech);
+    ]
+
+let test_structure_follows_edits () =
+  let model = Lazy.force table in
+  let graph = Workloads.decoder_tree ~fanout:3 ~depth:2 tech in
+  let before = Timing_graph.freeze graph in
+  let cache = Stage_cache.create () in
+  ignore (Arrival.propagate ~model ~cache graph);
+  let misses = (Stage_cache.stats cache).Stage_cache.misses in
+  (* a leaf: re-keying it cannot move any other stage's inputs *)
+  let leaf = Timing_graph.num_stages graph - 1 in
+  Alcotest.(check int) "edited stage is a leaf" 0
+    (Array.length before.Timing_graph.fanout.(leaf));
+  let fork = Timing_graph.copy graph in
+  Timing_graph.set_scenario graph leaf
+    (Scenario.decoder ~levels:2 ~load:120e-15 tech);
+  let after = Timing_graph.freeze graph in
+  Array.iteri
+    (fun id d ->
+      let d' = after.Timing_graph.structure.(id) in
+      if id = leaf then
+        Alcotest.(check bool) "edited stage re-digested" false (String.equal d d')
+      else if d != d' then
+        Alcotest.failf "stage %d: digest not carried over from the previous snapshot" id)
+    before.Timing_graph.structure;
+  Alcotest.(check string) "re-digest matches from scratch"
+    (Stage_cache.structure (Timing_graph.scenario graph leaf))
+    after.Timing_graph.structure.(leaf);
+  let edited = Arrival.propagate ~model ~cache graph in
+  Alcotest.(check int) "exactly one new solve" (misses + 1)
+    (Stage_cache.stats cache).Stage_cache.misses;
+  check_identical "pre-edit cache vs fresh cache" edited
+    (Arrival.propagate ~model ~cache:(Stage_cache.create ()) graph);
+  (* the fork still sees the pre-edit snapshot and its digests *)
+  Alcotest.(check bool) "fork keeps the shared snapshot" true
+    (Timing_graph.freeze fork == before);
+  (* and editing a fork leaves the original's digests alone *)
+  let shared = Array.copy after.Timing_graph.structure in
+  let fork = Timing_graph.copy graph in
+  Timing_graph.set_scenario fork 0 (Scenario.decoder ~levels:2 ~load:90e-15 tech);
+  let forked = Timing_graph.freeze fork in
+  Alcotest.(check bool) "fork re-digests its edit" false
+    (String.equal shared.(0) forked.Timing_graph.structure.(0));
+  Alcotest.(check bool) "original snapshot untouched" true
+    (Timing_graph.freeze graph == after);
+  Alcotest.(check (array string)) "original digests unchanged" shared
+    after.Timing_graph.structure
+
+(* [Workloads.fanout_tree] adds one scenario value at every node; the
+   same tree built from a fresh but equal value per node must digest and
+   hit the cache identically *)
+let test_structure_of_equal_values () =
+  let model = Lazy.force table in
+  let make () = Scenario.nand_falling ~n:3 tech in
+  let shared = Workloads.fanout_tree ~fanout:2 ~depth:2 (make ()) in
+  let separate = Timing_graph.create () in
+  let rec expand parent level =
+    if level < 2 then
+      for _ = 1 to 2 do
+        let child = Timing_graph.add_stage separate (make ()) in
+        Timing_graph.connect separate ~from_stage:parent ~to_stage:child ~input:"a1";
+        expand child (level + 1)
+      done
+  in
+  expand (Timing_graph.add_stage separate (make ())) 0;
+  let fs = Timing_graph.freeze shared and fd = Timing_graph.freeze separate in
+  Alcotest.(check bool) "values are distinct" true
+    (fd.Timing_graph.scenarios.(0) != fd.Timing_graph.scenarios.(1));
+  Alcotest.(check (array string)) "equal digests" fs.Timing_graph.structure
+    fd.Timing_graph.structure;
+  let run graph =
+    let cache = Stage_cache.create () in
+    let analysis = Arrival.propagate ~model ~cache graph in
+    (analysis, Stage_cache.stats cache)
+  in
+  let a, sa = run shared and b, sb = run separate in
+  check_identical "shared vs separate values" a b;
+  Alcotest.(check (pair int int)) "same hits and misses"
+    (sa.Stage_cache.hits, sa.Stage_cache.misses)
+    (sb.Stage_cache.hits, sb.Stage_cache.misses)
+
+(* A scenario edit keeps the previous snapshot's adjacency and schedule;
+   a new stage or edge, or a removed edge, rebuilds them. Either way the
+   snapshot equals one frozen from scratch after the same mutations. *)
+let test_schedule_follows_rewiring () =
+  let sc = Scenario.decoder ~levels:2 ~load:120e-15 tech in
+  let extra = Scenario.nand_falling ~n:2 tech in
+  (* stage 1 and stage 5 are children of the root, 12 is a leaf *)
+  let edits =
+    [
+      (`Scenario, fun g -> Timing_graph.set_scenario g 1 sc);
+      (`Rewired, fun g -> ignore (Timing_graph.add_stage g extra));
+      ( `Rewired,
+        fun g ->
+          Timing_graph.connect g ~from_stage:12
+            ~to_stage:(Timing_graph.num_stages g - 1)
+            ~input:"a1" );
+      (`Rewired, fun g -> Timing_graph.disconnect g ~from_stage:0 ~to_stage:1 ~input:"en");
+      (`Rewired, fun g -> Timing_graph.connect g ~from_stage:5 ~to_stage:1 ~input:"en");
+      (`Scenario, fun g -> Timing_graph.set_scenario g 0 sc);
+    ]
+  in
+  let incremental = Workloads.decoder_tree ~fanout:3 ~depth:2 tech in
+  List.iteri
+    (fun k (kind, edit) ->
+      let before = Timing_graph.freeze incremental in
+      edit incremental;
+      let after = Timing_graph.freeze incremental in
+      let what = Printf.sprintf "edit %d" k in
+      let shared =
+        after.Timing_graph.fanin == before.Timing_graph.fanin
+        && after.Timing_graph.fanout == before.Timing_graph.fanout
+        && after.Timing_graph.order == before.Timing_graph.order
+        && after.Timing_graph.levels == before.Timing_graph.levels
+      in
+      Alcotest.(check bool) (what ^ ": schedule shared") (kind = `Scenario) shared;
+      let scratch = Workloads.decoder_tree ~fanout:3 ~depth:2 tech in
+      List.iteri (fun j (_, e) -> if j <= k then e scratch) edits;
+      let fresh = Timing_graph.freeze scratch in
+      Alcotest.(check bool) (what ^ ": adjacency") true
+        (after.Timing_graph.fanin = fresh.Timing_graph.fanin
+        && after.Timing_graph.fanout = fresh.Timing_graph.fanout);
+      Alcotest.(check (array int)) (what ^ ": order") fresh.Timing_graph.order
+        after.Timing_graph.order;
+      Alcotest.(check (array (array int))) (what ^ ": levels") fresh.Timing_graph.levels
+        after.Timing_graph.levels;
+      Alcotest.(check (array string)) (what ^ ": structure digests")
+        fresh.Timing_graph.structure after.Timing_graph.structure)
+    edits
+
+(* The runtime runs a minor collection before filling an array of more
+   than 256 elements from a young initial value, as [Array.init] does
+   with its first result; on a multi-domain server that stops every
+   domain. Re-freezing a 341-stage graph after an edit or a rewiring
+   allocates far less than the young generation, so after an explicit
+   [Gc.minor] neither may collect. *)
+let test_no_forced_minor_collection () =
+  let graph = Workloads.decoder_tree ~fanout:4 ~depth:4 tech in
+  ignore (Timing_graph.freeze graph);
+  let collections what f =
+    Gc.minor ();
+    let before = (Gc.quick_stat ()).Gc.minor_collections in
+    ignore (Sys.opaque_identity (f ()));
+    Alcotest.(check int) (what ^ ": minor collections") 0
+      ((Gc.quick_stat ()).Gc.minor_collections - before)
+  in
+  let leaf = Timing_graph.num_stages graph - 1 in
+  Timing_graph.set_scenario graph leaf (Scenario.decoder ~levels:2 ~load:120e-15 tech);
+  collections "re-freeze after a scenario edit" (fun () -> Timing_graph.freeze graph);
+  Timing_graph.disconnect graph ~from_stage:0 ~to_stage:1 ~input:"en";
+  Timing_graph.connect graph ~from_stage:0 ~to_stage:1 ~input:"en";
+  collections "re-freeze after rewiring" (fun () -> Timing_graph.freeze graph)
 
 (* ---------- work-stealing chunk scheduler ---------- *)
 
@@ -251,17 +456,51 @@ let prop_evaluate_stages_identical =
 module Timing_arena = Tqwm_sta.Timing_arena
 
 let check_level_digests what graph (a : Timing_arena.t) (b : Timing_arena.t) =
+  let frozen = Timing_graph.freeze graph in
   Array.iteri
     (fun k _ ->
       Alcotest.(check string)
-        (Printf.sprintf "%s: level %d slab digest" what k)
-        (Timing_arena.level_digest a k)
-        (Timing_arena.level_digest b k))
-    (Timing_graph.levels graph)
+        (Printf.sprintf "%s: level %d digest" what k)
+        (Timing_arena.level_digest a frozen k)
+        (Timing_arena.level_digest b frozen k))
+    frozen.Timing_graph.levels
+
+(* [Workloads.diamond]'s level digests as hashed from the contiguous
+   per-level slabs the arena used to pack: hashing the stored outputs in
+   place must keep producing exactly these bytes *)
+let diamond_level_digests =
+  [|
+    "e59294792b349b3d4f76d021fbb98bf9";
+    "6c8d84cb3d7a86b813e052b932c882af";
+    "b4ddedf8e6e6b89d2b4c61889a765c48";
+  |]
+
+let test_diamond_digests_pinned () =
+  let graph = Workloads.diamond tech in
+  let model = Lazy.force table in
+  let frozen = Timing_graph.freeze graph in
+  let check what arena =
+    Alcotest.(check (array string))
+      (what ^ ": pinned level digests")
+      diamond_level_digests
+      (Array.mapi
+         (fun k _ -> Digest.to_hex (Timing_arena.level_digest arena frozen k))
+         frozen.Timing_graph.levels)
+  in
+  check "sequential" (snd (Arrival.propagate_arena ~model graph));
+  check "2 domains" (snd (Parallel.propagate_arena ~model ~domains:2 graph));
+  check "4 domains, chunk 1" (snd (Parallel.propagate_arena ~model ~domains:4 ~chunk:1 graph));
+  Alcotest.check_raises "unknown level"
+    (Invalid_argument "Timing_arena.level_digest: unknown level") (fun () ->
+      ignore
+        (Timing_arena.level_digest
+           (snd (Arrival.propagate_arena ~model graph))
+           frozen
+           (Array.length frozen.Timing_graph.levels)))
 
 let test_arena_race_four_domains () =
   (* four domains store into disjoint slots of one shared arena; any
-     torn or misplaced store corrupts a level slab, which the digest
+     torn or misplaced store changes a level's digest, which the
      comparison against the sequential arena catches *)
   let graph = Workloads.decoder_tree ~fanout:3 ~depth:2 tech in
   let model = Lazy.force table in
@@ -277,19 +516,18 @@ let test_arena_race_four_domains () =
       check_level_digests what graph seq_arena par_arena)
     [ None; Some 1 ]
 
-let test_arena_reuse_and_seal_idempotent () =
+let test_arena_reuse_and_idempotent_digests () =
   let graph = Workloads.diamond tech in
   let model = Lazy.force table in
   let frozen = Timing_graph.freeze graph in
   (* repeated propagations over one graph build fresh arenas with
-     bit-identical slabs *)
+     bit-identical outputs *)
   let _, a = Arrival.propagate_arena ~model graph in
   let _, b = Arrival.propagate_arena ~model graph in
   check_level_digests "repeated propagation" graph a b;
-  (* sealing again repacks the same values: digests survive *)
-  let d0 = Timing_arena.level_digest a 0 in
-  Timing_arena.seal a frozen;
-  Alcotest.(check string) "re-seal keeps digests" d0 (Timing_arena.level_digest a 0);
+  (* hashing reads the store without changing it *)
+  let d0 = Timing_arena.level_digest a frozen 0 in
+  Alcotest.(check string) "digest again" d0 (Timing_arena.level_digest a frozen 0);
   (* slot reuse: a re-stored slot keeps the last write, untouched slots
      stay empty *)
   let n = Timing_graph.num_stages graph in
@@ -323,14 +561,15 @@ let prop_arena_digests_stable =
     (fun (domains, chunk) ->
       let graph = Workloads.decoder_tree ~fanout:2 ~depth:2 tech in
       let model = Lazy.force table in
+      let frozen = Timing_graph.freeze graph in
       let _, ref_arena = Arrival.propagate_arena ~model graph in
       let _, arena = Parallel.propagate_arena ~model ~domains ~chunk graph in
       Array.for_all
         (fun k ->
           String.equal
-            (Timing_arena.level_digest ref_arena k)
-            (Timing_arena.level_digest arena k))
-        (Array.init (Array.length (Timing_graph.levels graph)) Fun.id))
+            (Timing_arena.level_digest ref_arena frozen k)
+            (Timing_arena.level_digest arena frozen k))
+        (Array.init (Array.length frozen.Timing_graph.levels) Fun.id))
 
 (* ---------- slack over a chain ---------- *)
 
@@ -369,12 +608,21 @@ let () =
           QCheck_alcotest.to_alcotest prop_evaluate_stages_identical;
         ] );
       ( "stage cache",
-        [ quick "bucketing and fingerprints" test_cache_bucketing ] );
+        [
+          quick "bucketing and fingerprints" test_cache_bucketing;
+          slow "precomputed and from-scratch keys agree" test_fast_key_agrees;
+          slow "structure digests follow edits" test_structure_follows_edits;
+          slow "equal scenario values digest alike" test_structure_of_equal_values;
+          quick "schedule kept on scenario edits, rebuilt on rewiring"
+            test_schedule_follows_rewiring;
+          quick "re-freeze forces no minor collection" test_no_forced_minor_collection;
+        ] );
       ( "timing arena",
         [
           slow "4-domain slab digests match sequential" test_arena_race_four_domains;
-          quick "reuse, overwrite and idempotent seal"
-            test_arena_reuse_and_seal_idempotent;
+          quick "reuse, overwrite and idempotent digests"
+            test_arena_reuse_and_idempotent_digests;
+          slow "diamond level digests pinned" test_diamond_digests_pinned;
           QCheck_alcotest.to_alcotest prop_arena_digests_stable;
         ] );
       ("slack", [ slow "chain identity" test_chain_slack_identity ]);
