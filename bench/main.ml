@@ -8,19 +8,19 @@
 
      dune exec bench/main.exe -- --table I
      dune exec bench/main.exe -- --table II
-     dune exec bench/main.exe -- --table parallel [--domains N]
-     dune exec bench/main.exe -- --table server [--smoke] [--domains N] [--clients C]
-     dune exec bench/main.exe -- --table obs [--smoke] [--domains N] [--clients C]
-     dune exec bench/main.exe -- --table incr [--smoke]
-     dune exec bench/main.exe -- --table audit [--smoke]
-     dune exec bench/main.exe -- --table alloc [--smoke]
-     dune exec bench/main.exe -- --table report [--smoke]
      dune exec bench/main.exe -- --figure 5|7|8|9|10
      dune exec bench/main.exe -- --table ablation-linsolve
      dune exec bench/main.exe -- --table ablation-sc
      dune exec bench/main.exe -- --table ablation-grid
+     dune exec bench/main.exe -- --table ablation-waveform
+     dune exec bench/main.exe -- --table obs [--smoke]
      dune exec bench/main.exe -- --bechamel
-     dune exec bench/main.exe -- --smoke        # bounded CI smoke run
+
+   Performance of the STA engine, the incremental sessions and the
+   timing daemon is measured by the repository benchmark in benchmark/;
+   this harness keeps the paper's experiments, the ablations and the
+   telemetry-overhead table (--table obs), which measures the library's
+   own tracing and access log.
 
    Absolute runtimes differ from the paper (SUN Blade 1000 + Hspice/BSIM3
    there; this machine + our analytic golden engine here); the shape of
@@ -408,683 +408,32 @@ let ablation_waveform () =
         (err (run scenario Config.Linear sparse)))
     scenarios
 
-(* ---------- Parallel STA: level-parallel propagation + stage cache ---------- *)
+(* ---------- Telemetry overhead of the serving stack ---------- *)
 
 module Timing_graph = Tqwm_sta.Timing_graph
-module Arrival = Tqwm_sta.Arrival
-module Parallel = Tqwm_sta.Parallel
-module Stage_cache = Tqwm_sta.Stage_cache
 module Workloads = Tqwm_sta.Workloads
-module Metrics = Tqwm_obs.Metrics
 module Json = Tqwm_obs.Json
-
-let same_analysis (a : Arrival.analysis) (b : Arrival.analysis) =
-  a.Arrival.timings = b.Arrival.timings
-  && a.Arrival.critical_path = b.Arrival.critical_path
-  && a.Arrival.worst_arrival = b.Arrival.worst_arrival
-
-let sta_parallel ?(smoke = false) ?(domains = 4) () =
-  let model = Lazy.force table_model in
-  let repeat = if smoke then 1 else 3 in
-  let workloads =
-    if smoke then
-      [
-        ("decoder-tree", Workloads.decoder_tree ~fanout:3 ~depth:2 tech);
-        ("random-stacks", Workloads.random_stacks ~width:4 ~depth:2 tech);
-      ]
-    else
-      [
-        ("decoder-tree", Workloads.decoder_tree ~fanout:4 ~depth:3 tech);
-        ("random-stacks", Workloads.random_stacks ~width:12 ~depth:4 tech);
-      ]
-  in
-  Printf.printf
-    "\n=== Parallel STA propagation: %d domains vs sequential, stage cache ===\n"
-    domains;
-  let cores = Parallel.default_domains () in
-  (* honesty: oversubscribed runs (more domains than cores) cannot show a
-     wall-clock speedup — flag them instead of reporting a silent 0.15x *)
-  let degraded = cores < domains in
-  Printf.printf "(machine reports %d available core%s%s)\n" cores
-    (if cores = 1 then "" else "s")
-    (if degraded then
-       " — wall-clock speedup is bounded by the hardware, not the engine"
-     else "");
-  if degraded then
-    Printf.eprintf
-      "bench: WARNING: %d domains on %d available core%s — parallel timings are \
-       oversubscribed; speedup figures below are degraded and not asserted\n"
-      domains cores
-      (if cores = 1 then "" else "s");
-  Printf.printf "%-14s %7s %10s %10s %8s %7s %7s %10s %8s %7s %10s\n" "workload"
-    "stages" "seq" "par" "speedup" "steals" "chunks" "identical" "hits" "solves"
-    "warm";
-  Metrics.reset ();
-  let counter name = Option.value (Metrics.find_counter name) ~default:0 in
-  let rows =
-    List.map
-      (fun (name, graph) ->
-      (* freeze outside the timed region: measured time is propagation *)
-      ignore (Timing_graph.freeze graph);
-      let t_seq =
-        time_median ~repeat (fun () -> Parallel.propagate ~model ~domains:1 graph)
-      in
-      let t_par =
-        time_median ~repeat (fun () -> Parallel.propagate ~model ~domains graph)
-      in
-      (* steal telemetry of one representative run *)
-      let steals0 = counter "sta.steals" and chunks0 = counter "sta.chunks" in
-      let (_ : Arrival.analysis) = Parallel.propagate ~model ~domains graph in
-      let steals = counter "sta.steals" - steals0 in
-      let chunks = counter "sta.chunks" - chunks0 in
-      let identical =
-        let seq = Parallel.propagate ~model ~domains:1 graph in
-        let par = Parallel.propagate ~model ~domains graph in
-        let cache_seq = Stage_cache.create () in
-        let cseq = Parallel.propagate ~model ~cache:cache_seq ~domains:1 graph in
-        let cache_par = Stage_cache.create () in
-        let cpar = Parallel.propagate ~model ~cache:cache_par ~domains graph in
-        same_analysis seq par && same_analysis cseq cpar
-      in
-      let cache = Stage_cache.create () in
-      let (_ : Arrival.analysis) = Parallel.propagate ~model ~cache ~domains graph in
-      (* snapshot before the warm-cache timing below inflates the counters *)
-      let stats = Stage_cache.stats cache in
-      let cold_hit_rate =
-        let total = stats.Stage_cache.hits + stats.Stage_cache.misses in
-        if total = 0 then 0.0
-        else float_of_int stats.Stage_cache.hits /. float_of_int total
-      in
-      (* warm cache: every stage hits, leaving only scheduling overhead *)
-      let t_warm =
-        time_median ~repeat (fun () -> Parallel.propagate ~model ~cache ~domains graph)
-      in
-      (* with real cores behind every domain, parallel propagation must
-         not lose to sequential; skipped when oversubscription makes the
-         number meaningless *)
-      if not degraded then assert (t_seq /. t_par > 0.5);
-      Printf.printf
-        "%-14s %7d %8.1fms %8.1fms %7.2fx %7d %7d %10s %7.0f%% %7d %8.2fms\n"
-        name
-        (Timing_graph.num_stages graph) (t_seq *. 1e3) (t_par *. 1e3)
-        (t_seq /. t_par) steals chunks
-        (if identical then "yes" else "NO")
-        (100.0 *. cold_hit_rate)
-        stats.Stage_cache.misses (t_warm *. 1e3);
-      Json.Obj
-        [
-          ("name", Json.String name);
-          ("stages", Json.Int (Timing_graph.num_stages graph));
-          ("seq_ms", Json.Float (t_seq *. 1e3));
-          ("par_ms", Json.Float (t_par *. 1e3));
-          ("speedup", Json.Float (t_seq /. t_par));
-          ("steals", Json.Int steals);
-          ("chunks", Json.Int chunks);
-          (* stamped per row, not just top-level: a scenario record cut out
-             of the ledger stays honest about oversubscription on its own *)
-          ("degraded", Json.Bool degraded);
-          ("identical", Json.Bool identical);
-          ( "cache",
-            Json.Obj
-              [
-                ("hits", Json.Int stats.Stage_cache.hits);
-                ("misses", Json.Int stats.Stage_cache.misses);
-                ("hit_rate", Json.Float cold_hit_rate);
-              ] );
-          ("warm_ms", Json.Float (t_warm *. 1e3));
-        ])
-      workloads
-  in
-  Printf.printf
-    "(identical = parallel and cached timings bit-equal to sequential;\n\
-    \ par = %d-domain wall clock; steals/chunks = telemetry of one parallel run;\n\
-    \ solves = QWM runs through a cold shared cache; warm = propagation with a\n\
-    \ fully warm cache, i.e. pure scheduling overhead)\n"
-    domains;
-  Json.Obj
-    [
-      ("schema", Json.String "tqwm-bench-parallel/3");
-      ("smoke", Json.Bool smoke);
-      ("domains", Json.Int domains);
-      (* 0 = auto-sized from level width and domain count (Parallel.propagate
-         default); a fixed positive value would be recorded verbatim *)
-      ("chunk_size", Json.Int 0);
-      ("available_cores", Json.Int cores);
-      ("degraded", Json.Bool degraded);
-      ("workloads", Json.List rows);
-      (* cumulative solver/cache telemetry over every run above — the
-         absolute values scale with [repeat], so compare like runs only *)
-      ("metrics", Metrics.snapshot ());
-    ]
-
-(* ---------- Incremental STA: full re-propagation vs edit-driven refresh ---------- *)
-
-module Edit = Tqwm_incr.Edit
-module Session = Tqwm_incr.Session
-
-let counter_value name =
-  Option.value (List.assoc_opt name (Metrics.counters_alist ())) ~default:0
-
-let sta_incr ?(smoke = false) () =
-  let model = Lazy.force table_model in
-  let fanout, depth = if smoke then (3, 2) else (4, 4) in
-  let graph = Workloads.decoder_tree ~fanout ~depth tech in
-  let n = Timing_graph.num_stages graph in
-  let edits = if smoke then 8 else 30 in
-  Printf.printf
-    "\n=== Incremental STA: decoder tree (fan-out %d, depth %d, %d stages), %d random \
-     single-stage edits ===\n"
-    fanout depth n edits;
-  let cache = Stage_cache.create () in
-  let session = Session.create ~model ~cache graph in
-  ignore (Session.analysis session);
-  (* the oracle keeps its own equally-warm cache: after each edit both
-     sides pay the same fresh solves for the affected cone, and the
-     measured difference is the full propagation's visit to every other
-     stage (cache lookups included) that the incremental engine skips *)
-  let scratch_cache = Stage_cache.create () in
-  ignore (Session.scratch_analysis ~cache:scratch_cache session);
-  let rng = Random.State.make [| 2003 |] in
-  let t_incr = ref 0.0 and t_full = ref 0.0 and reeval = ref 0 in
-  let identical = ref true in
-  for _ = 1 to edits do
-    let stage = Random.State.int rng n in
-    let scenario = Timing_graph.scenario graph stage in
-    let edge = Random.State.int rng (Array.length scenario.Scenario.stage.Stage.edges) in
-    let scale = 0.6 +. Random.State.float rng 1.2 in
-    ignore (Session.apply session (Edit.Resize_device { stage; edge; scale }));
-    let t0 = Unix.gettimeofday () in
-    reeval := !reeval + Session.recompute session;
-    let t1 = Unix.gettimeofday () in
-    let scratch = Session.scratch_analysis ~cache:scratch_cache session in
-    let t2 = Unix.gettimeofday () in
-    t_incr := !t_incr +. (t1 -. t0);
-    t_full := !t_full +. (t2 -. t1);
-    if not (same_analysis (Session.analysis session) scratch) then identical := false
-  done;
-  let frac = float_of_int !reeval /. float_of_int (edits * n) in
-  Printf.printf
-    "full   %8.2f ms/edit   (every one of %d stages re-timed)\n"
-    (!t_full /. float_of_int edits *. 1e3) n;
-  Printf.printf
-    "incr   %8.2f ms/edit   (avg %.1f stages re-timed = %.1f%% of the graph)\n"
-    (!t_incr /. float_of_int edits *. 1e3)
-    (float_of_int !reeval /. float_of_int edits)
-    (100.0 *. frac);
-  Printf.printf "speedup %7.1fx         identical to from-scratch: %s\n"
-    (!t_full /. !t_incr)
-    (if !identical then "yes" else "NO");
-  (* a timing-neutral edit (scale 1.0) must die at the edited stage: one
-     re-evaluation, one cutoff hit on the Tqwm_obs counter *)
-  let cutoff0 = counter_value "incr.cutoff_hits" in
-  ignore (Session.apply session (Edit.Resize_device { stage = 0; edge = 0; scale = 1.0 }));
-  let neutral_reeval = Session.recompute session in
-  let cutoff_delta = counter_value "incr.cutoff_hits" - cutoff0 in
-  Printf.printf "cutoff: neutral edit re-timed %d stage (%d cutoff hit)\n" neutral_reeval
-    cutoff_delta;
-  assert (neutral_reeval = 1 && cutoff_delta = 1);
-  assert (frac < 0.20);
-  assert !identical;
-  Json.Obj
-    [
-      ("schema", Json.String "tqwm-bench-incr/1");
-      ("smoke", Json.Bool smoke);
-      ( "workload",
-        Json.Obj
-          [
-            ("name", Json.String "decoder-tree");
-            ("fanout", Json.Int fanout);
-            ("depth", Json.Int depth);
-            ("stages", Json.Int n);
-          ] );
-      ("edits", Json.Int edits);
-      ("full_ms_per_edit", Json.Float (!t_full /. float_of_int edits *. 1e3));
-      ("incr_ms_per_edit", Json.Float (!t_incr /. float_of_int edits *. 1e3));
-      ("speedup", Json.Float (!t_full /. !t_incr));
-      ("stages_reeval_avg", Json.Float (float_of_int !reeval /. float_of_int edits));
-      ("reeval_fraction", Json.Float frac);
-      ("identical", Json.Bool !identical);
-      ( "cutoff",
-        Json.Obj
-          [
-            ("neutral_edit_reeval", Json.Int neutral_reeval);
-            ("cutoff_hits", Json.Int cutoff_delta);
-          ] );
-    ]
-
-(* ---------- Accuracy audit: golden-vs-QWM over the workload catalog ---------- *)
-
-module Audit = Tqwm_audit.Audit
-
-let sta_audit ?(smoke = false) () =
-  Printf.printf
-    "\n=== Accuracy audit: QWM vs golden engine over the workload catalog%s ===\n"
-    (if smoke then " (smoke subset)" else "");
-  let workloads = Audit.catalog ~smoke tech in
-  let audit = Audit.run ~workloads tech in
-  Audit.pp Format.std_formatter audit;
-  (* the paper's trade-off point: accuracy and speed-up from the same run *)
-  Printf.printf
-    "trade-off: %.2f%% average accuracy at %.1fx golden/QWM runtime ratio\n"
-    audit.Audit.overall.Audit.avg_accuracy_pct
-    audit.Audit.overall.Audit.runtime_ratio;
-  Audit.to_json audit
-
-(* ---------- Allocation profile: the workspace-reuse hot path ---------- *)
-
-(* Cold hands the solver a fresh [Qwm_solver.Workspace] every solve; warm
-   reuses one across the loop (the production configuration: the stage
-   cache reuses a per-domain workspace). Two allocation views per mode:
-   the solver's own [qwm.alloc.minor_words] counter isolates the region
-   solve loop — the metric the budget gate tracks — while the process
-   delta around the loop includes scenario lowering, waveform assembly
-   and (in cold mode) the workspace allocation itself. *)
-let alloc_table ?(smoke = false) () =
-  let model = Lazy.force table_model in
-  let solves = if smoke then 200 else 1000 in
-  let scenarios =
-    if smoke then
-      [ ("stack6", Scenario.stack_falling ~widths:(Array.make 6 1.6e-6) tech) ]
-    else
-      [
-        ("nand3", Scenario.nand_falling ~n:3 tech);
-        ("stack6", Scenario.stack_falling ~widths:(Array.make 6 1.6e-6) tech);
-        ("stack10", Random_circuits.stack_scenario tech ~len:10 ~seed:1);
-      ]
-  in
-  Printf.printf
-    "\n=== Allocation profile: words per region solve, cold vs reused workspace ===\n";
-  Printf.printf "(%d solves per mode; solver w/reg = qwm.alloc.minor_words per region,\n" solves;
-  Printf.printf " process w/solve = whole-loop minor-word delta per solve)\n";
-  Printf.printf "%-10s %8s %6s | %14s %14s | %16s %16s\n" "scenario" "mode" "reg/s"
-    "solver w/reg" "proc w/solve" "solves/s" "ms/solve";
-  let counter name = Option.value (Metrics.find_counter name) ~default:0 in
-  let measure name scenario ~mode =
-    let shared =
-      match mode with `Warm -> Some (Qwm_solver.Workspace.create ()) | `Cold -> None
-    in
-    let run () =
-      let workspace =
-        match shared with Some ws -> ws | None -> Qwm_solver.Workspace.create ()
-      in
-      Qwm.run ~model ~workspace scenario
-    in
-    ignore (run ());  (* warm-up: tables, branch history, (warm) buffers *)
-    Gc.full_major ();
-    let solver_w0 = counter "qwm.alloc.minor_words" in
-    let a0 = Tqwm_obs.Alloc.sample () in
-    let t0 = Unix.gettimeofday () in
-    let regions = ref 0 in
-    for _ = 1 to solves do
-      let r = run () in
-      regions := !regions + r.Qwm.stats.Qwm_solver.regions
-    done;
-    let dt = Unix.gettimeofday () -. t0 in
-    let d = Tqwm_obs.Alloc.since a0 in
-    let solver_words = counter "qwm.alloc.minor_words" - solver_w0 in
-    let solver_wpr = float_of_int solver_words /. float_of_int !regions in
-    let proc_wps = d.Tqwm_obs.Alloc.minor_words /. float_of_int solves in
-    let solves_per_s = float_of_int solves /. dt in
-    Printf.printf "%-10s %8s %6d | %14.0f %14.0f | %16.1f %16.4f\n" name
-      (match mode with `Cold -> "cold" | `Warm -> "warm")
-      (!regions / solves) solver_wpr proc_wps solves_per_s
-      (dt /. float_of_int solves *. 1e3);
-    Json.Obj
-      [
-        ("mode", Json.String (match mode with `Cold -> "cold" | `Warm -> "warm"));
-        ("regions_per_solve", Json.Int (!regions / solves));
-        ("solver_words_per_region", Json.Float solver_wpr);
-        ("process_words_per_solve", Json.Float proc_wps);
-        ("solves_per_s", Json.Float solves_per_s);
-        ("ms_per_solve", Json.Float (dt /. float_of_int solves *. 1e3));
-      ]
-  in
-  let rows =
-    List.map
-      (fun (name, scenario) ->
-        let cold = measure name scenario ~mode:`Cold in
-        let warm = measure name scenario ~mode:`Warm in
-        Json.Obj [ ("name", Json.String name); ("cold", cold); ("warm", warm) ])
-      scenarios
-  in
-  (* Arena leg: one sequential propagation over a decoder tree through
-     the timing arena, reporting the stored output waveforms' footprint
-     in packed floats and the whole-propagation allocation per stage. *)
-  let arena_json =
-    let fanout, depth = if smoke then (3, 2) else (4, 3) in
-    let graph = Workloads.decoder_tree ~fanout ~depth tech in
-    let n = Timing_graph.num_stages graph in
-    let levels = Array.length (Timing_graph.levels graph) in
-    ignore (Arrival.propagate ~model graph);  (* warm-up *)
-    Gc.full_major ();
-    let a0 = Tqwm_obs.Alloc.sample () in
-    let _, arena = Arrival.propagate_arena ~model graph in
-    let d = Tqwm_obs.Alloc.since a0 in
-    let packed = ref 0 in
-    for id = 0 to Tqwm_sta.Timing_arena.length arena - 1 do
-      match Tqwm_sta.Timing_arena.output arena id with
-      | Some q -> packed := !packed + Tqwm_wave.Waveform.packed_size q
-      | None -> ()
-    done;
-    let words_per_stage = d.Tqwm_obs.Alloc.minor_words /. float_of_int n in
-    Printf.printf
-      "arena: decoder-tree %d stages / %d levels, %d packed floats, %.0f minor \
-       words/stage\n"
-      n levels !packed words_per_stage;
-    Json.Obj
-      [
-        ("workload", Json.String "decoder-tree");
-        ("stages", Json.Int n);
-        ("levels", Json.Int levels);
-        ("packed_floats", Json.Int !packed);
-        ("minor_words_per_stage", Json.Float words_per_stage);
-      ]
-  in
-  Json.Obj
-    [
-      ("schema", Json.String "tqwm-bench-alloc/2");
-      ("smoke", Json.Bool smoke);
-      ("solves_per_mode", Json.Int solves);
-      ("storage", Json.String "bigarray-float64");
-      ("scenarios", Json.List rows);
-      ("arena", arena_json);
-    ]
-
-(* ---------- Timing report: k-worst enumeration + seq-vs-parallel identity ---------- *)
-
-module Path_enum = Tqwm_sta.Path_enum
-module Sta_report = Tqwm_sta.Report
-
-(* The observability gate: the full tqwm-report/1 document (backward
-   required times, WNS/TNS, k worst paths with per-stage attribution)
-   must come out byte-identical from a sequential and a 4-domain
-   work-stealing run — path enumeration and slack aggregation consume
-   only the (deterministic) analysis, so any divergence is a scheduling
-   leak into the observability surface. *)
-let sta_report ?(smoke = false) () =
-  let model = Lazy.force table_model in
-  let fanout, depth = if smoke then (3, 2) else (4, 4) in
-  let k = if smoke then 5 else 10 in
-  let domains = 4 in
-  let graph = Workloads.decoder_tree ~fanout ~depth tech in
-  let n = Timing_graph.num_stages graph in
-  Printf.printf
-    "\n=== Timing report: decoder tree (fan-out %d, depth %d, %d stages), %d worst \
-     paths, sequential vs %d domains ===\n"
-    fanout depth n k domains;
-  let document ~domains =
-    let cache = Stage_cache.create () in
-    let t0 = Unix.gettimeofday () in
-    let analysis =
-      if domains = 1 then Arrival.propagate ~model ~cache graph
-      else Parallel.propagate ~model ~cache ~domains graph
-    in
-    let clock_period =
-      if analysis.Arrival.worst_arrival > 0.0 then analysis.Arrival.worst_arrival
-      else 1e-9
-    in
-    let required = Arrival.required graph analysis ~clock_period in
-    let paths = Path_enum.k_worst ~clock_period ~k graph analysis in
-    let explained = List.map (Path_enum.explain ~model ~cache graph analysis) paths in
-    let doc = Sta_report.timing_to_json graph analysis required explained in
-    (Unix.gettimeofday () -. t0, required, paths, doc)
-  in
-  let t_seq, required, paths, doc_seq = document ~domains:1 in
-  let t_par, _, _, doc_par = document ~domains in
-  let identical = Json.to_string doc_seq = Json.to_string doc_par in
-  Printf.printf "seq    %8.2f ms   par(%d) %8.2f ms   report identical: %s\n"
-    (t_seq *. 1e3) domains (t_par *. 1e3)
-    (if identical then "yes" else "NO");
-  Printf.printf "clock %.2f ps  WNS %.2f ps  TNS %.2f ps  endpoints %d\n"
-    (required.Arrival.clock_period *. ps)
-    (required.Arrival.wns *. ps)
-    (required.Arrival.tns *. ps)
-    (Array.length required.Arrival.endpoints);
-  List.iteri
-    (fun i (p : Path_enum.path) ->
-      Printf.printf "path %2d: %d stages, arrival %.2f ps, slack %.2f ps\n" (i + 1)
-        (List.length p.Path_enum.stages)
-        (p.Path_enum.arrival *. ps) (p.Path_enum.slack *. ps))
-    paths;
-  assert identical;
-  assert (List.length paths = k);
-  (* distinct stage sequences, worst first *)
-  let sequences = List.map (fun (p : Path_enum.path) -> p.Path_enum.stages) paths in
-  assert (List.length (List.sort_uniq compare sequences) = k);
-  let rec sorted = function
-    | (a : Path_enum.path) :: (b :: _ as rest) ->
-      a.Path_enum.slack <= b.Path_enum.slack && sorted rest
-    | [ _ ] | [] -> true
-  in
-  assert (sorted paths);
-  Json.Obj
-    [
-      ("schema", Json.String "tqwm-bench-report/1");
-      ("smoke", Json.Bool smoke);
-      ( "workload",
-        Json.Obj
-          [
-            ("name", Json.String "decoder-tree");
-            ("fanout", Json.Int fanout);
-            ("depth", Json.Int depth);
-            ("stages", Json.Int n);
-          ] );
-      ("k", Json.Int k);
-      ("domains", Json.Int domains);
-      ("seq_ms", Json.Float (t_seq *. 1e3));
-      ("par_ms", Json.Float (t_par *. 1e3));
-      ("identical", Json.Bool identical);
-      ("clock_period_ps", Json.Float (required.Arrival.clock_period *. ps));
-      ("wns_ps", Json.Float (required.Arrival.wns *. ps));
-      ("tns_ps", Json.Float (required.Arrival.tns *. ps));
-      ("endpoints", Json.Int (Array.length required.Arrival.endpoints));
-      ( "paths",
-        Json.List
-          (List.map
-             (fun (p : Path_enum.path) ->
-               Json.Obj
-                 [
-                   ("stages", Json.Int (List.length p.Path_enum.stages));
-                   ("arrival_ps", Json.Float (p.Path_enum.arrival *. ps));
-                   ("slack_ps", Json.Float (p.Path_enum.slack *. ps));
-                 ])
-             paths) );
-    ]
-
-(* ---------- Timing server: concurrent what-if sessions over one daemon ---------- *)
-
+module Trace = Tqwm_obs.Trace
 module Server = Tqwm_server.Server
 module Server_client = Tqwm_server.Client
 module Server_protocol = Tqwm_server.Protocol
-module Script = Tqwm_incr.Script
 
-let percentile sorted p =
-  let n = Array.length sorted in
-  if n = 0 then 0.0
-  else sorted.(min (n - 1) (int_of_float ((p *. float_of_int (n - 1)) +. 0.5)))
-
-(* Sustained request throughput and per-verb latency of the timing daemon:
-   [clients] concurrent sessions, each a copy-on-write fork of one shared
-   baseline decoder tree, each running [rounds] of edit/report/query/slack
-   (plus a periodic timing document), with [workers] serving domains.
-   Latencies are measured client-side, so a queued connection's first
-   request honestly includes its wait for a worker. *)
-let sta_server ?(smoke = false) ?(domains = 2) ?(clients = 4) () =
+(* The same two-client edit/report/slack workload served by fresh
+   two-worker daemons, once with every observability feature off (the
+   deployment default) and once with request-scoped tracing plus the
+   JSONL access log on, and the throughput delta reported. The table
+   fails when the traced pass captures no trace events or the access log
+   loses a request. *)
+let sta_obs ?(smoke = false) () =
   let fanout, depth = if smoke then (3, 2) else (4, 3) in
   let rounds = if smoke then 5 else 25 in
-  let workers = max 1 domains in
-  if clients < 1 then invalid_arg "--clients must be >= 1";
-  let graph = Workloads.decoder_tree ~fanout ~depth tech in
-  let n_stages = Timing_graph.num_stages graph in
-  let cores = Parallel.default_domains () in
-  let degraded = cores < workers + clients + 1 in
-  Printf.printf
-    "\n=== Timing server: %d worker%s, %d concurrent sessions over a shared %d-stage \
-     decoder tree, %d edit rounds each ===\n"
-    workers
-    (if workers = 1 then "" else "s")
-    clients n_stages rounds;
-  if degraded then
-    Printf.printf
-      "(machine reports %d available core%s — %d domains total; latencies are \
-       oversubscribed)\n"
-      cores
-      (if cores = 1 then "" else "s")
-      (workers + clients + 1);
-  let sock =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "tqwm-bench-%d.sock" (Unix.getpid ()))
-  in
-  (try Sys.remove sock with Sys_error _ -> ());
-  let server =
-    Server.start ~tech ~graph ~workers ~max_sessions:(clients + 4)
-      (Server_protocol.Unix_sock sock)
-  in
-  let addr = Server.address server in
-  let run_client idx =
-    let c = Server_client.connect addr in
-    let samples = ref [] in
-    let timed verb args =
-      let t0 = Unix.gettimeofday () in
-      let (_ : Json.t) = Server_client.request c verb args in
-      samples := (verb, (Unix.gettimeofday () -. t0) *. 1e3) :: !samples
-    in
-    timed "load" [];
-    for round = 1 to rounds do
-      (* per-client edit targets and scales so sessions genuinely diverge *)
-      let stage = (idx + (3 * round)) mod n_stages in
-      let scale = 0.8 +. (0.1 *. float_of_int ((idx + round) mod 8)) in
-      timed "edit"
-        [ ("line", Json.String (Printf.sprintf "resize %d 0 %.2f" stage scale)) ];
-      timed "report" [];
-      timed "query" [ ("from", Json.Int 0); ("to", Json.Int (n_stages - 1)) ];
-      timed "slack" [ ("clock_period_ps", Json.Float 900.0) ];
-      if round mod 5 = 0 then timed "timing" [ ("k", Json.Int 1) ]
-    done;
-    Server_client.close c;
-    !samples
-  in
-  let t0 = Unix.gettimeofday () in
-  let client_domains =
-    List.init clients (fun i -> Domain.spawn (fun () -> run_client i))
-  in
-  let samples = List.concat_map Domain.join client_domains in
-  let duration = Unix.gettimeofday () -. t0 in
-  (* byte-identity gate: one more session replays a fixed edit script and
-     both its documents must equal an in-process offline Script run *)
-  let script_text =
-    "graph decoder 3 2\nclock 700\nresize 0 0 1.5\nload 4 12e-15\nreport\ntiming 2\n"
-  in
-  let c = Server_client.connect addr in
-  let replayed = Server_client.replay ~k:2 c script_text in
-  Server_client.close c;
-  let offline =
-    let buf = Buffer.create 256 in
-    Script.run ~tech
-      ~model:(Lazy.force table_model)
-      ~out:(Format.formatter_of_buffer buf) script_text
-  in
-  let identical =
-    Json.to_string replayed.Server_client.document
-    = Json.to_string offline.Script.json
-    &&
-    match replayed.Server_client.timing with
-    | Some t ->
-      Json.to_string t
-      = Json.to_string
-          (Script.timing_json ?clock_period:offline.Script.clock_period ~k:2
-             offline.Script.session)
-    | None -> false
-  in
-  Server.stop server;
-  let requests = List.length samples + 2 (* identity session: load + close *) in
-  let qps = float_of_int requests /. duration in
-  let verb_rows =
-    List.filter_map
-      (fun verb ->
-        let lat =
-          List.filter_map (fun (v, ms) -> if v = verb then Some ms else None) samples
-          |> Array.of_list
-        in
-        if Array.length lat = 0 then None
-        else begin
-          Array.sort compare lat;
-          Some (verb, lat)
-        end)
-      [ "load"; "edit"; "report"; "query"; "slack"; "timing" ]
-  in
-  Printf.printf "%-8s %7s %10s %10s\n" "verb" "count" "p50" "p99";
-  List.iter
-    (fun (verb, lat) ->
-      Printf.printf "%-8s %7d %8.2fms %8.2fms\n" verb (Array.length lat)
-        (percentile lat 0.5) (percentile lat 0.99))
-    verb_rows;
-  Printf.printf
-    "sustained %.0f requests/s over %.2f s (%d requests, %d sessions); replayed \
-     documents identical to offline: %s\n"
-    qps duration requests (clients + 1)
-    (if identical then "yes" else "NO");
-  assert identical;
-  Json.Obj
-    [
-      ("schema", Json.String "tqwm-bench-server/1");
-      ("smoke", Json.Bool smoke);
-      ("workers", Json.Int workers);
-      ("clients", Json.Int clients);
-      ("sessions", Json.Int (clients + 1));
-      ("rounds", Json.Int rounds);
-      ("requests", Json.Int requests);
-      ("duration_s", Json.Float duration);
-      ("qps", Json.Float qps);
-      ("available_cores", Json.Int cores);
-      ("degraded", Json.Bool degraded);
-      ( "graph",
-        Json.Obj
-          [
-            ("name", Json.String "decoder-tree");
-            ("fanout", Json.Int fanout);
-            ("depth", Json.Int depth);
-            ("stages", Json.Int n_stages);
-          ] );
-      ( "verbs",
-        Json.Obj
-          (List.map
-             (fun (verb, lat) ->
-               ( verb,
-                 Json.Obj
-                   [
-                     ("count", Json.Int (Array.length lat));
-                     ("p50_ms", Json.Float (percentile lat 0.5));
-                     ("p99_ms", Json.Float (percentile lat 0.99));
-                   ] ))
-             verb_rows) );
-      ("identical", Json.Bool identical);
-    ]
-
-module Trace = Tqwm_obs.Trace
-
-(* Telemetry overhead of the serving stack: the same multi-client
-   edit/report/slack workload run twice against fresh daemons — once
-   with every observability feature off (the deployment default) and
-   once with request-scoped tracing plus the JSONL access log on — and
-   the throughput delta reported. The "off" pass is the one the < 3%
-   regression gate in ISSUE 9 watches via the tqwm-bench-obs/1 ledger. *)
-let sta_obs ?(smoke = false) ?(domains = 2) ?(clients = 2) () =
-  let fanout, depth = if smoke then (3, 2) else (4, 3) in
-  let rounds = if smoke then 5 else 25 in
-  let workers = max 1 domains in
-  if clients < 1 then invalid_arg "--clients must be >= 1";
+  let workers = 2 and clients = 2 in
   let graph = Workloads.decoder_tree ~fanout ~depth tech in
   let n_stages = Timing_graph.num_stages graph in
   Printf.printf
-    "\n=== Telemetry overhead: %d worker%s, %d session%s, %d rounds each — serve \
-     with tracing+access-log on vs off ===\n"
-    workers
-    (if workers = 1 then "" else "s")
-    clients
-    (if clients = 1 then "" else "s")
-    rounds;
+    "\n=== Telemetry overhead: %d workers, %d sessions, %d rounds each — serve with \
+     tracing+access-log on vs off ===\n"
+    workers clients rounds;
   let run_pass ~label ~access_log ~tracing =
     if tracing then Trace.enable ~cap:1_000_000 () else Trace.disable ();
     let sock =
@@ -1201,68 +550,12 @@ let sta_obs ?(smoke = false) ?(domains = 2) ?(clients = 2) () =
   Printf.printf
     "overhead with tracing+log on: %.1f%% (%d trace events, %d access-log lines)\n"
     overhead_pct trace_events log_lines;
+  if trace_events = 0 then
+    failwith "bench obs: the traced pass captured no trace events";
   if log_lines < on_requests then
     failwith
       (Printf.sprintf "bench obs: %d access-log lines for %d requests" log_lines
-         on_requests);
-  Json.Obj
-    [
-      ("schema", Json.String "tqwm-bench-obs/1");
-      ("smoke", Json.Bool smoke);
-      ("workers", Json.Int workers);
-      ("clients", Json.Int clients);
-      ("rounds", Json.Int rounds);
-      ( "off",
-        Json.Obj
-          [
-            ("requests", Json.Int off_requests);
-            ("duration_s", Json.Float off_duration);
-            ("qps", Json.Float off_qps);
-          ] );
-      ( "on",
-        Json.Obj
-          [
-            ("requests", Json.Int on_requests);
-            ("duration_s", Json.Float on_duration);
-            ("qps", Json.Float on_qps);
-            ("trace_events", Json.Int trace_events);
-            ("log_lines", Json.Int log_lines);
-          ] );
-      ("overhead_pct", Json.Float overhead_pct);
-    ]
-
-let smoke () =
-  (* bounded CI smoke: one cheap accuracy row + the small parallel experiment *)
-  let scenario = Scenario.nand_falling ~n:2 tech in
-  let reference = (run_spice ~dt:10e-12 scenario).Engine.delay in
-  let qwm_delay = (run_qwm scenario).Qwm.delay in
-  (match (reference, qwm_delay) with
-  | Some a, Some b ->
-    Printf.printf "smoke: nand2 delay qwm %.2f ps vs spice(10ps) %.2f ps (%.2f%% apart)\n"
-      (b *. ps) (a *. ps)
-      (100.0 *. Float.abs (b -. a) /. a)
-  | (Some _ | None), _ -> failwith "smoke: missing delay");
-  sta_parallel ~smoke:true ()
-
-(* Append the JSON document produced by a machine-readable experiment to
-   the trajectory file named by [--json FILE] — one date- and
-   commit-stamped record per invocation (see Tqwm_obs.Ledger), so
-   repeated runs accumulate instead of overwriting and every point is
-   attributable to the revision that produced it. *)
-let write_json json_path doc =
-  match json_path with
-  | None -> ()
-  | Some path ->
-    (match doc with
-    | Some doc ->
-      let n = Tqwm_obs.Ledger.append ~path doc in
-      Printf.printf "bench: appended JSON results to %s (%d run record%s)\n" path n
-        (if n = 1 then "" else "s")
-    | None ->
-      Printf.eprintf
-        "bench: --json is only produced by --table parallel, --table server, \
-         --table obs, --table incr, --table audit, --table alloc, --table \
-         report and --smoke; ignoring\n")
+         on_requests)
 
 (* ---------- Bechamel micro-benchmarks: one Test.make per table/figure ---------- *)
 
@@ -1327,81 +620,27 @@ let all () =
   ablation_sc ();
   ablation_grid ();
   ablation_waveform ();
-  ignore (sta_parallel ());
-  ignore (sta_incr ());
-  ignore (sta_audit ());
   bechamel ()
 
 let () =
-  (* peel "--json FILE" off anywhere in the command line before dispatch *)
-  let rec strip_json = function
-    | "--json" :: path :: rest ->
-      let json, rest = strip_json rest in
-      (Some (Option.value json ~default:path), rest)
-    | arg :: rest ->
-      let json, rest = strip_json rest in
-      (json, arg :: rest)
-    | [] -> (None, [])
-  in
-  (* peel "--NAME VALUE" off anywhere in the command line *)
-  let strip_opt name argv =
-    let rec go = function
-      | arg :: value :: rest when arg = name ->
-        let found, rest = go rest in
-        (Some (Option.value found ~default:value), rest)
-      | arg :: rest ->
-        let found, rest = go rest in
-        (found, arg :: rest)
-      | [] -> (None, [])
-    in
-    go argv
-  in
-  let int_opt name v =
-    Option.map
-      (fun s ->
-        match int_of_string_opt s with
-        | Some v when v >= 1 -> v
-        | Some _ | None ->
-          Printf.eprintf "bench: %s expects an integer >= 1, got %S\n" name s;
-          exit 1)
-      v
-  in
-  let json_path, argv = strip_json (Array.to_list Sys.argv) in
-  let domains_arg, argv = strip_opt "--domains" argv in
-  let clients_arg, argv = strip_opt "--clients" argv in
-  let domains = int_opt "--domains" domains_arg in
-  let clients = int_opt "--clients" clients_arg in
-  let doc =
-    match argv with
-    | _ :: "--table" :: "I" :: _ -> table1 (); None
-    | _ :: "--table" :: "II" :: _ -> table2 (); None
-    | _ :: "--table" :: "parallel" :: rest ->
-      Some (sta_parallel ~smoke:(List.mem "--smoke" rest) ?domains ())
-    | _ :: "--table" :: "server" :: rest ->
-      Some (sta_server ~smoke:(List.mem "--smoke" rest) ?domains ?clients ())
-    | _ :: "--table" :: "obs" :: rest ->
-      Some (sta_obs ~smoke:(List.mem "--smoke" rest) ?domains ?clients ())
-    | _ :: "--table" :: "incr" :: rest -> Some (sta_incr ~smoke:(List.mem "--smoke" rest) ())
-    | _ :: "--table" :: "audit" :: rest -> Some (sta_audit ~smoke:(List.mem "--smoke" rest) ())
-    | _ :: "--table" :: "alloc" :: rest -> Some (alloc_table ~smoke:(List.mem "--smoke" rest) ())
-    | _ :: "--table" :: "report" :: rest -> Some (sta_report ~smoke:(List.mem "--smoke" rest) ())
-    | _ :: "--smoke" :: _ -> Some (smoke ())
-    | _ :: "--table" :: "ablation-linsolve" :: _ -> ablation_linsolve (); None
-    | _ :: "--table" :: "ablation-sc" :: _ -> ablation_sc (); None
-    | _ :: "--table" :: "ablation-grid" :: _ -> ablation_grid (); None
-    | _ :: "--table" :: "ablation-waveform" :: _ -> ablation_waveform (); None
-    | _ :: "--figure" :: "5" :: _ -> figure5 (); None
-    | _ :: "--figure" :: "7" :: _ -> figure7 (); None
-    | _ :: "--figure" :: "8" :: _ -> figure8 (); None
-    | _ :: "--figure" :: "9" :: _ -> figure9 (); None
-    | _ :: "--figure" :: "10" :: _ -> figure10 (); None
-    | _ :: "--bechamel" :: _ -> bechamel (); None
-    | [ _ ] -> all (); None
-    | _ :: _ :: _ | [] ->
-      prerr_endline
-        "usage: main.exe [--table I|II|parallel|server|obs|incr|audit|alloc|report|ablation-linsolve|ablation-sc|ablation-grid] \
-         [--figure 5|7|8|9|10] [--bechamel] [--smoke] [--json FILE] [--domains N] \
-         [--clients C]";
-      exit 1
-  in
-  write_json json_path doc
+  match Array.to_list Sys.argv with
+  | [ _ ] -> all ()
+  | [ _; "--table"; "I" ] -> table1 ()
+  | [ _; "--table"; "II" ] -> table2 ()
+  | [ _; "--figure"; "5" ] -> figure5 ()
+  | [ _; "--figure"; "7" ] -> figure7 ()
+  | [ _; "--figure"; "8" ] -> figure8 ()
+  | [ _; "--figure"; "9" ] -> figure9 ()
+  | [ _; "--figure"; "10" ] -> figure10 ()
+  | [ _; "--table"; "ablation-linsolve" ] -> ablation_linsolve ()
+  | [ _; "--table"; "ablation-sc" ] -> ablation_sc ()
+  | [ _; "--table"; "ablation-grid" ] -> ablation_grid ()
+  | [ _; "--table"; "ablation-waveform" ] -> ablation_waveform ()
+  | [ _; "--table"; "obs" ] -> sta_obs ()
+  | [ _; "--table"; "obs"; "--smoke" ] -> sta_obs ~smoke:true ()
+  | [ _; "--bechamel" ] -> bechamel ()
+  | _ ->
+    prerr_endline
+      "usage: main.exe [--table I|II|ablation-linsolve|ablation-sc|ablation-grid|\
+       ablation-waveform | --table obs [--smoke] | --figure 5|7|8|9|10 | --bechamel]";
+    exit 1

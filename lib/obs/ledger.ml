@@ -21,12 +21,16 @@ let read path =
     let ic = open_in path in
     let text = really_input_string ic (in_channel_length ic) in
     close_in ic;
-    match Json.of_string text with
-    | Json.List records -> records
-    | single -> [ single ]
-    | exception Json.Parse_error _ ->
-      Printf.eprintf "ledger: %s is not JSON; starting a fresh history\n" path;
-      []
+    (* an empty file (a fresh [Filename.temp_file]) holds no records *)
+    if String.trim text = "" then []
+    else
+      match Json.of_string text with
+      | Json.List records -> records
+      | single -> [ single ]
+      | exception Json.Parse_error msg ->
+        (* never read an unparsable history as empty: [append] would then
+           replace every record in it with the one being appended *)
+        failwith (Printf.sprintf "Ledger.read: %s is not JSON: %s" path msg)
 
 let last path =
   match List.rev (read path) with [] -> None | newest :: _ -> Some newest

@@ -1,10 +1,11 @@
 (** Append-style JSON trajectory files.
 
     A ledger is a file holding a JSON array of run records — one element
-    per invocation, so repeated runs accumulate instead of overwriting
-    (the format of [BENCH_parallel.json] and [AUDIT_accuracy.json]).
-    Every appended record is stamped with the UTC date and the current
-    git commit ({!Vcs.commit}), making each point of the trajectory
+    per invocation, so repeated runs accumulate instead of overwriting.
+    [AUDIT_accuracy.json] is the live one; [BENCH_parallel.json] is
+    frozen history in the same format, no longer appended to. Every
+    appended record is stamped with the UTC date and the current git
+    commit ({!Vcs.commit}), making each point of the trajectory
     attributable. *)
 
 val stamp : Json.t -> Json.t
@@ -13,16 +14,21 @@ val stamp : Json.t -> Json.t
 
 val read : string -> Json.t list
 (** All records of a ledger file: [[]] when the file does not exist or
-    is not JSON (a warning is printed on stderr in the latter case); a
-    pre-existing single-object file (the old overwrite format) becomes a
-    one-element history. *)
+    is empty; a pre-existing single-object file (the old overwrite
+    format) becomes a one-element history.
+    @raise Failure naming the path and the parse error when the file
+    exists but is not JSON (a merge-conflict marker, a truncated write).
+    Such a history is never read as empty. *)
 
 val last : string -> Json.t option
-(** The most recent record, if any. *)
+(** The most recent record, if any.
+    @raise Failure as {!read}. *)
 
 val append : path:string -> Json.t -> int
 (** Stamp the record and append it to the ledger at [path], creating the
     file if needed. Returns the new record count.
     @raise Invalid_argument when the record is not a JSON object with a
     ["schema"] string field — every ledger consumer dispatches on the
-    schema version, so an unversioned record would be unidentifiable. *)
+    schema version, so an unversioned record would be unidentifiable.
+    @raise Failure as {!read}, leaving the file's bytes untouched: a
+    history that cannot be parsed is never overwritten. *)

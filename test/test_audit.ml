@@ -236,6 +236,22 @@ let test_unmatched_stages_counted () =
     "unmatched stages alone do not regress" false
     (Drift.has_regressions report)
 
+(* the drift gate: the full catalog at [qwm_sim --audit]'s defaults
+   against the committed AUDIT_accuracy.json baseline. Nothing may
+   regress, and every audited stage must still have a baseline record. *)
+let test_committed_baseline () =
+  let baseline =
+    match Baseline.load "../AUDIT_accuracy.json" with
+    | Some baseline -> baseline
+    | None -> Alcotest.fail "AUDIT_accuracy.json holds no record"
+  in
+  let report = Drift.check ~baseline (Audit.run tech) in
+  if Drift.has_regressions report then
+    Alcotest.failf "drift against AUDIT_accuracy.json:\n%s"
+      (Format.asprintf "%a" Drift.pp report);
+  Alcotest.(check int) "no unmatched stages" 0 report.Drift.unmatched;
+  Alcotest.(check bool) "metrics were compared" true (report.Drift.deltas <> [])
+
 let () =
   Alcotest.run "tqwm_audit"
     [
@@ -268,5 +284,6 @@ let () =
             test_drift_feeds_counters;
           Alcotest.test_case "unmatched stages" `Slow
             test_unmatched_stages_counted;
+          Alcotest.test_case "committed baseline" `Slow test_committed_baseline;
         ] );
     ]

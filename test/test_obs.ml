@@ -902,6 +902,31 @@ let test_ledger_rejects_schemaless () =
           (List.mem_assoc "date" fields && List.mem_assoc "commit" fields)
       | Some _ | None -> Alcotest.fail "record not readable back")
 
+(* a history that does not parse (here a stray merge-conflict marker)
+   stops readers and writers alike: [append] raises before writing, so
+   the records already in the file survive *)
+let test_ledger_keeps_unparsable_history () =
+  let path = Filename.temp_file "tqwm-ledger" ".json" in
+  let corrupted = "<<<<<<< HEAD\n[{\"schema\": \"tqwm-test/1\"}]\n" in
+  let refuses what f =
+    match f () with
+    | () -> Alcotest.failf "%s accepted an unparsable history" what
+    | exception Failure msg ->
+      Alcotest.(check bool) (what ^ " names the file") true
+        (String.starts_with ~prefix:("Ledger.read: " ^ path) msg)
+  in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc -> output_string oc corrupted);
+      refuses "append" (fun () ->
+          ignore
+            (Tqwm_obs.Ledger.append ~path
+               (Json.Obj [ ("schema", Json.String "tqwm-test/1") ])));
+      Alcotest.(check string) "bytes kept" corrupted
+        (In_channel.with_open_bin path In_channel.input_all);
+      refuses "last" (fun () -> ignore (Tqwm_obs.Ledger.last path)))
+
 let () =
   Alcotest.run "tqwm_obs"
     [
@@ -918,6 +943,8 @@ let () =
         [
           Alcotest.test_case "append rejects schema-less records" `Quick
             test_ledger_rejects_schemaless;
+          Alcotest.test_case "unparsable history is never overwritten" `Quick
+            test_ledger_keeps_unparsable_history;
         ] );
       ( "metrics",
         [

@@ -101,20 +101,39 @@ let test_parallel_identical_decoder_tree () =
   check_identical "decoder tree, 2 domains" seq (propagate ~domains:2 graph);
   check_identical "decoder tree, 4 domains" seq (propagate ~domains:4 graph)
 
+(* a decoder tree, whose repeated cells hit the stage cache, and random
+   stacks, which mostly miss it *)
+let mixed_graphs () =
+  [
+    ("decoder tree", Workloads.decoder_tree ~fanout:3 ~depth:2 tech);
+    ("random stacks", Workloads.random_stacks ~width:4 ~depth:2 tech);
+  ]
+
 let test_parallel_identical_with_cache () =
   let graph = Workloads.fanout_tree ~fanout:2 ~depth:2 (Scenario.nand_falling ~n:3 tech) in
   (* fresh caches per run: hit patterns differ between domain counts but
      results may not *)
-  let run domains =
+  let run graph domains =
     let cache = Stage_cache.create () in
     let analysis = propagate ~cache ~domains graph in
     (analysis, Stage_cache.stats cache)
   in
-  let seq, seq_stats = run 1 in
-  let par2, _ = run 2 in
-  let par4, par4_stats = run 4 in
+  let seq, seq_stats = run graph 1 in
+  let par2, _ = run graph 2 in
+  let par4, par4_stats = run graph 4 in
   check_identical "cached, 2 domains" seq par2;
   check_identical "cached, 4 domains" seq par4;
+  List.iter
+    (fun (name, graph) ->
+      let seq, _ = run graph 1 in
+      List.iter
+        (fun domains ->
+          check_identical
+            (Printf.sprintf "%s, cached, %d domains" name domains)
+            seq
+            (fst (run graph domains)))
+        [ 2; 4 ])
+    (mixed_graphs ());
   Alcotest.(check bool) "repeated gates hit the cache" true
     (seq_stats.Stage_cache.hits > 0 && par4_stats.Stage_cache.hits > 0);
   Alcotest.(check bool) "fewer solves than stages" true
@@ -371,19 +390,21 @@ let fabricated_timing id =
   }
 
 let test_steal_identical_many_domains () =
-  let graph = Workloads.decoder_tree ~fanout:3 ~depth:2 tech in
-  let seq = propagate ~domains:1 graph in
   List.iter
-    (fun domains ->
-      check_identical
-        (Printf.sprintf "auto chunks, %d domains" domains)
-        seq
-        (Parallel.propagate ~model:(Lazy.force table) ~domains graph);
-      check_identical
-        (Printf.sprintf "1-stage chunks, %d domains" domains)
-        seq
-        (Parallel.propagate ~model:(Lazy.force table) ~domains ~chunk:1 graph))
-    [ 2; 4; 8 ]
+    (fun (name, graph) ->
+      let seq = propagate ~domains:1 graph in
+      List.iter
+        (fun domains ->
+          check_identical
+            (Printf.sprintf "%s, auto chunks, %d domains" name domains)
+            seq
+            (Parallel.propagate ~model:(Lazy.force table) ~domains graph);
+          check_identical
+            (Printf.sprintf "%s, 1-stage chunks, %d domains" name domains)
+            seq
+            (Parallel.propagate ~model:(Lazy.force table) ~domains ~chunk:1 graph))
+        [ 2; 4; 8 ])
+    (mixed_graphs ())
 
 let test_chunk_size_edges () =
   let graph = Workloads.decoder_tree ~fanout:3 ~depth:2 tech in

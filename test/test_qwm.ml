@@ -9,6 +9,8 @@ module Qwm_solver = Tqwm_core.Qwm_solver
 module Config = Tqwm_core.Config
 module Engine = Tqwm_spice.Engine
 module Waveform = Tqwm_wave.Waveform
+module Json = Tqwm_obs.Json
+module Metrics = Tqwm_obs.Metrics
 
 let tech = Tech.cmosp35
 
@@ -233,6 +235,47 @@ let test_workspace_reuse_bit_identical () =
       Alcotest.(check bool) "dirtied workspace bit-identical" true
         (run ~workspace:ws () = reference))
     [ Config.Bordered; Config.Sherman_morrison; Config.Dense_lu ]
+
+(* The region loop's allocation, as the solver's own
+   [qwm.alloc.minor_words] counter sees it, must stay within the
+   committed ALLOC_budget.json ceiling on stack6, both with a fresh
+   workspace per solve (cold) and with one reused across solves (warm,
+   the stage cache's configuration). A boxed float accessor, a tuple
+   chain or a per-iteration buffer in the loop shows up here. *)
+let test_alloc_budget () =
+  let budget =
+    let doc =
+      Json.of_string
+        (In_channel.with_open_bin "../ALLOC_budget.json" In_channel.input_all)
+    in
+    match
+      Option.bind (Json.member "solver_words_per_region" doc) (Json.member "stack6")
+    with
+    | Some (Json.Int words) -> float_of_int words
+    | Some (Json.Float words) -> words
+    | Some _ | None -> Alcotest.fail "ALLOC_budget.json has no stack6 ceiling"
+  in
+  let model = Lazy.force table in
+  let scenario = Scenario.stack_falling ~widths:(Array.make 6 1.6e-6) tech in
+  let words () = Option.value (Metrics.find_counter "qwm.alloc.minor_words") ~default:0 in
+  let words_per_region workspace =
+    let run () = Qwm.run ~model ~workspace:(workspace ()) scenario in
+    (* the first solve grows a reused workspace to the chain's size *)
+    ignore (run ());
+    let w0 = words () and regions = ref 0 in
+    for _ = 1 to 200 do
+      regions := !regions + (run ()).Qwm.stats.Qwm_solver.regions
+    done;
+    float_of_int (words () - w0) /. float_of_int !regions
+  in
+  let shared = Qwm_solver.Workspace.create () in
+  List.iter
+    (fun (mode, workspace) ->
+      let wpr = words_per_region workspace in
+      if wpr > budget then
+        Alcotest.failf "stack6 (%s): %.1f words per region exceeds the budget of %g"
+          mode wpr budget)
+    [ ("cold", fun () -> Qwm_solver.Workspace.create ()); ("warm", fun () -> shared) ]
 
 (* ---------- waveform models ---------- *)
 
@@ -516,6 +559,7 @@ let () =
           quick "all paths identical" test_linear_solvers_identical;
           quick "workspace reuse bit-identical" test_workspace_reuse_bit_identical;
         ] );
+      ("workspace", [ quick "allocation within ALLOC_budget.json" test_alloc_budget ]);
       ( "waveform models",
         [
           slow "linear model converges" test_linear_waveform_model_converges;

@@ -64,6 +64,40 @@ let eco_script =
    timing 2\n\
    query 0 12\n"
 
+(* The committed eco goldens pin the documents across commits, not just
+   between transports. examples/eco_session.script run offline, as
+   [qwm_sim --incr SCRIPT --json F --timing-json G] runs it (its defaults:
+   cached, one domain, exact cutoff, timing k = 1), and replayed through
+   a live daemon, as [qwm_client --replay] does, must both reproduce the
+   golden bytes; [Json.write_file] writes [Json.to_string] and a newline. *)
+let test_eco_golden_bytes () =
+  let read path = In_channel.with_open_bin path In_channel.input_all in
+  let script = "../examples/eco_session.script" in
+  let golden_incr = read "golden/eco-offline-incr.json"
+  and golden_timing = read "golden/eco-offline-timing.json" in
+  let check_bytes what golden doc =
+    Alcotest.(check string) what golden (Json.to_string doc ^ "\n")
+  in
+  let offline =
+    Script.run_file ~tech ~model:(Lazy.force table)
+      ~out:(Format.formatter_of_buffer (Buffer.create 256))
+      script
+  in
+  check_bytes "offline incr document" golden_incr offline.Script.json;
+  check_bytes "offline timing document" golden_timing
+    (Script.timing_json ?clock_period:offline.Script.clock_period ~k:1
+       offline.Script.session);
+  with_server (fun server ->
+      let c = Client.connect (Server.address server) in
+      Fun.protect
+        ~finally:(fun () -> Client.close c)
+        (fun () ->
+          let replayed = Client.replay ~k:1 c (read script) in
+          check_bytes "daemon incr document" golden_incr replayed.Client.document;
+          match replayed.Client.timing with
+          | Some timing -> check_bytes "daemon timing document" golden_timing timing
+          | None -> Alcotest.fail "daemon replay returned no timing document"))
+
 (* Replaying a script through a live daemon must produce the same
    progress text, the same [tqwm-incr-report/1] document and the same
    [tqwm-report/1] timing document as the offline run — byte for
@@ -466,7 +500,11 @@ let quick name f = Alcotest.test_case name `Quick f
 let () =
   Alcotest.run "server"
     [
-      ("identity", [ quick "script replay" test_replay_identity ]);
+      ( "identity",
+        [
+          quick "script replay" test_replay_identity;
+          quick "eco session golden bytes" test_eco_golden_bytes;
+        ] );
       ("isolation", [ quick "concurrent sessions" test_session_isolation ]);
       ( "robustness",
         [

@@ -9,6 +9,8 @@ schema-versioned object (reports, budgets), a Chrome trace
 dispatches on those shapes and validates required fields per schema
 version; an unknown schema version is an error, never a skip — a
 consumer that cannot identify a record must not pretend it checked it.
+The records of the frozen BENCH_parallel.json history are identified by
+name only (see FROZEN_SCHEMAS).
 
 Usage: check_ledgers.py FILE [FILE...]
 Exit status 0 when every file validates, 1 otherwise (missing files are
@@ -16,7 +18,9 @@ reported but tolerated with --allow-missing, for CI legs whose optional
 artifacts did not run).
 """
 
+import copy
 import json
+import os
 import sys
 
 
@@ -45,96 +49,6 @@ def expect(obj, field, types, ctx):
 
 
 NUM = (int, float)
-
-
-def check_cache(obj, ctx):
-    for field in ("hits", "misses"):
-        expect(obj, field, int, ctx)
-    expect(obj, "hit_rate", NUM, ctx)
-
-
-def check_bench_parallel(record, ctx, version):
-    expect(record, "smoke", bool, ctx)
-    expect(record, "domains", int, ctx)
-    if version >= 2 or "available_cores" in record:
-        expect(record, "available_cores", int, ctx)
-    # the oversubscription flag arrived mid-version-1; /2 requires it
-    if version >= 2 or "degraded" in record:
-        expect(record, "degraded", bool, ctx)
-    # /2 recorded which of two schedulers ran and an A/B column for the
-    # other; /3 has one scheduler and drops both
-    if version == 2:
-        scheduler = expect(record, "scheduler", str, ctx)
-        if scheduler not in ("steal", "ready"):
-            fail(f"{ctx}: unknown scheduler {scheduler!r}")
-    if version >= 2:
-        chunk_size = expect(record, "chunk_size", int, ctx)
-        if chunk_size < 0:
-            fail(f"{ctx}: chunk_size {chunk_size} < 0 (0 means auto)")
-    workloads = expect(record, "workloads", list, ctx)
-    if not workloads:
-        fail(f"{ctx}: empty workloads list")
-    for i, row in enumerate(workloads):
-        rctx = f"{ctx}: workloads[{i}]"
-        expect(row, "name", str, rctx)
-        expect(row, "stages", int, rctx)
-        for field in ("seq_ms", "par_ms", "speedup", "warm_ms"):
-            expect(row, field, NUM, rctx)
-        expect(row, "identical", bool, rctx)
-        check_cache(expect(row, "cache", dict, rctx), rctx + ".cache")
-        if version == 2:
-            for field in ("ready_ms", "speedup_ready"):
-                expect(row, field, NUM, rctx)
-        if version >= 2:
-            for field in ("steals", "chunks"):
-                if expect(row, field, int, rctx) < 0:
-                    fail(f"{rctx}: negative {field}")
-            # the oversubscription flag is stamped per scenario row so a
-            # record cut out of the ledger stays honest on its own
-            expect(row, "degraded", bool, rctx)
-
-
-def check_bench_incr(record, ctx):
-    expect(record, "smoke", bool, ctx)
-    workload = expect(record, "workload", dict, ctx)
-    expect(workload, "name", str, ctx + ".workload")
-    expect(workload, "stages", int, ctx + ".workload")
-    expect(record, "edits", int, ctx)
-    for field in ("full_ms_per_edit", "incr_ms_per_edit", "speedup", "reeval_fraction"):
-        expect(record, field, NUM, ctx)
-    expect(record, "identical", bool, ctx)
-    cutoff = expect(record, "cutoff", dict, ctx)
-    expect(cutoff, "neutral_edit_reeval", int, ctx + ".cutoff")
-    expect(cutoff, "cutoff_hits", int, ctx + ".cutoff")
-
-
-def check_bench_alloc(record, ctx, version=1):
-    expect(record, "smoke", bool, ctx)
-    expect(record, "solves_per_mode", int, ctx)
-    if version >= 2:
-        # /2 stamps the numeric-core backing store and an arena section
-        # measuring one SoA-arena propagation of a decoder tree
-        storage = expect(record, "storage", str, ctx)
-        if storage != "bigarray-float64":
-            fail(f"{ctx}: unknown storage {storage!r}")
-        arena = expect(record, "arena", dict, ctx)
-        actx = ctx + ".arena"
-        expect(arena, "workload", str, actx)
-        for field in ("stages", "levels", "packed_floats"):
-            if expect(arena, field, int, actx) <= 0:
-                fail(f"{actx}: {field} is not positive")
-        if not expect(arena, "minor_words_per_stage", NUM, actx) >= 0:
-            fail(f"{actx}: minor_words_per_stage is negative")
-    scenarios = expect(record, "scenarios", list, ctx)
-    if not scenarios:
-        fail(f"{ctx}: empty scenarios list")
-    for i, row in enumerate(scenarios):
-        rctx = f"{ctx}: scenarios[{i}]"
-        expect(row, "name", str, rctx)
-        for mode in ("cold", "warm"):
-            m = expect(row, mode, dict, rctx)
-            expect(m, "solver_words_per_region", NUM, f"{rctx}.{mode}")
-            expect(m, "ms_per_solve", NUM, f"{rctx}.{mode}")
 
 
 def check_audit(record, ctx):
@@ -251,101 +165,6 @@ def check_timing_report(record, ctx):
                     fail(f"{sctx}: negative {field}")
 
 
-# the daemon's verb vocabulary (lib/server/server.ml); a bench record
-# naming any other verb is malformed, not merely novel
-SERVER_VERBS = frozenset(
-    ("load", "edit", "script", "report", "query", "timing", "slack",
-     "explain", "document", "metrics", "health", "stats", "trace", "close"))
-
-VERB_LATENCY_FIELDS = frozenset(("count", "p50_ms", "p99_ms"))
-
-
-def check_bench_server(record, ctx):
-    expect(record, "smoke", bool, ctx)
-    for field in ("workers", "clients", "sessions", "rounds", "requests"):
-        if expect(record, field, int, ctx) < 0:
-            fail(f"{ctx}: negative {field}")
-    if record["sessions"] < record["clients"]:
-        fail(f"{ctx}: sessions {record['sessions']} < clients {record['clients']}")
-    for field in ("duration_s", "qps"):
-        if not expect(record, field, NUM, ctx) >= 0:
-            fail(f"{ctx}: {field} is not a non-negative number")
-    expect(record, "available_cores", int, ctx)
-    expect(record, "degraded", bool, ctx)
-    graph = expect(record, "graph", dict, ctx)
-    expect(graph, "name", str, ctx + ".graph")
-    for field in ("fanout", "depth", "stages"):
-        expect(graph, field, int, ctx + ".graph")
-    verbs = expect(record, "verbs", dict, ctx)
-    if not verbs:
-        fail(f"{ctx}: empty verbs table")
-    for verb, lat in verbs.items():
-        vctx = f"{ctx}: verbs[{verb!r}]"
-        if verb not in SERVER_VERBS:
-            known = ", ".join(sorted(SERVER_VERBS))
-            fail(f"{vctx}: unknown verb (known: {known})")
-        if expect(lat, "count", int, vctx) <= 0:
-            fail(f"{vctx}: count is not positive")
-        for field in ("p50_ms", "p99_ms"):
-            if not expect(lat, field, NUM, vctx) >= 0:
-                fail(f"{vctx}: {field} is not a non-negative number")
-        # latency entries are a closed shape: an unrecognized field means
-        # the bench and the checker disagree about the schema
-        unknown = set(lat) - VERB_LATENCY_FIELDS
-        if unknown:
-            fail(f"{vctx}: unknown latency fields {sorted(unknown)}")
-    if expect(record, "identical", bool, ctx) is not True:
-        fail(f"{ctx}: server replay and offline documents differ")
-
-
-def check_bench_report(record, ctx):
-    expect(record, "smoke", bool, ctx)
-    workload = expect(record, "workload", dict, ctx)
-    expect(workload, "name", str, ctx + ".workload")
-    expect(workload, "stages", int, ctx + ".workload")
-    expect(record, "k", int, ctx)
-    expect(record, "domains", int, ctx)
-    for field in ("seq_ms", "par_ms", "clock_period_ps", "wns_ps", "tns_ps"):
-        expect(record, field, NUM, ctx)
-    if expect(record, "identical", bool, ctx) is not True:
-        fail(f"{ctx}: sequential and parallel reports differ")
-    paths = expect(record, "paths", list, ctx)
-    if not paths:
-        fail(f"{ctx}: empty paths list")
-    for i, path in enumerate(paths):
-        pctx = f"{ctx}: paths[{i}]"
-        expect(path, "stages", int, pctx)
-        for field in ("arrival_ps", "slack_ps"):
-            expect(path, field, NUM, pctx)
-
-
-def check_bench_obs(record, ctx):
-    """tqwm-bench-obs/1: telemetry-overhead comparison from
-    ``bench --table obs`` — the same serving workload with tracing and
-    the access log off, then on."""
-    expect(record, "smoke", bool, ctx)
-    for field in ("workers", "clients", "rounds"):
-        if expect(record, field, int, ctx) < 1:
-            fail(f"{ctx}: {field} is not positive")
-    passes = {}
-    for mode in ("off", "on"):
-        m = expect(record, mode, dict, ctx)
-        mctx = f"{ctx}.{mode}"
-        if expect(m, "requests", int, mctx) <= 0:
-            fail(f"{mctx}: requests is not positive")
-        for field in ("duration_s", "qps"):
-            if not expect(m, field, NUM, mctx) > 0:
-                fail(f"{mctx}: {field} is not positive")
-        passes[mode] = m
-    on = passes["on"]
-    if expect(on, "trace_events", int, ctx + ".on") <= 0:
-        fail(f"{ctx}.on: no trace events captured")
-    if expect(on, "log_lines", int, ctx + ".on") < on["requests"]:
-        fail(f"{ctx}.on: {on['log_lines']} access-log lines for "
-             f"{on['requests']} requests")
-    expect(record, "overhead_pct", NUM, ctx)
-
-
 # the daemon access log's closed record shape (lib/server/server.ml);
 # a line with unknown or missing fields means the server and this
 # checker disagree about the schema, which must fail loudly
@@ -406,28 +225,31 @@ def check_access_log(path):
 
 
 SCHEMAS = {
-    "tqwm-bench-parallel/1": lambda r, c: check_bench_parallel(r, c, 1),
-    "tqwm-bench-parallel/2": lambda r, c: check_bench_parallel(r, c, 2),
-    "tqwm-bench-parallel/3": lambda r, c: check_bench_parallel(r, c, 3),
-    "tqwm-bench-incr/1": check_bench_incr,
-    "tqwm-bench-alloc/1": check_bench_alloc,
-    "tqwm-bench-alloc/2": lambda r, c: check_bench_alloc(r, c, 2),
     "tqwm-audit/1": check_audit,
     "tqwm-alloc-budget/1": check_alloc_budget,
     "tqwm-sta-report/1": check_sta_report,
     "tqwm-incr-report/1": check_incr_report,
     "tqwm-report/1": check_timing_report,
-    "tqwm-bench-report/1": check_bench_report,
-    "tqwm-bench-server/1": check_bench_server,
-    "tqwm-bench-obs/1": check_bench_obs,
 }
+
+# The bench tables that wrote these schema versions are gone, and
+# BENCH_parallel.json, the one file holding their records, is frozen
+# history. A record under one of these names needs only be an object
+# with a string schema (check_ledger types its stamps); any other
+# unknown schema still fails.
+FROZEN_SCHEMAS = frozenset(
+    ("tqwm-bench-parallel/1", "tqwm-bench-parallel/2", "tqwm-bench-incr/1",
+     "tqwm-bench-alloc/1", "tqwm-bench-alloc/2", "tqwm-bench-server/1",
+     "tqwm-bench-obs/1"))
 
 
 def check_versioned(record, ctx):
     schema = expect(record, "schema", str, ctx)
+    if schema in FROZEN_SCHEMAS:
+        return schema
     checker = SCHEMAS.get(schema)
     if checker is None:
-        known = ", ".join(sorted(SCHEMAS))
+        known = ", ".join(sorted(SCHEMAS.keys() | FROZEN_SCHEMAS))
         fail(f"{ctx}: unknown schema version {schema!r} (known: {known})")
     checker(record, f"{ctx} [{schema}]")
     return schema
@@ -497,108 +319,6 @@ def check_file(path):
     fail(f"{path}: top level is {type(doc).__name__}, wanted object or array")
 
 
-def _server_sample():
-    return {
-        "schema": "tqwm-bench-server/1",
-        "date": "2026-08-08",
-        "commit": "0000000",
-        "smoke": True,
-        "workers": 2,
-        "clients": 4,
-        "sessions": 5,
-        "rounds": 5,
-        "requests": 90,
-        "duration_s": 0.07,
-        "qps": 1285.7,
-        "available_cores": 1,
-        "degraded": True,
-        "graph": {"name": "decoder-tree", "fanout": 3, "depth": 2, "stages": 13},
-        "verbs": {
-            "load": {"count": 4, "p50_ms": 1.2, "p99_ms": 3.4},
-            "edit": {"count": 20, "p50_ms": 0.4, "p99_ms": 1.1},
-            "timing": {"count": 4, "p50_ms": 2.0, "p99_ms": 2.8},
-        },
-        "identical": True,
-    }
-
-
-def _obs_sample():
-    return {
-        "schema": "tqwm-bench-obs/1",
-        "date": "2026-08-08",
-        "commit": "0000000",
-        "smoke": True,
-        "workers": 2,
-        "clients": 2,
-        "rounds": 5,
-        "off": {"requests": 32, "duration_s": 0.05, "qps": 640.0},
-        "on": {"requests": 32, "duration_s": 0.06, "qps": 533.3,
-               "trace_events": 250, "log_lines": 34},
-        "overhead_pct": 16.7,
-    }
-
-
-def _alloc2_sample():
-    return {
-        "schema": "tqwm-bench-alloc/2",
-        "date": "2026-08-08",
-        "commit": "0000000",
-        "smoke": True,
-        "solves_per_mode": 200,
-        "storage": "bigarray-float64",
-        "scenarios": [
-            {
-                "name": "stack6",
-                "cold": {"solver_words_per_region": 2742.1, "ms_per_solve": 0.26},
-                "warm": {"solver_words_per_region": 2742.1, "ms_per_solve": 0.28},
-            }
-        ],
-        "arena": {
-            "workload": "decoder-tree",
-            "stages": 13,
-            "levels": 3,
-            "packed_floats": 990,
-            "minor_words_per_stage": 94663.0,
-        },
-    }
-
-
-def _parallel3_sample():
-    return {
-        "schema": "tqwm-bench-parallel/3",
-        "date": "2026-10-17",
-        "commit": "0000000",
-        "smoke": True,
-        "domains": 2,
-        "chunk_size": 0,
-        "available_cores": 2,
-        "degraded": True,
-        "workloads": [
-            {
-                "name": "decoder-tree",
-                "stages": 13,
-                "seq_ms": 4.1,
-                "par_ms": 6.0,
-                "speedup": 0.68,
-                "steals": 1,
-                "chunks": 6,
-                "degraded": True,
-                "identical": True,
-                "cache": {"hits": 11, "misses": 2, "hit_rate": 0.85},
-                "warm_ms": 0.9,
-            }
-        ],
-    }
-
-
-def _parallel2_sample():
-    record = _parallel3_sample()
-    record["schema"] = "tqwm-bench-parallel/2"
-    record["scheduler"] = "steal"
-    record["workloads"][0].update({"ready_ms": 6.5, "speedup_ready": 0.63})
-    return record
-
-
 def _access_sample():
     return {
         "ts": 1754600000.25,
@@ -612,88 +332,78 @@ def _access_sample():
     }
 
 
+def _load(path):
+    """A committed document, by its path from the repository root."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, path)) as f:
+        return json.load(f)
+
+
 def self_test():
     """Unit-check the validators against known-good and known-bad records
-    (run by CI so schema drift in this file itself fails loudly)."""
+    (run by CI so schema drift in this file itself fails loudly). The
+    good cases are the committed documents themselves."""
     cases = []
 
-    def bad(label, mutate, sample=_server_sample):
-        record = sample()
-        mutate(record)
-        cases.append((label, record, False, check_versioned))
+    def case(label, expect_ok, checker, sample, mutate=None):
+        doc = copy.deepcopy(sample)
+        if mutate:
+            mutate(doc)
+        cases.append((label, doc, expect_ok, checker))
 
-    cases.append(("good server record", _server_sample(), True,
-                  check_versioned))
-    bad("unknown verb", lambda r: r["verbs"].update(
-        {"frobnicate": {"count": 1, "p50_ms": 0.1, "p99_ms": 0.1}}))
-    bad("unknown latency field", lambda r: r["verbs"]["load"].update(
-        {"p95_ms": 2.0}))
-    bad("missing percentile", lambda r: r["verbs"]["edit"].pop("p99_ms"))
-    bad("non-identical replay", lambda r: r.update({"identical": False}))
-    bad("negative qps", lambda r: r.update({"qps": -1.0}))
-    bad("sessions below clients", lambda r: r.update({"sessions": 2}))
-    bad("unknown schema", lambda r: r.update({"schema": "tqwm-bench-server/9"}))
-    # observability verbs are part of the closed vocabulary
-    cases.append(("stats verb accepted", dict(
-        _server_sample(), verbs={
-            "stats": {"count": 2, "p50_ms": 0.1, "p99_ms": 0.2}}), True,
-        check_versioned))
+    frozen = _load("BENCH_parallel.json")
+    case("frozen history", True, check_ledger, frozen)
+    # no tqwm-bench-parallel/3 record was ever committed
+    case("never-committed bench schema", False, check_ledger, frozen,
+         lambda r: r.append({"schema": "tqwm-bench-parallel/3"}))
 
-    cases.append(("good alloc/2 record", _alloc2_sample(), True,
-                  check_versioned))
-    bad("alloc/2 missing storage", lambda r: r.pop("storage"), _alloc2_sample)
-    bad("alloc/2 unknown storage",
-        lambda r: r.update({"storage": "boxed-float-array"}), _alloc2_sample)
-    bad("alloc/2 missing arena", lambda r: r.pop("arena"), _alloc2_sample)
-    bad("alloc/2 zero packed floats",
-        lambda r: r["arena"].update({"packed_floats": 0}), _alloc2_sample)
-    # alloc/1 records never carried storage/arena — they must keep
-    # validating without them
-    alloc1 = _alloc2_sample()
-    alloc1["schema"] = "tqwm-bench-alloc/1"
-    del alloc1["storage"], alloc1["arena"]
-    cases.append(("good alloc/1 record (no storage/arena)", alloc1, True,
-                  check_versioned))
-
+    audit = _load("AUDIT_accuracy.json")[-1]
+    case("good audit record", True, check_versioned, audit)
+    case("audit empty workloads", False, check_versioned, audit,
+         lambda r: r.update({"workloads": []}))
+    case("audit missing runtime ratio", False, check_versioned, audit,
+         lambda r: r["overall"].pop("runtime_ratio"))
     # ledger stamps are type-checked when present, not required: the
     # earliest committed records predate Tqwm_obs.Ledger stamping, so a
     # date-less seed record must validate...
-    dateless = _alloc2_sample()
-    del dateless["date"], dateless["commit"]
-    cases.append(("ledger with date-less seed record",
-                  [dateless, _alloc2_sample()], True, check_ledger))
+    case("ledger with date-less seed record", True, check_ledger,
+         [audit, audit], lambda r: (r[0].pop("date"), r[0].pop("commit")))
     # ...while a present-but-mistyped stamp must not
-    mistyped = _alloc2_sample()
-    mistyped["date"] = 20260808
-    cases.append(("ledger with non-string date stamp", [mistyped], False,
-                  check_ledger))
+    case("ledger with non-string date stamp", False, check_ledger, [audit],
+         lambda r: r[0].update({"date": 20260808}))
 
-    cases.append(("good parallel/3 record", _parallel3_sample(), True,
-                  check_versioned))
-    bad("parallel/3 missing chunk_size", lambda r: r.pop("chunk_size"),
-        _parallel3_sample)
-    bad("parallel/3 negative steals",
-        lambda r: r["workloads"][0].update({"steals": -1}), _parallel3_sample)
-    bad("parallel/3 row missing degraded",
-        lambda r: r["workloads"][0].pop("degraded"), _parallel3_sample)
-    bad("parallel/3 empty workloads", lambda r: r.update({"workloads": []}),
-        _parallel3_sample)
-    # /2 keeps requiring its scheduler fields and A/B columns
-    cases.append(("good parallel/2 record", _parallel2_sample(), True,
-                  check_versioned))
-    bad("parallel/2 missing scheduler", lambda r: r.pop("scheduler"),
-        _parallel2_sample)
-    bad("parallel/2 missing ready_ms",
-        lambda r: r["workloads"][0].pop("ready_ms"), _parallel2_sample)
+    budget = _load("ALLOC_budget.json")
+    case("good alloc budget", True, check_versioned, budget)
+    case("alloc budget empty", False, check_versioned, budget,
+         lambda r: r.update({"solver_words_per_region": {}}))
+    case("alloc budget not a number", False, check_versioned, budget,
+         lambda r: r["solver_words_per_region"].update({"stack6": "3000"}))
 
-    cases.append(("good obs record", _obs_sample(), True, check_versioned))
-    bad("obs zero trace events",
-        lambda r: r["on"].update({"trace_events": 0}), _obs_sample)
-    bad("obs lost log lines",
-        lambda r: r["on"].update({"log_lines": 3}), _obs_sample)
-    bad("obs zero duration",
-        lambda r: r["off"].update({"duration_s": 0}), _obs_sample)
-    bad("obs missing on pass", lambda r: r.pop("on"), _obs_sample)
+    incr = _load("test/golden/eco-offline-incr.json")
+    case("good incr report", True, check_versioned, incr)
+    case("incr unknown mode", False, check_versioned, incr,
+         lambda r: r.update({"mode": "lazy"}))
+    case("incr stats missing cutoff hits", False, check_versioned, incr,
+         lambda r: r["stats"].pop("cutoff_hits"))
+    case("good sta report", True, check_versioned, incr["analysis"])
+    case("sta report empty stages", False, check_versioned, incr["analysis"],
+         lambda r: r.update({"stages": []}))
+
+    timing = _load("test/golden/eco-offline-timing.json")
+    case("good timing report", True, check_versioned, timing)
+    case("timing wns disagrees with endpoints", False, check_versioned,
+         timing, lambda r: r.update({"wns_ps": r["wns_ps"] + 1.0}))
+    case("timing path rank out of order", False, check_versioned, timing,
+         lambda r: r["paths"][0].update({"rank": 2}))
+
+    trace = {"traceEvents": [{"name": "sta.stage", "ph": "X"}]}
+    case("good trace", True, check_trace, trace)
+    case("trace event without phase", False, check_trace, trace,
+         lambda r: r["traceEvents"][0].pop("ph"))
+    metrics = {"counters": {"qwm.regions": 17}, "gauges": {"sta.wns": -1.5}}
+    case("good metrics snapshot", True, check_metrics, metrics)
+    case("metrics fractional counter", False, check_metrics, metrics,
+         lambda r: r["counters"].update({"qwm.regions": 17.5}))
 
     def bad_access(label, mutate):
         record = _access_sample()
