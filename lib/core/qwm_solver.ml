@@ -13,14 +13,9 @@ module Trace = Tqwm_obs.Trace
 module Json = Tqwm_obs.Json
 module Alloc = Tqwm_obs.Alloc
 
-(* Global solver telemetry; one atomic add per counter per solve. *)
+(* Global solver telemetry; one atomic add per counter per solve (the
+   counts of [stats] flush through [stat_counters]). *)
 let c_solves = Metrics.counter "qwm.solves"
-let c_regions = Metrics.counter "qwm.regions"
-let c_turn_ons = Metrics.counter "qwm.turn_ons"
-let c_newton = Metrics.counter "qwm.newton_iterations"
-let c_linear_solves = Metrics.counter "qwm.linear_solves"
-let c_bisections = Metrics.counter "qwm.bisections"
-let c_failures = Metrics.counter "qwm.failures"
 let c_alloc_minor = Metrics.counter "qwm.alloc.minor_words"
 let c_alloc_promoted = Metrics.counter "qwm.alloc.promoted_words"
 
@@ -86,12 +81,12 @@ module Workspace = struct
     mat : Mat.t;  (* (K+1) x (K+1) view into the slab, dense-LU mode only *)
     perm : int array;  (* K+1 *)
     (* Newton candidates and the warm start *)
-    alpha_a : Vec.t;  (* K: primary attempt / fixed-delta fallback *)
-    alpha_b : Vec.t;  (* K: explicit-Euler retry *)
+    alpha_a : Vec.t;  (* K: warm attempt / fixed-delta fallback *)
+    alpha_b : Vec.t;  (* K: estimate_region's seed, then the seeded attempt *)
     trial_alpha : Vec.t;  (* K: line-search trial *)
-    seed : Vec.t;  (* K: estimate_region output *)
     last_alpha : Vec.t;  (* K: previous region's curvature *)
-    (* explicit-Euler estimator state *)
+    (* linearly implicit estimator state: node voltages (node k at index
+       k) and node currents (node k at index k-1) *)
     est_v : Vec.t;  (* K+1 *)
     est_i : Vec.t;  (* K+1 *)
     (* solver state vectors: normalized node voltages / currents; views
@@ -120,7 +115,7 @@ module Workspace = struct
 
   let alloc cap =
     let k1 = cap + 1 in
-    let total = (19 * k1) + (cap + 2) + (14 * cap) + (k1 * k1) in
+    let total = (19 * k1) + (cap + 2) + (13 * cap) + (k1 * k1) in
     let slab = Vec.create total in
     let pos = ref 0 in
     let take n =
@@ -157,7 +152,6 @@ module Workspace = struct
     let alpha_a = take cap in
     let alpha_b = take cap in
     let trial_alpha = take cap in
-    let seed = take cap in
     let last_alpha = take cap in
     let est_v = take k1 in
     let est_i = take k1 in
@@ -200,7 +194,6 @@ module Workspace = struct
       alpha_a;
       alpha_b;
       trial_alpha;
-      seed;
       last_alpha;
       est_v;
       est_i;
@@ -258,7 +251,39 @@ type stats = {
   linear_solves : int;
   bisections : int;
   failures : int;
+  residuals : int;
+  line_search_halvings : int;
+  discarded_newton : int;
+  estimator_runs : int;
+  estimator_steps : int;
+  estimator_misses : int;
+  device_calls_residual : int;
+  device_calls_jacobian : int;
+  device_calls_estimator : int;
+  device_calls_other : int;
 }
+
+let stat_counters =
+  List.map
+    (fun (name, count) -> (Metrics.counter name, count))
+    [
+      ("qwm.regions", fun s -> s.regions);
+      ("qwm.turn_ons", fun s -> s.turn_ons);
+      ("qwm.newton_iterations", fun s -> s.newton_iterations);
+      ("qwm.linear_solves", fun s -> s.linear_solves);
+      ("qwm.bisections", fun s -> s.bisections);
+      ("qwm.failures", fun s -> s.failures);
+      ("qwm.residuals", fun s -> s.residuals);
+      ("qwm.line_search_halvings", fun s -> s.line_search_halvings);
+      ("qwm.discarded_newton", fun s -> s.discarded_newton);
+      ("qwm.estimator_runs", fun s -> s.estimator_runs);
+      ("qwm.estimator_steps", fun s -> s.estimator_steps);
+      ("qwm.estimator_misses", fun s -> s.estimator_misses);
+      ("qwm.device_calls.residual", fun s -> s.device_calls_residual);
+      ("qwm.device_calls.jacobian", fun s -> s.device_calls_jacobian);
+      ("qwm.device_calls.estimator", fun s -> s.device_calls_estimator);
+      ("qwm.device_calls.other", fun s -> s.device_calls_other);
+    ]
 
 type result = {
   node_quadratics : Waveform.quadratic array;
@@ -280,6 +305,10 @@ type problem = {
   t_end : float;
   cfg : Config.t;
   ws : Workspace.buffers;
+  mutable device_calls : int;
+      (** device-model calls so far in this solve; every call goes through
+          [edge_current], [edge_current_derivs_into], [edge_current_dt] or
+          [threshold] *)
 }
 
 type state = {
@@ -295,6 +324,18 @@ type state = {
   mutable n_solves : int;
   mutable n_bisect : int;
   mutable n_fail : int;
+  mutable n_residuals : int;
+  mutable n_halvings : int;
+  mutable n_discarded : int;
+  mutable n_est_runs : int;
+  mutable n_est_steps : int;
+  mutable n_est_misses : int;
+  (* device calls by phase; the rest of [p.device_calls] is turn-on
+     searches, region starts and current refreshes *)
+  mutable calls_residual : int;
+  mutable calls_jacobian : int;
+  mutable calls_estimator : int;
+  mutable newton_at_commit : int;  (** [n_newton] after the last commit *)
   mutable last_alpha_len : int;
       (** live prefix of [ws.last_alpha] (warm start); -1 before the
           first committed region *)
@@ -336,6 +377,7 @@ let terminal_voltages p k ~t ~vb ~va =
 
 (* J'_k: normalized current flowing from node k to node k-1 *)
 let edge_current p k ~t ~vb ~va =
+  p.device_calls <- p.device_calls + 1;
   p.model.Device_model.iv p.edges.(k - 1).Chain.device (terminal_voltages p k ~t ~vb ~va)
 
 (* (dJ'_k/dv'_below, dJ'_k/dv'_above), left in [p.ws.dv] with the below
@@ -345,6 +387,7 @@ let edge_current p k ~t ~vb ~va =
 let edge_current_derivs_into p k ~t ~vb ~va =
   let tv = terminal_voltages p k ~t ~vb ~va in
   let d = p.ws.Workspace.dv in
+  p.device_calls <- p.device_calls + 1;
   p.model.Device_model.iv_derivatives_into p.edges.(k - 1).Chain.device tv d;
   match p.rail with
   | Chain.Pull_down ->
@@ -364,6 +407,7 @@ let edge_current_dt p k ~t ~vb ~va =
     let h = 1e-5 in
     let device = p.edges.(k - 1).Chain.device in
     let g0 = tv.Device_model.input in
+    p.device_calls <- p.device_calls + 2;
     tv.Device_model.input <- g0 +. h;
     let up = p.model.Device_model.iv device tv in
     tv.Device_model.input <- g0 -. h;
@@ -378,6 +422,7 @@ let threshold p k ~t ~vb =
   tv.Device_model.input <- gate_real p k t;
   tv.Device_model.src <- real_b;
   tv.Device_model.snk <- real_b;
+  p.device_calls <- p.device_calls + 1;
   p.model.Device_model.threshold p.edges.(k - 1).Chain.device tv
 
 let threshold_slope p k ~t ~vb =
@@ -433,6 +478,7 @@ let project p st (x : Vec.t) delta =
 let region_residual p st target alpha delta ~(f : Vec.t) =
   let ws = p.ws in
   let m = st.active in
+  let calls0 = p.device_calls in
   let t' = st.t +. delta in
   project p st alpha delta;
   let v_end = ws.v_end and i_end = ws.i_end and j = ws.j in
@@ -444,9 +490,11 @@ let region_residual p st target alpha delta ~(f : Vec.t) =
   for k = 1 to m do
     f.{k - 1} <- i_end.{k} -. (j.{k + 1} -. j.{k})
   done;
-  match target with
+  (match target with
   | Turn_on k0 -> f.{m} <- drive p k0 ~t:t' ~vb:v_end.{m}
-  | Level { node; value } -> f.{m} <- v_end.{node} -. value
+  | Level { node; value } -> f.{m} <- v_end.{node} -. value);
+  st.n_residuals <- st.n_residuals + 1;
+  st.calls_residual <- st.calls_residual + (p.device_calls - calls0)
 
 (* Jacobian of the region system, written as its structural components:
    the alpha-block tridiagonal and dense last (d/d delta) column into the
@@ -460,6 +508,7 @@ let region_residual p st target alpha delta ~(f : Vec.t) =
 let region_jacobian p st target (alpha : Vec.t) delta =
   let ws = p.ws in
   let m = st.active in
+  let calls0 = p.device_calls in
   let linear = is_linear p in
   let t' = st.t +. delta in
   let v_end = ws.v_end and i_end = ws.i_end in
@@ -507,14 +556,15 @@ let region_jacobian p st target (alpha : Vec.t) delta =
     (* di_end/d delta: alpha for the quadratic model, 0 for the linear *)
     last_col.{r} <- (if linear then 0.0 else alpha.{r}) +. dj_dt_total
   done;
-  match target with
+  (match target with
   | Turn_on k0 ->
     let vth' = threshold_slope p k0 ~t:t' ~vb:v_end.{m} in
     ws.last_row_m <- (-1.0 -. vth') *. h.{m - 1};
     ws.corner <- gate_norm_slope p k0 t' -. ((1.0 +. vth') *. w.{m})
   | Level _ ->
     ws.last_row_m <- h.{m - 1};
-    ws.corner <- w.{m}
+    ws.corner <- w.{m});
+  st.calls_jacobian <- st.calls_jacobian + (p.device_calls - calls0)
 
 (* Solve the bordered system held in the workspace band buffers for the
    Newton step, reading the residual from [f] and writing the step into
@@ -591,7 +641,16 @@ let initial_delta p st target =
   in
   Float.min (Float.max guess 1e-14) (Float.max (p.t_end *. 2.0) 1e-12)
 
-type region_solution = { alpha : Vec.t; delta : float; ok : bool; iters : int }
+(* [iters] counts the attempt's Newton iterations the way
+   [qwm.newton_iterations] does; [merit] is the residual merit at the
+   returned point. *)
+type region_solution = {
+  alpha : Vec.t;
+  delta : float;
+  ok : bool;
+  iters : int;
+  merit : float;
+}
 
 (* Scale-free residual magnitude: current matches in units of the current
    tolerance, the end condition in units of the voltage tolerance. *)
@@ -604,15 +663,20 @@ let merit p (f : Vec.t) m =
 
 (* Newton iteration working in place on [alpha], a workspace-owned buffer
    already holding the start point (used directly by [solve_region], and
-   with the explicit estimator's seed after a cheap-start failure). The
-   returned solution aliases [alpha]; it stays valid until the buffer's
-   next attempt. *)
+   with the estimator's seed in [ws.alpha_b]). The attempt ends at the
+   iteration budget [cap] or at the first line search whose ten halvings
+   all fail to lower the merit. The returned solution aliases [alpha]; it
+   stays valid until the buffer's next attempt. *)
 let solve_region_from ?cap p st target (alpha : Vec.t) delta0 =
   let ws = p.ws in
   let m = st.active in
   let cfg = p.cfg in
   let max_iterations = Option.value cap ~default:cfg.Config.max_iterations in
+  let newton0 = st.n_newton in
   let delta = ref (Float.max delta0 1e-15) in
+  let finish ok =
+    { alpha; delta = !delta; ok; iters = st.n_newton - newton0; merit = merit p ws.f m }
+  in
   let apply_step step =
     let dx = ws.dx and trial_alpha = ws.trial_alpha in
     for r = 0 to m - 1 do
@@ -628,26 +692,31 @@ let solve_region_from ?cap p st target (alpha : Vec.t) delta0 =
      [ws.v_end]/[ws.i_end] that candidate's projection *)
   let rec iterate n =
     st.n_newton <- st.n_newton + 1;
-    if converged p ws.f m then { alpha; delta = !delta; ok = true; iters = n }
-    else if n >= max_iterations then { alpha; delta = !delta; ok = false; iters = n }
+    if converged p ws.f m then finish true
+    else if n >= max_iterations then finish false
     else begin
       region_jacobian p st target alpha !delta;
       match solve_linear p m ~f:ws.f with
-      | exception _ -> { alpha; delta = !delta; ok = false; iters = n }
+      | exception _ -> finish false
       | () ->
         st.n_solves <- st.n_solves + 1;
         let m0 = merit p ws.f m in
+        (* the trial region length, or nan when no step down to 1/1024
+           lowers the merit *)
         let rec backtrack step tries =
           let trial_delta = apply_step step in
           region_residual p st target ws.trial_alpha trial_delta ~f:ws.f_trial;
           let mt = merit p ws.f_trial m in
-          if tries = 0 then trial_delta
-          else if Float.is_nan mt || mt >= m0 then backtrack (step /. 2.0) (tries - 1)
-          else trial_delta
+          if mt < m0 then trial_delta
+          else if tries = 0 then Float.nan
+          else begin
+            st.n_halvings <- st.n_halvings + 1;
+            backtrack (step /. 2.0) (tries - 1)
+          end
         in
         let trial_delta = backtrack cfg.Config.damping 10 in
-        let mt = merit p ws.f_trial m in
-        if Float.is_nan mt then { alpha; delta = !delta; ok = false; iters = n }
+        (* a stalled attempt ends here: its iterate stays where it was *)
+        if Float.is_nan trial_delta then finish false
         else begin
           Vec.blit_n m ws.trial_alpha alpha;
           delta := trial_delta;
@@ -657,9 +726,15 @@ let solve_region_from ?cap p st target (alpha : Vec.t) delta0 =
     end
   in
   region_residual p st target alpha !delta ~f:ws.f;
-  if Float.is_nan (merit p ws.f m) then { alpha; delta = !delta; ok = false; iters = 0 }
-  else iterate 0
+  if Float.is_nan (merit p ws.f m) then finish false else iterate 0
 
+(* A region is warm when its start needs no estimate: the previous
+   region committed curvatures for the same active set, or the linear
+   model starts from the node currents. *)
+let warm p st = is_linear p || st.last_alpha_len = st.active
+
+(* An attempt in [ws.alpha_a] from the warm start, or from zero curvature
+   on a cold region the estimator could not seed. *)
 let solve_region ?cap p st target =
   let ws = p.ws in
   let m = st.active in
@@ -668,67 +743,157 @@ let solve_region ?cap p st target =
     for r = 0 to m - 1 do
       x0.{r} <- st.i.{r + 1}
     done
-  else if st.last_alpha_len = m then Vec.blit_n m ws.last_alpha x0
+  else if warm p st then Vec.blit_n m ws.last_alpha x0
   else Vec.fill_n m x0 0.0;
   solve_region_from ?cap p st target x0 (initial_delta p st target)
 
-(* Coarse explicit-Euler integration of the active nodes up to the target
-   condition: a robust initial guess when the plain Newton start fails
-   (e.g. a turn-on region whose condition node has only just activated and
-   carries no current yet). The curvature seed lands in [ws.seed]. *)
+(* Largest node-voltage move of one estimator step; the longest step, as
+   a fraction of the remaining window; and the most steps one estimate
+   may take. *)
+let estimator_step_v = 0.4
+
+let estimator_step_window = 1.0 /. 50.0
+
+let estimator_max_steps = 200
+
+(* Linearly implicit Euler integration of the active nodes up to the
+   target condition: the start of a cold region, and the retry when a warm
+   start fails. Each step evaluates the node currents [i] and the edge
+   derivatives at the step start and solves the tridiagonal system
+   (C/dt - di/dv) dv = i. The step is the longest that moves no node and
+   no moving gate by more than [estimator_step_v] and spans at most
+   [estimator_step_window] of the remaining window; shrinking it
+   re-solves only the tridiagonal system, so it costs no device call. On
+   the step where the target condition turns true the state is
+   interpolated linearly back to the crossing. Stiff node pairs (a pi
+   wire's near node) settle in one step instead of oscillating. The
+   curvature seed lands in [ws.alpha_b]; [None] when the target is not
+   reached within four times the remaining window. *)
 let estimate_region p st target =
   let ws = p.ws in
   let m = st.active in
-  let v = ws.est_v and i = ws.est_i in
+  let calls0 = p.device_calls in
+  st.n_est_runs <- st.n_est_runs + 1;
+  (* [v] holds node k at index k (v.{0} is the rail); [i], [dx] and the
+     bands hold node k at index k-1 *)
+  let v = ws.est_v and i = ws.est_i and dx = ws.dx in
+  let lower = ws.lower and diag = ws.diag and upper = ws.upper in
+  let d_below = ws.d_below and d_above = ws.d_above in
   Vec.blit_n (m + 1) st.v v;
-  Vec.fill_n (m + 1) i 0.0;
   let remaining = Float.max (p.t_end -. st.t) 1e-12 in
-  let reached t_rel =
-    match target with
-    | Turn_on k0 -> drive p k0 ~t:(st.t +. t_rel) ~vb:v.{m} >= 0.0
-    | Level { node; value } -> v.{node} <= value
-  in
-  let compute_currents t_rel =
+  let horizon = remaining *. 4.0 in
+  let currents t_rel =
     let j = ws.j in
     j.{m + 1} <- 0.0;
     for k = 1 to m do
       j.{k} <- edge_current p k ~t:(st.t +. t_rel) ~vb:v.{k - 1} ~va:v.{k}
     done;
     for k = 1 to m do
-      i.{k} <- j.{k + 1} -. j.{k}
+      i.{k - 1} <- j.{k + 1} -. j.{k}
     done
   in
-  let rec step t_rel n =
-    if reached t_rel && t_rel > 0.0 then Some t_rel
-    else if n = 0 || t_rel > remaining *. 4.0 then None
+  (* negative until the target is reached, with the watched node at [vw] *)
+  let watched = match target with Turn_on _ -> m | Level { node; _ } -> node in
+  let gap t_rel vw =
+    match target with
+    | Turn_on k0 -> drive p k0 ~t:(st.t +. t_rel) ~vb:vw
+    | Level { value; _ } -> value -. vw
+  in
+  (* the step at [dt] into [dx]; its largest node move (nan if singular) *)
+  let solve_step dt =
+    for r = 0 to m - 1 do
+      diag.{r} <-
+        (p.caps.(r) /. dt) +. d_above.{r} -. (if r < m - 1 then d_below.{r + 1} else 0.0)
+    done;
+    match Tridiag.solve_into ~n:m ~lower ~diag ~upper ~cp:ws.cp ~dp:ws.dp ~b:i ~x:dx with
+    | exception Tridiag.Singular _ -> Float.nan
+    | () ->
+      let worst = ref 0.0 in
+      for r = 0 to m - 1 do
+        worst := Float.max !worst (Float.abs dx.{r})
+      done;
+      !worst
+  in
+  (* Shrink [dt] until the step moves no node by more than the limit. Each
+     node is modelled as |dv(dt)| = q dt / (1 + dt / tau), with q its
+     explicit rate and tau fitted through the trial, and [dt] is cut to
+     where the fastest such model reaches the limit, and at least as far
+     as the linear ratio or a half, whichever cuts less. *)
+  let rec fit dt tries =
+    let worst = solve_step dt in
+    if Float.is_nan worst then Float.nan
+    else if worst <= estimator_step_v then dt
+    else if tries = 0 then Float.nan
     else begin
-      compute_currents t_rel;
-      (* limit the per-step voltage change for stability *)
-      let dt = ref (remaining /. 50.0) in
-      for k = 1 to m do
-        let rate = Float.abs i.{k} /. p.caps.(k - 1) in
-        if rate > 0.0 then dt := Float.min !dt (0.08 /. rate)
+      let inv = ref (1.0 /. dt) in
+      for r = 0 to m - 1 do
+        let u = Float.abs dx.{r} in
+        if u > estimator_step_v then begin
+          let q = Float.abs i.{r} /. p.caps.(r) in
+          let inv_r = (1.0 /. dt) +. (q *. ((1.0 /. estimator_step_v) -. (1.0 /. u))) in
+          inv := Float.max !inv inv_r
+        end
       done;
-      let dt = Float.max !dt 1e-16 in
-      for k = 1 to m do
-        v.{k} <- v.{k} +. (i.{k} /. p.caps.(k - 1) *. dt)
-      done;
-      step (t_rel +. dt) (n - 1)
+      let linear_cut = dt *. Float.max 0.5 (estimator_step_v /. worst) in
+      fit (Float.min (0.95 /. !inv) linear_cut) (tries - 1)
     end
   in
-  match step 0.0 600 with
-  | None -> None
-  | Some delta ->
-    compute_currents delta;
-    (if is_linear p then
-       for r = 0 to m - 1 do
-         ws.seed.{r} <- i.{r + 1}
-       done
-     else
-       for r = 0 to m - 1 do
-         ws.seed.{r} <- (i.{r + 1} -. st.i.{r + 1}) /. delta
-       done);
-    Some delta
+  let rec step t_rel gap0 n =
+    if n = 0 || t_rel >= horizon then None
+    else begin
+      currents t_rel;
+      for k = 1 to m do
+        edge_current_derivs_into p k ~t:(st.t +. t_rel) ~vb:v.{k - 1} ~va:v.{k};
+        d_below.{k - 1} <- ws.dv.Device_model.dsrc;
+        d_above.{k - 1} <- ws.dv.Device_model.dsnk
+      done;
+      for r = 0 to m - 1 do
+        lower.{r} <- (if r > 0 then d_below.{r} else 0.0);
+        upper.{r} <- (if r < m - 1 then -.d_above.{r + 1} else 0.0)
+      done;
+      st.n_est_steps <- st.n_est_steps + 1;
+      (* A long step follows the right states but lags in time: in a
+         slow tail, where no node has 0.4 V left to move, one step to the
+         horizon would reach the target a nanosecond late. The step also
+         holds the gates at their start values, so no moving gate (the
+         next turn-on's included) may move by more than the voltage
+         limit either. *)
+      let longest =
+        ref (Float.min (horizon -. t_rel) (remaining *. estimator_step_window))
+      in
+      for k = 1 to Int.min (m + 1) (chain_length p) do
+        let slope = Float.abs (gate_real_slope p k (st.t +. t_rel)) in
+        if slope > 0.0 then longest := Float.min !longest (estimator_step_v /. slope)
+      done;
+      let dt = fit !longest 30 in
+      if Float.is_nan dt then None
+      else begin
+        let gap1 = gap (t_rel +. dt) (v.{watched} +. dx.{watched - 1}) in
+        let frac = if gap1 >= 0.0 && gap0 < 0.0 then gap0 /. (gap0 -. gap1) else 1.0 in
+        for r = 0 to m - 1 do
+          v.{r + 1} <- v.{r + 1} +. (frac *. dx.{r})
+        done;
+        if gap1 >= 0.0 then Some (t_rel +. (frac *. dt))
+        else step (t_rel +. dt) gap1 (n - 1)
+      end
+    end
+  in
+  let estimate =
+    match step 0.0 (gap 0.0 v.{watched}) estimator_max_steps with
+    | None ->
+      st.n_est_misses <- st.n_est_misses + 1;
+      None
+    | Some delta ->
+      currents delta;
+      (if is_linear p then Vec.blit_n m i ws.alpha_b
+       else
+         for r = 0 to m - 1 do
+           ws.alpha_b.{r} <- (i.{r} -. st.i.{r + 1}) /. delta
+         done);
+      Some delta
+  in
+  st.calls_estimator <- st.calls_estimator + (p.device_calls - calls0);
+  estimate
 
 (* Reject solutions that leave the physical operating range: committing
    them would poison every later region. Also reject regions whose
@@ -768,6 +933,7 @@ let solve_fixed p st delta =
   let m = st.active in
   let cfg = p.cfg in
   let alpha = ws.alpha_a in
+  let newton0 = st.n_newton in
   if is_linear p then
     for r = 0 to m - 1 do
       alpha.{r} <- st.i.{r + 1}
@@ -775,6 +941,7 @@ let solve_fixed p st delta =
   else Vec.fill_n m alpha 0.0;
   let residual (a : Vec.t) ~(f : Vec.t) =
     let t' = st.t +. delta in
+    let calls0 = p.device_calls in
     project p st a delta;
     let j = ws.j in
     j.{m + 1} <- 0.0;
@@ -783,7 +950,9 @@ let solve_fixed p st delta =
     done;
     for r = 0 to m - 1 do
       f.{r} <- ws.i_end.{r + 1} -. (j.{r + 2} -. j.{r + 1})
-    done
+    done;
+    st.n_residuals <- st.n_residuals + 1;
+    st.calls_residual <- st.calls_residual + (p.device_calls - calls0)
   in
   let fixed_merit (f : Vec.t) =
     let acc = ref 0.0 in
@@ -814,7 +983,10 @@ let solve_fixed p st delta =
           residual ws.trial_alpha ~f:ws.f_trial;
           let mt = fixed_merit ws.f_trial in
           if tries = 0 then mt
-          else if Float.is_nan mt || mt >= m0 then backtrack (step /. 2.0) (tries - 1)
+          else if Float.is_nan mt || mt >= m0 then begin
+            st.n_halvings <- st.n_halvings + 1;
+            backtrack (step /. 2.0) (tries - 1)
+          end
           else mt
         in
         let mt = backtrack 1.0 8 in
@@ -828,7 +1000,7 @@ let solve_fixed p st delta =
   in
   residual alpha ~f:ws.f;
   iterate 0;
-  { alpha; delta; ok = true; iters = 0 }
+  { alpha; delta; ok = true; iters = st.n_newton - newton0; merit = fixed_merit ws.f }
 
 (* Step size for the fallback region: move the fastest node by ~0.1 V. *)
 let fallback_delta p st =
@@ -878,7 +1050,7 @@ let append_piece p st ~delta ~(alpha : Vec.t option) =
   st.n_pieces <- r + 1
 
 (* append this region's quadratic pieces and advance the state *)
-let commit p st { alpha; delta; ok; iters = _ } =
+let commit p st { alpha; delta; _ } =
   let ws = p.ws in
   let k_total = chain_length p in
   let delta = Float.max delta 1e-16 in
@@ -890,64 +1062,129 @@ let commit p st { alpha; delta; ok; iters = _ } =
   done;
   st.t <- st.t +. delta;
   st.n_regions <- st.n_regions + 1;
+  Metrics.observe h_newton_per_region (float_of_int (st.n_newton - st.newton_at_commit));
+  st.newton_at_commit <- st.n_newton;
   Vec.blit_n st.active alpha ws.last_alpha;
-  st.last_alpha_len <- st.active;
-  if not ok then st.n_fail <- st.n_fail + 1
+  st.last_alpha_len <- st.active
 
 let target_label = function
   | Turn_on k -> Printf.sprintf "turnon%d" k
   | Level { node; value } -> Printf.sprintf "level(%d,%.3f)" node value
 
+(* Where the chosen region attempt started: from the warm start under the
+   capped budget; from the estimator's seed on a cold region; from the
+   estimator's seed after the warm attempt failed; or from zero curvature
+   on a cold region the estimator missed. *)
+type start = Warm | Seeded | Retry | Cold
+
+let start_label = function
+  | Warm -> "warm"
+  | Seeded -> "seeded"
+  | Retry -> "retry"
+  | Cold -> "cold"
+
+let stats_of p st =
+  {
+    regions = st.n_regions;
+    turn_ons = st.n_turn_ons;
+    newton_iterations = st.n_newton;
+    linear_solves = st.n_solves;
+    bisections = st.n_bisect;
+    failures = st.n_fail;
+    residuals = st.n_residuals;
+    line_search_halvings = st.n_halvings;
+    discarded_newton = st.n_discarded;
+    estimator_runs = st.n_est_runs;
+    estimator_steps = st.n_est_steps;
+    estimator_misses = st.n_est_misses;
+    device_calls_residual = st.calls_residual;
+    device_calls_jacobian = st.calls_jacobian;
+    device_calls_estimator = st.calls_estimator;
+    device_calls_other =
+      p.device_calls - st.calls_residual - st.calls_jacobian - st.calls_estimator;
+  }
+
 (* Structured per-region diagnostics: an instant trace event carrying
-   the region's state, solution and merit. Called only while tracing. *)
-let trace_region p st target sol =
+   the region's state, the chosen attempt's start, solution and merit,
+   and the work this region's attempts did since [s0]. Called only while
+   tracing; it makes no device call, so a traced solve counts the same
+   work as an untraced one. *)
+let trace_region p st target sol start (s0 : stats) =
   let m = st.active in
-  region_residual p st target sol.alpha sol.delta ~f:p.ws.f_trial;
+  let s = stats_of p st in
   let floats (xs : Vec.t) =
     Json.List (List.init (Vec.dim xs) (fun r -> Json.Float xs.{r}))
   in
   let floats_prefix n (xs : Vec.t) = Json.List (List.init n (fun r -> Json.Float xs.{r})) in
+  let since f = Json.Int (f s - f s0) in
   Trace.instant ~name:"qwm.region" ~cat:"qwm"
     ~args:
       [
         ("t_ps", Json.Float (st.t *. 1e12));
         ("active", Json.Int st.active);
         ("target", Json.String (target_label target));
+        ("start", Json.String (start_label start));
         ("ok", Json.Bool sol.ok);
         ("iters", Json.Int sol.iters);
         ("delta_ps", Json.Float (sol.delta *. 1e12));
-        ("merit", Json.Float (merit p p.ws.f_trial m));
+        ("merit", Json.Float sol.merit);
+        ("newton", since (fun s -> s.newton_iterations));
+        ("residuals", since (fun s -> s.residuals));
+        ("halvings", since (fun s -> s.line_search_halvings));
+        ("estimator_steps", since (fun s -> s.estimator_steps));
+        ( "device_calls",
+          Json.Obj
+            [
+              ("residual", since (fun s -> s.device_calls_residual));
+              ("jacobian", since (fun s -> s.device_calls_jacobian));
+              ("estimator", since (fun s -> s.device_calls_estimator));
+              ("other", since (fun s -> s.device_calls_other));
+            ] );
         ("v", floats st.v);
         ("i", floats st.i);
         ("alpha", floats_prefix m sol.alpha);
       ]
     ()
 
-(* Attempt a region. Escalation ladder on Newton failure: retry from an
-   explicit-Euler warm start; bisect the target voltage; finally take a
-   short fixed-length current-matching step so the state always advances
-   physically. The primary attempt works in [ws.alpha_a] and the retry in
-   [ws.alpha_b], so a failed retry can still fall back to the primary's
-   solution. *)
+(* Attempt a region. A warm region first takes a cheap attempt, capped at
+   a quarter of the iteration budget, from the previous region's
+   curvature; only if that fails does the estimator seed a full-budget
+   retry. A cold region (the first of a solve, or the first after a
+   turn-on grew the active set) has no curvature to start from, so the
+   estimator seeds it at once. Every attempt ends at its first line
+   search that cannot lower the merit. A region whose attempts fail is
+   bisected on its target voltage; at the bisection limit a short
+   fixed-length current-matching step keeps the state advancing
+   physically. The warm attempt works in [ws.alpha_a] and the seeded one
+   in [ws.alpha_b], so a failed retry can still fall back to the warm
+   attempt's solution. *)
 let rec advance p st target depth =
-  let ws = p.ws in
-  let sol =
-    (* a cheap capped attempt first; the explicit-Euler warm start earns
-       the full iteration budget only when the cheap start fails *)
-    let first = solve_region ~cap:(p.cfg.Config.max_iterations / 4) p st target in
-    if first.ok then first
+  let newton0 = st.n_newton in
+  let before = if Trace.enabled () then Some (stats_of p st) else None in
+  let cap = p.cfg.Config.max_iterations / 4 in
+  let sol, start =
+    if warm p st then begin
+      let first = solve_region ~cap p st target in
+      if first.ok then (first, Warm)
+      else
+        match estimate_region p st target with
+        | Some delta0 ->
+          let retry = solve_region_from p st target p.ws.alpha_b delta0 in
+          if retry.ok then (retry, Retry) else (first, Warm)
+        | None -> (first, Warm)
+    end
     else
       match estimate_region p st target with
-      | Some delta0 ->
-        Vec.blit_n st.active ws.seed ws.alpha_b;
-        let retry = solve_region_from p st target ws.alpha_b delta0 in
-        if retry.ok then retry else first
-      | None -> first
+      | Some delta0 -> (solve_region_from p st target p.ws.alpha_b delta0, Seeded)
+      | None -> (solve_region p st target, Cold)
   in
-  if Trace.enabled () then trace_region p st target sol;
-  Metrics.observe h_newton_per_region (float_of_int sol.iters);
-  if sol.ok && plausible p st sol then commit p st sol
+  Option.iter (trace_region p st target sol start) before;
+  if sol.ok && plausible p st sol then begin
+    st.n_discarded <- st.n_discarded + (st.n_newton - newton0 - sol.iters);
+    commit p st sol
+  end
   else begin
+    st.n_discarded <- st.n_discarded + (st.n_newton - newton0);
     let node, goal =
       match target with
       | Level { node; value } -> (node, value)
@@ -1009,13 +1246,9 @@ let find_gate_turn_on p k0 ~t_from =
   end
 
 let finalize p st alloc0 =
+  let stats = stats_of p st in
   Metrics.incr c_solves;
-  Metrics.add c_regions st.n_regions;
-  Metrics.add c_turn_ons st.n_turn_ons;
-  Metrics.add c_newton st.n_newton;
-  Metrics.add c_linear_solves st.n_solves;
-  Metrics.add c_bisections st.n_bisect;
-  Metrics.add c_failures st.n_fail;
+  List.iter (fun (c, count) -> Metrics.add c (count stats)) stat_counters;
   Metrics.observe h_regions_per_solve (float_of_int st.n_regions);
   (* allocation accounting for the solve loop proper (waveform assembly
      below is inherent output, not hot path) *)
@@ -1096,15 +1329,7 @@ let finalize p st alloc0 =
     node_quadratics = quads;
     critical_times = List.rev st.crits;
     t_solved = st.t;
-    stats =
-      {
-        regions = st.n_regions;
-        turn_ons = st.n_turn_ons;
-        newton_iterations = st.n_newton;
-        linear_solves = st.n_solves;
-        bisections = st.n_bisect;
-        failures = st.n_fail;
-      };
+    stats;
   }
 
 (* every other argument is labeled, so [?workspace] could only be erased
@@ -1137,6 +1362,7 @@ let[@warning "-16"] solve ?workspace ~model ~config ~scenario ~chain ~initial =
       t_end = scenario.Scenario.t_end;
       cfg = config;
       ws = bufs;
+      device_calls = 0;
     }
   in
   let norm v = match p.rail with Chain.Pull_down -> v | Chain.Pull_up -> p.vdd -. v in
@@ -1160,6 +1386,16 @@ let[@warning "-16"] solve ?workspace ~model ~config ~scenario ~chain ~initial =
       n_solves = 0;
       n_bisect = 0;
       n_fail = 0;
+      n_residuals = 0;
+      n_halvings = 0;
+      n_discarded = 0;
+      n_est_runs = 0;
+      n_est_steps = 0;
+      n_est_misses = 0;
+      calls_residual = 0;
+      calls_jacobian = 0;
+      calls_estimator = 0;
+      newton_at_commit = 0;
       last_alpha_len = -1;
     }
   in

@@ -41,7 +41,23 @@ type stats = {
   newton_iterations : int;
   linear_solves : int;
   bisections : int;
-  failures : int;  (** regions accepted without full convergence *)
+  failures : int;
+      (** fixed-length fallback regions: the only regions accepted without
+          full convergence *)
+  residuals : int;  (** residual evaluations, line-search trials included *)
+  line_search_halvings : int;
+  discarded_newton : int;
+      (** Newton iterations in attempts whose result was not committed *)
+  estimator_runs : int;
+  estimator_steps : int;
+  estimator_misses : int;  (** estimator runs that returned no estimate *)
+  device_calls_residual : int;
+      (** device-model calls, by phase; the four phases partition every
+          call the solve made *)
+  device_calls_jacobian : int;
+  device_calls_estimator : int;
+  device_calls_other : int;
+      (** turn-on searches, region starts and current refreshes *)
 }
 
 type result = {

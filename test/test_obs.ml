@@ -834,6 +834,16 @@ let solver_counters () =
       "qwm.linear_solves";
       "qwm.bisections";
       "qwm.failures";
+      "qwm.residuals";
+      "qwm.line_search_halvings";
+      "qwm.discarded_newton";
+      "qwm.estimator_runs";
+      "qwm.estimator_steps";
+      "qwm.estimator_misses";
+      "qwm.device_calls.residual";
+      "qwm.device_calls.jacobian";
+      "qwm.device_calls.estimator";
+      "qwm.device_calls.other";
       "sta.stages_timed";
       "stage_cache.hits";
       "stage_cache.misses";
@@ -865,7 +875,17 @@ let test_counters_seq_eq_par () =
       | Some v when v > 0 -> ()
       | Some v -> Alcotest.failf "%s unexpectedly %d" name v
       | None -> Alcotest.failf "%s not registered" name)
-    [ "qwm.regions"; "qwm.newton_iterations"; "sta.stages_timed"; "stage_cache.misses" ];
+    [
+      "qwm.regions";
+      "qwm.newton_iterations";
+      "qwm.residuals";
+      "qwm.estimator_runs";
+      "qwm.device_calls.residual";
+      "qwm.device_calls.jacobian";
+      "qwm.device_calls.estimator";
+      "sta.stages_timed";
+      "stage_cache.misses";
+    ];
   (* single-flight cache: one miss per distinct stage in both modes *)
   Alcotest.(check (option int))
     "hits + misses = stages"

@@ -11,6 +11,7 @@ module Engine = Tqwm_spice.Engine
 module Waveform = Tqwm_wave.Waveform
 module Json = Tqwm_obs.Json
 module Metrics = Tqwm_obs.Metrics
+module Trace = Tqwm_obs.Trace
 
 let tech = Tech.cmosp35
 
@@ -236,6 +237,18 @@ let test_workspace_reuse_bit_identical () =
         (run ~workspace:ws () = reference))
     [ Config.Bordered; Config.Sherman_morrison; Config.Dense_lu ]
 
+let alloc_budget =
+  lazy
+    (Json.of_string (In_channel.with_open_bin "../ALLOC_budget.json" In_channel.input_all))
+
+(* A number in ALLOC_budget.json under the [path] of members. *)
+let budget_number path =
+  let member doc key = Option.bind doc (Json.member key) in
+  match List.fold_left member (Some (Lazy.force alloc_budget)) path with
+  | Some (Json.Int x) -> float_of_int x
+  | Some (Json.Float x) -> x
+  | Some _ | None -> Alcotest.failf "ALLOC_budget.json has no %s" (String.concat "." path)
+
 (* The region loop's allocation, as the solver's own
    [qwm.alloc.minor_words] counter sees it, must stay within the
    committed ALLOC_budget.json ceiling on stack6, both with a fresh
@@ -243,18 +256,7 @@ let test_workspace_reuse_bit_identical () =
    the stage cache's configuration). A boxed float accessor, a tuple
    chain or a per-iteration buffer in the loop shows up here. *)
 let test_alloc_budget () =
-  let budget =
-    let doc =
-      Json.of_string
-        (In_channel.with_open_bin "../ALLOC_budget.json" In_channel.input_all)
-    in
-    match
-      Option.bind (Json.member "solver_words_per_region" doc) (Json.member "stack6")
-    with
-    | Some (Json.Int words) -> float_of_int words
-    | Some (Json.Float words) -> words
-    | Some _ | None -> Alcotest.fail "ALLOC_budget.json has no stack6 ceiling"
-  in
+  let budget = budget_number [ "solver_words_per_region"; "stack6" ] in
   let model = Lazy.force table in
   let scenario = Scenario.stack_falling ~widths:(Array.make 6 1.6e-6) tech in
   let words () = Option.value (Metrics.find_counter "qwm.alloc.minor_words") ~default:0 in
@@ -276,6 +278,166 @@ let test_alloc_budget () =
         Alcotest.failf "stack6 (%s): %.1f words per region exceeds the budget of %g"
           mode wpr budget)
     [ ("cold", fun () -> Qwm_solver.Workspace.create ()); ("warm", fun () -> shared) ]
+
+let device_calls (s : Qwm_solver.stats) =
+  s.Qwm_solver.device_calls_residual + s.Qwm_solver.device_calls_jacobian
+  + s.Qwm_solver.device_calls_estimator + s.Qwm_solver.device_calls_other
+
+(* The solver's deterministic work per region — Newton iterations and
+   device-model calls — must stay within the committed ceilings of
+   ALLOC_budget.json's [solver_work_per_region]. A start that wastes
+   attempts, a line search that keeps iterating after it stalled or an
+   estimator that crawls shows up here on any host, however noisy its
+   clock. *)
+let test_work_budget () =
+  List.iter
+    (fun (name, scenario) ->
+      let stats = (qwm_report scenario).Qwm.stats in
+      let per_region x = float_of_int x /. float_of_int stats.Qwm_solver.regions in
+      List.iter
+        (fun (what, value) ->
+          let ceiling = budget_number [ "solver_work_per_region"; name; what ] in
+          if value > ceiling then
+            Alcotest.failf "%s: %.2f %s per region exceeds the budget of %g" name value what
+              ceiling)
+        [
+          ("newton_iterations", per_region stats.Qwm_solver.newton_iterations);
+          ("device_calls", per_region (device_calls stats));
+        ])
+    [
+      ("stack6", Scenario.stack_falling ~widths:(Array.make 6 1.6e-6) tech);
+      ("decoder3", Scenario.decoder ~levels:3 tech);
+    ]
+
+(* Cheaper region starts must not buy their savings with more regions,
+   more bisections or more fixed-length fallbacks: each stays at or below
+   its value before the region starts were reworked. *)
+let test_escalation_counts_pinned () =
+  List.iter
+    (fun (scenario, regions, bisections, fallbacks) ->
+      let stats = (qwm_report scenario).Qwm.stats in
+      List.iter
+        (fun (what, value, limit) ->
+          if value > limit then
+            Alcotest.failf "%s: %d %s, more than the %d before" scenario.Scenario.name value
+              what limit)
+        [
+          ("regions", stats.Qwm_solver.regions, regions);
+          ("bisections", stats.Qwm_solver.bisections, bisections);
+          ("fixed-length fallbacks", stats.Qwm_solver.failures, fallbacks);
+        ])
+    [
+      (Scenario.inverter_falling tech, 9, 0, 0);
+      (Scenario.nand_falling ~n:2 tech, 10, 1, 0);
+      (Scenario.nand_falling ~n:3 tech, 12, 3, 0);
+      (Scenario.nand_falling ~n:4 tech, 14, 5, 0);
+      (Scenario.manchester ~bits:5 tech, 14, 0, 0);
+      (Scenario.decoder ~levels:3 tech, 70, 58, 2);
+    ]
+
+(* ---------- solver counters ---------- *)
+
+(* [model] with every closure the solver calls counted, as the
+   benchmark's layer profile counts them. *)
+let counting (model : Device_model.t) =
+  let calls = ref 0 in
+  let counted =
+    {
+      model with
+      Device_model.iv =
+        (fun d tv ->
+          incr calls;
+          model.Device_model.iv d tv);
+      iv_derivatives_into =
+        (fun d tv out ->
+          incr calls;
+          model.Device_model.iv_derivatives_into d tv out);
+      threshold =
+        (fun d tv ->
+          incr calls;
+          model.Device_model.threshold d tv);
+    }
+  in
+  (counted, calls)
+
+(* The four device-call phases partition exactly the calls a counting
+   model sees, and tracing a solve changes none of its counts. The ramp
+   input moves a gate during the regions, which the Jacobian's explicit
+   time derivative queries. *)
+let test_phases_partition_device_calls () =
+  List.iter
+    (fun scenario ->
+      let run ~traced =
+        let model, calls = counting (Lazy.force table) in
+        if traced then Trace.enable ();
+        let report =
+          Fun.protect
+            ~finally:(fun () -> if traced then Trace.disable ())
+            (fun () -> Qwm.run ~model scenario)
+        in
+        (report.Qwm.stats, !calls)
+      in
+      let untraced, calls = run ~traced:false in
+      let traced, traced_calls = run ~traced:true in
+      let name = scenario.Scenario.name in
+      Alcotest.(check int)
+        (name ^ ": phases sum to the counted calls")
+        calls (device_calls untraced);
+      Alcotest.(check int) (name ^ ": traced phases sum to the counted calls") traced_calls
+        (device_calls traced);
+      Alcotest.(check bool) (name ^ ": tracing changes no count") true (traced = untraced))
+    [
+      Scenario.inverter_falling tech;
+      Scenario.nand_falling ~n:2 tech;
+      Scenario.nand_falling ~n:3 tech;
+      Scenario.nand_falling ~n:4 tech;
+      Scenario.decoder ~levels:3 tech;
+      Scenario.with_ramp_input ~rise_time:60e-12 (Scenario.nand_falling ~n:3 tech);
+    ]
+
+(* The estimator reaches every target of the pi-wire decoders, whose
+   stiff near-wire node made an explicit scan oscillate until its step
+   cap, and it does so in a few steps. *)
+let test_estimator_reaches_targets () =
+  List.iter
+    (fun scenario ->
+      let stats = (qwm_report scenario).Qwm.stats in
+      let name = scenario.Scenario.name in
+      let runs = stats.Qwm_solver.estimator_runs in
+      Alcotest.(check bool) (name ^ ": estimator runs") true (runs > 0);
+      Alcotest.(check int)
+        (name ^ ": estimator misses")
+        0 stats.Qwm_solver.estimator_misses;
+      let steps = float_of_int stats.Qwm_solver.estimator_steps /. float_of_int runs in
+      if steps > 10.0 then
+        Alcotest.failf "%s: %.1f estimator steps per run, over 10" name steps)
+    [ Scenario.decoder ~levels:2 tech; Scenario.decoder ~levels:3 tech ]
+
+(* [qwm.newton_per_region] observes each committed region once, with
+   every Newton iteration spent on it: over a bisecting solve its count
+   moves with [qwm.regions] and its sum with [qwm.newton_iterations]. *)
+let test_newton_histogram_per_region () =
+  let histogram () =
+    match List.assoc_opt "qwm.newton_per_region" (Metrics.export ()) with
+    | Some (Metrics.Histogram_value { counts; sum; _ }) ->
+      (Array.fold_left ( + ) 0 counts, sum)
+    | Some _ | None -> Alcotest.fail "qwm.newton_per_region not registered"
+  in
+  let counter name = Option.value (Metrics.find_counter name) ~default:0 in
+  let scenario = Scenario.decoder ~levels:3 tech in
+  let n0, sum0 = histogram () in
+  let regions0 = counter "qwm.regions" and newton0 = counter "qwm.newton_iterations" in
+  let stats = (qwm_report scenario).Qwm.stats in
+  let n1, sum1 = histogram () in
+  Alcotest.(check bool) "the solve bisects" true (stats.Qwm_solver.bisections > 0);
+  Alcotest.(check int)
+    "one observation per region"
+    (counter "qwm.regions" - regions0)
+    (n1 - n0);
+  Alcotest.(check (float 0.0))
+    "observations sum to the Newton iterations"
+    (float_of_int (counter "qwm.newton_iterations" - newton0))
+    (sum1 -. sum0)
 
 (* ---------- waveform models ---------- *)
 
@@ -559,7 +721,18 @@ let () =
           quick "all paths identical" test_linear_solvers_identical;
           quick "workspace reuse bit-identical" test_workspace_reuse_bit_identical;
         ] );
-      ("workspace", [ quick "allocation within ALLOC_budget.json" test_alloc_budget ]);
+      ( "workspace",
+        [
+          quick "allocation within ALLOC_budget.json" test_alloc_budget;
+          quick "work per region within ALLOC_budget.json" test_work_budget;
+          quick "escalation counts pinned" test_escalation_counts_pinned;
+        ] );
+      ( "solver counters",
+        [
+          quick "phases partition device calls" test_phases_partition_device_calls;
+          quick "estimator reaches targets" test_estimator_reaches_targets;
+          quick "newton histogram per region" test_newton_histogram_per_region;
+        ] );
       ( "waveform models",
         [
           slow "linear model converges" test_linear_waveform_model_converges;

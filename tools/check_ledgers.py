@@ -75,6 +75,14 @@ def check_alloc_budget(record, ctx):
     for name, words in budget.items():
         if not isinstance(words, NUM):
             fail(f"{ctx}: budget for {name!r} is not a number")
+    work = expect(record, "solver_work_per_region", dict, ctx)
+    if not work:
+        fail(f"{ctx}: empty work budget")
+    for name, ceilings in work.items():
+        for field in ("newton_iterations", "device_calls"):
+            value = expect(ceilings, field, NUM, f"{ctx}.solver_work_per_region.{name}")
+            if not value > 0:
+                fail(f"{ctx}: {name} {field} ceiling {value} is not positive")
 
 
 def check_sta_report(record, ctx):
@@ -378,6 +386,8 @@ def self_test():
          lambda r: r.update({"solver_words_per_region": {}}))
     case("alloc budget not a number", False, check_versioned, budget,
          lambda r: r["solver_words_per_region"].update({"stack6": "3000"}))
+    case("work budget without device calls", False, check_versioned, budget,
+         lambda r: r["solver_work_per_region"]["stack6"].pop("device_calls"))
 
     incr = _load("test/golden/eco-offline-incr.json")
     case("good incr report", True, check_versioned, incr)
