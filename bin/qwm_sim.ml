@@ -70,16 +70,11 @@ let run_qwm ~model ~waveform scenario =
   report
 
 (* --sta: propagate arrivals over a fan-out tree of the selected stage *)
-let run_sta ~tech ~depth ~fanout ~domains ~chunk ~use_cache
+let run_sta ~tech ~depth ~fanout ~domains ~use_cache
     ~report_timing ~report_slack ~k_paths ~clock_period_ps ~json_file scenario =
   if fanout < 1 then (
     Printf.eprintf "qwm_sim: --fanout must be >= 1 (got %d)\n" fanout;
     exit 2);
-  (match chunk with
-  | Some c when c < 1 ->
-    Printf.eprintf "qwm_sim: --chunk must be >= 1 (got %d)\n" c;
-    exit 2
-  | Some _ | None -> ());
   if k_paths < 1 then (
     Printf.eprintf "qwm_sim: --k-paths must be >= 1 (got %d)\n" k_paths;
     exit 2);
@@ -94,13 +89,12 @@ let run_sta ~tech ~depth ~fanout ~domains ~chunk ~use_cache
   ignore (Timing_graph.freeze graph);
   let cache = if use_cache then Some (Stage_cache.create ()) else None in
   let t0 = Unix.gettimeofday () in
-  let analysis = Parallel.propagate ~model ?cache ~domains ?chunk graph in
+  let analysis = Parallel.propagate ~model ?cache ~domains graph in
   let elapsed = Unix.gettimeofday () -. t0 in
   Printf.printf
-    "sta: %d copies of %s (fan-out %d, depth %d), %d domain%s%s: %.3f ms\n"
+    "sta: %d copies of %s (fan-out %d, depth %d), %d domain%s: %.3f ms\n"
     (Timing_graph.num_stages graph) scenario.Scenario.name fanout depth domains
     (if domains = 1 then "" else "s")
-    (match chunk with Some c -> Printf.sprintf " [chunk %d]" c | None -> "")
     (elapsed *. 1e3);
   if Timing_graph.num_stages graph <= 16 then
     Report.print Format.std_formatter graph analysis
@@ -139,7 +133,7 @@ let run_sta ~tech ~depth ~fanout ~domains ~chunk ~use_cache
     | None -> ()
     | Some path ->
       (* no gc block here: the timing report is bit-identical across
-         runs, domain counts and chunk sizes, and CI diffs the bytes *)
+         runs and domain counts, and CI diffs the bytes *)
       Json.write_file path (Report.timing_to_json graph analysis required explained);
       Printf.printf "sta: wrote timing report to %s\n" path
   end
@@ -363,7 +357,7 @@ let partition_netlist path =
     0
 
 let run_main circuit engine dt_ps waveform ramp_ps partition incr_script scratch
-    epsilon_ps sta_depth sta_fanout domains chunk no_cache report_timing
+    epsilon_ps sta_depth sta_fanout domains no_cache report_timing
     report_slack k_paths clock_period_ps json_file audit baseline_file
     update_baseline tol_pct serve graph_spec max_sessions timing_json_file
     timing_k prom access_log slow_ms =
@@ -403,9 +397,8 @@ let run_main circuit engine dt_ps waveform ramp_ps partition incr_script scratch
     match sta_depth with
     | Some depth ->
       let domains = Option.value domains ~default:(Parallel.default_domains ()) in
-      run_sta ~tech ~depth ~fanout:sta_fanout ~domains ~chunk
-        ~use_cache:(not no_cache) ~report_timing ~report_slack ~k_paths
-        ~clock_period_ps ~json_file scenario
+      run_sta ~tech ~depth ~fanout:sta_fanout ~domains ~use_cache:(not no_cache)
+        ~report_timing ~report_slack ~k_paths ~clock_period_ps ~json_file scenario
     | None ->
     Printf.printf "circuit %s: %d nodes, %d edges, window %.0f ps\n"
       scenario.Scenario.name scenario.Scenario.stage.Stage.num_nodes
@@ -428,7 +421,7 @@ let run_main circuit engine dt_ps waveform ramp_ps partition incr_script scratch
     0
 
 let main circuit engine dt_ps waveform ramp_ps partition incr_script scratch
-    epsilon_ps sta_depth sta_fanout domains chunk no_cache report_timing
+    epsilon_ps sta_depth sta_fanout domains no_cache report_timing
     report_slack k_paths clock_period_ps json_file audit baseline_file
     update_baseline tol_pct serve graph_spec max_sessions timing_json_file
     timing_k trace_file trace_out metrics_file prom access_log slow_ms =
@@ -442,7 +435,7 @@ let main circuit engine dt_ps waveform ramp_ps partition incr_script scratch
     if serve <> None then Trace.enable ~cap:262_144 () else Trace.enable ();
   let code =
     run_main circuit engine dt_ps waveform ramp_ps partition incr_script scratch
-      epsilon_ps sta_depth sta_fanout domains chunk no_cache
+      epsilon_ps sta_depth sta_fanout domains no_cache
       report_timing report_slack k_paths clock_period_ps json_file audit
       baseline_file update_baseline tol_pct serve graph_spec max_sessions
       timing_json_file timing_k prom access_log slow_ms
@@ -511,14 +504,6 @@ let sta_fanout =
 let domains =
   let doc = "Domains used by --sta propagation (default: the recommended domain count of this machine)." in
   Arg.(value & opt (some int) None & info [ "domains" ] ~docv:"N" ~doc)
-
-let chunk =
-  let doc =
-    "Stages per work-stealing chunk in --sta mode (>= 1); the scheduling \
-     quantum each synchronization is amortized over. Default: auto-sized \
-     from the widest level and the domain count."
-  in
-  Arg.(value & opt (some int) None & info [ "chunk" ] ~docv:"N" ~doc)
 
 let no_cache =
   let doc = "Disable stage-result memoization in --sta mode." in
@@ -662,7 +647,7 @@ let cmd =
     Term.(
       const main $ circuit $ engine $ dt $ waveform $ ramp $ partition
       $ incr_script $ scratch $ epsilon_ps $ sta_depth $ sta_fanout $ domains
-      $ chunk $ no_cache $ report_timing $ report_slack $ k_paths
+      $ no_cache $ report_timing $ report_slack $ k_paths
       $ clock_period_ps $ json_file $ audit $ baseline_file
       $ update_baseline $ tol_pct $ serve $ graph_spec $ max_sessions
       $ timing_json_file $ timing_k $ trace_file $ trace_out $ metrics_file

@@ -141,45 +141,6 @@ let audit_stage ~golden ~table ~config ~dt ~workload scenario =
     qwm_seconds = qw.Qwm.runtime_seconds;
   }
 
-(* Evaluate [f] over the array on up to [domains] domains fed from a
-   shared index; results land in input order, so the output is
-   independent of the schedule. The first worker exception is re-raised
-   after the team is joined. *)
-let parallel_map ~domains f input =
-  let n = Array.length input in
-  let domains = max 1 (min domains n) in
-  if domains <= 1 then Array.map f input
-  else begin
-    let results = Array.make n None in
-    let next = Atomic.make 0 in
-    let worker () =
-      let rec loop () =
-        let i = Atomic.fetch_and_add next 1 in
-        if i < n then begin
-          results.(i) <- Some (f input.(i));
-          loop ()
-        end
-      in
-      loop ()
-    in
-    let team = Array.init (domains - 1) (fun _ -> Domain.spawn worker) in
-    let first_error =
-      match worker () with
-      | () -> None
-      | exception e -> Some e
-    in
-    let first_error =
-      Array.fold_left
-        (fun err d ->
-          match Domain.join d with
-          | () -> err
-          | exception e -> (match err with None -> Some e | Some _ -> err))
-        first_error team
-    in
-    (match first_error with Some e -> raise e | None -> ());
-    Array.map Option.get results
-  end
-
 (* ---------- aggregation ---------- *)
 
 let summarize name (records : stage_record list) =
@@ -235,16 +196,22 @@ let run ?(config = Tqwm_core.Config.default) ?(dt = 1e-12) ?(domains = 1)
     Array.of_list
       (List.concat_map (fun (w, ss) -> List.map (fun s -> (w, s)) ss) workloads)
   in
-  let records =
-    Trace.with_span ~name:"audit" ~cat:"audit" (fun () ->
-        parallel_map ~domains
-          (fun (workload, scenario) ->
-            Trace.with_span ~name:("audit:" ^ workload ^ "/" ^ scenario.Scenario.name)
-              ~cat:"audit" (fun () ->
-                audit_stage ~golden ~table ~config ~dt ~workload scenario))
-          flat)
-  in
-  of_records ~workload_order:(List.map fst workloads) (Array.to_list records)
+  (* one level of independent stages; each writes its own slot, so the
+     records land in catalog order whichever domain ran them *)
+  let records = Array.make (Array.length flat) None in
+  Trace.with_span ~name:"audit" ~cat:"audit" (fun () ->
+      Tqwm_sta.Parallel.run ~domains
+        ~f:(fun i ->
+          let workload, scenario = flat.(i) in
+          records.(i) <-
+            Some
+              (Trace.with_span
+                 ~name:("audit:" ^ workload ^ "/" ^ scenario.Scenario.name)
+                 ~cat:"audit" (fun () ->
+                   audit_stage ~golden ~table ~config ~dt ~workload scenario)))
+        [| Array.init (Array.length flat) Fun.id |]);
+  of_records ~workload_order:(List.map fst workloads)
+    (List.map Option.get (Array.to_list records))
 
 (* ---------- reproducibility equality ---------- *)
 

@@ -76,9 +76,11 @@ val run :
 (** Run the audit: for every catalog stage, one golden transient (step
     [dt], default 1 ps) and one QWM solve under [config], compared into
     a {!stage_record}. [domains > 1] audits stages concurrently on that
-    many OCaml domains; measurements are identical to the sequential
-    run (both engines are deterministic — only the wall-clock fields
-    differ). [workloads] overrides the default {!catalog}.
+    many OCaml domains, the catalog run as one level of
+    {!Tqwm_sta.Parallel.run}; measurements are identical to the
+    sequential run (both engines are deterministic — only the
+    wall-clock fields differ). [workloads] overrides the default
+    {!catalog}.
     @raise Failure if an engine reports no output crossing. *)
 
 val equal_measurements : t -> t -> bool

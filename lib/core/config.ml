@@ -4,31 +4,19 @@ type waveform_model = Quadratic | Linear
 
 type t = {
   levels : float list;
-  end_fraction : float;
   max_iterations : int;
   current_tolerance : float;
-  voltage_tolerance : float;
-  damping : float;
-  bisect_depth : int;
-  max_regions : int;
   linear_solver : linear_solver;
   waveform_model : waveform_model;
   reduce_wires : bool;
-  wire_segments : int;
 }
 
 let default =
   {
     levels = [ 0.85; 0.72; 0.6; 0.5; 0.4; 0.3; 0.2; 0.12; 0.06 ];
-    end_fraction = 0.05;
     max_iterations = 60;
     current_tolerance = 5e-9;
-    voltage_tolerance = 1e-6;
-    damping = 1.0;
-    bisect_depth = 6;
-    max_regions = 400;
     linear_solver = Bordered;
     waveform_model = Quadratic;
     reduce_wires = true;
-    wire_segments = 8;
   }

@@ -22,21 +22,13 @@ type t = {
       (** output-ladder matching points (fractions of VDD, descending) used
           after the last transistor has turned on; each contributes one
           quadratic region *)
-  end_fraction : float;
-      (** stop once the output transition has covered this remaining
-          fraction of the swing *)
   max_iterations : int;  (** per-region Newton cap *)
   current_tolerance : float;  (** residual tolerance on current matches, A *)
-  voltage_tolerance : float;  (** residual tolerance on the end condition, V *)
-  damping : float;  (** Newton damping in (0, 1] *)
-  bisect_depth : int;  (** fallback target-bisection depth *)
-  max_regions : int;  (** hard cap on region count *)
   linear_solver : linear_solver;
   waveform_model : waveform_model;
   reduce_wires : bool;
       (** collapse wire runs in the chain into O'Brien–Savarino pi macros
           (the paper's treatment of the decoder-tree wires) *)
-  wire_segments : int;  (** ladder resolution used when reducing wire runs *)
 }
 
 val default : t

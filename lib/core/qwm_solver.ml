@@ -341,6 +341,23 @@ type state = {
           first committed region *)
 }
 
+(* Fixed solver settings; [Config] holds the ones callers vary. *)
+
+(* residual tolerance on a region's end condition, V *)
+let voltage_tolerance = 1e-6
+
+(* the line search's first step: the full Newton step *)
+let line_search_step = 1.0
+
+(* target bisections before the fixed-length fallback *)
+let bisect_depth = 6
+
+(* hard cap on regions per solve *)
+let max_regions = 400
+
+(* the solve ends once the output has this fraction of the swing left *)
+let end_fraction = 0.05
+
 let chain_length p = Array.length p.edges
 
 let real_of_norm p x =
@@ -619,7 +636,7 @@ let solve_linear p m ~f =
       ~upper:ws.sm_upper ~u ~v ~cp:ws.cp ~dp:ws.dp ~y:ws.y ~z:ws.z ~b:f ~x:ws.dx
 
 let converged p (f : Vec.t) m =
-  let ok = ref (Float.abs f.{m} <= p.cfg.Config.voltage_tolerance) in
+  let ok = ref (Float.abs f.{m} <= voltage_tolerance) in
   for k = 0 to m - 1 do
     if Float.abs f.{k} > p.cfg.Config.current_tolerance then ok := false
   done;
@@ -655,7 +672,7 @@ type region_solution = {
 (* Scale-free residual magnitude: current matches in units of the current
    tolerance, the end condition in units of the voltage tolerance. *)
 let merit p (f : Vec.t) m =
-  let acc = ref (Float.abs f.{m} /. p.cfg.Config.voltage_tolerance) in
+  let acc = ref (Float.abs f.{m} /. voltage_tolerance) in
   for k = 0 to m - 1 do
     acc := Float.max !acc (Float.abs f.{k} /. p.cfg.Config.current_tolerance)
   done;
@@ -714,7 +731,7 @@ let solve_region_from ?cap p st target (alpha : Vec.t) delta0 =
             backtrack (step /. 2.0) (tries - 1)
           end
         in
-        let trial_delta = backtrack cfg.Config.damping 10 in
+        let trial_delta = backtrack line_search_step 10 in
         (* a stalled attempt ends here: its iterate stays where it was *)
         if Float.is_nan trial_delta then finish false
         else begin
@@ -1400,9 +1417,9 @@ let[@warning "-16"] solve ?workspace ~model ~config ~scenario ~chain ~initial =
     }
   in
   let remaining_levels = ref (List.map (fun frac -> frac *. p.vdd) config.Config.levels) in
-  let end_level = config.Config.end_fraction *. p.vdd in
+  let end_level = end_fraction *. p.vdd in
   let rec loop () =
-    if st.t >= p.t_end || st.n_regions >= config.Config.max_regions then ()
+    if st.t >= p.t_end || st.n_regions >= max_regions then ()
     else if st.active = 0 then begin
       (* waiting for the bottom transistor's gate to reach threshold *)
       match find_gate_turn_on p 1 ~t_from:st.t with
@@ -1425,7 +1442,7 @@ let[@warning "-16"] solve ?workspace ~model ~config ~scenario ~chain ~initial =
       let k0 = st.active + 1 in
       (* fire within tolerance: a just-solved turn-on region leaves the
          drive within the Newton voltage tolerance of zero *)
-      let fire_margin = -10.0 *. config.Config.voltage_tolerance in
+      let fire_margin = -10.0 *. voltage_tolerance in
       if drive p k0 ~t:st.t ~vb:st.v.{st.active} >= fire_margin then begin
         (* already past threshold: fire the critical point immediately *)
         st.crits <- st.t :: st.crits;
@@ -1435,7 +1452,7 @@ let[@warning "-16"] solve ?workspace ~model ~config ~scenario ~chain ~initial =
         loop ()
       end
       else begin
-        advance p st (Turn_on k0) config.Config.bisect_depth;
+        advance p st (Turn_on k0) bisect_depth;
         loop ()
       end
     end
@@ -1458,7 +1475,7 @@ let[@warning "-16"] solve ?workspace ~model ~config ~scenario ~chain ~initial =
         | None -> ()
         | Some level ->
           remaining_levels := List.tl !remaining_levels;
-          advance p st (Level { node = k_total; value = level }) config.Config.bisect_depth;
+          advance p st (Level { node = k_total; value = level }) bisect_depth;
           loop ()
       end
     end

@@ -28,7 +28,6 @@ type t = {
   default_slew : float;
   cache : Stage_cache.t option;
   domains : int;
-  parallel_threshold : int;
   epsilon : float;
   mutable pi : Arrival.pi_timing option array;
   arena : Timing_arena.t;
@@ -57,7 +56,7 @@ let sync t =
   end
 
 let create ~model ?(config = Tqwm_core.Config.default) ?(default_slew = 20e-12) ?cache
-    ?(domains = 1) ?(parallel_threshold = 4) ?(epsilon = 0.0) graph =
+    ?(domains = 1) ?(epsilon = 0.0) graph =
   if default_slew <= 0.0 then invalid_arg "Session.create: default_slew <= 0";
   if not (Float.is_finite epsilon) || epsilon < 0.0 then
     invalid_arg "Session.create: epsilon must be finite and >= 0";
@@ -69,7 +68,6 @@ let create ~model ?(config = Tqwm_core.Config.default) ?(default_slew = 20e-12) 
       default_slew;
       cache;
       domains = max domains 1;
-      parallel_threshold = max parallel_threshold 2;
       epsilon;
       pi = [||];
       arena = Timing_arena.create 0;
@@ -95,7 +93,7 @@ let create ~model ?(config = Tqwm_core.Config.default) ?(default_slew = 20e-12) 
    parent's, so a clean parent's provenance (cache_uses in path
    attributions) reads in the fork as if the fork had run the baseline
    analysis itself. *)
-let fork ?cache ?domains ?epsilon t =
+let fork ?cache ?epsilon t =
   let cache =
     match cache with
     | Some _ as c -> c
@@ -105,7 +103,6 @@ let fork ?cache ?domains ?epsilon t =
     t with
     graph = Timing_graph.copy t.graph;
     cache;
-    domains = (match domains with Some d -> max d 1 | None -> t.domains);
     epsilon =
       (match epsilon with
       | Some e when Float.is_finite e && e >= 0.0 -> e
@@ -231,10 +228,7 @@ let recompute t =
         in
         if Array.length dirty_ids > 0 then begin
           let previous = Array.map (Timing_arena.timing t.arena) dirty_ids in
-          (try
-             if t.domains > 1 && Array.length dirty_ids >= t.parallel_threshold then
-               Parallel.evaluate_stages ~domains:t.domains ~f:eval dirty_ids
-             else Array.iter eval dirty_ids
+          (try Parallel.run ~domains:t.domains ~f:eval [| dirty_ids |]
            with e ->
              Array.iter dirty_fanout dirty_ids;
              raise e);

@@ -21,11 +21,10 @@
     downstream. With [epsilon > 0] the analysis is approximate: each
     surviving stale timing is within the accumulated cutoff tolerance.
 
-    Wide dirty levels (at least [parallel_threshold] stages) are
-    evaluated concurrently through {!Tqwm_sta.Parallel.evaluate_stages}
-    — the work-stealing chunk scheduler over one synthetic level — when
-    the session was created with [domains > 1]; results do not depend on
-    the domain count or steal interleaving. *)
+    Each dirty level is handed to {!Tqwm_sta.Parallel.run} as one
+    level, so with [domains > 1] its stages are evaluated concurrently
+    by a team no wider than the level (a 1-wide level runs inline);
+    results do not depend on the domain count. *)
 
 module Timing_graph = Tqwm_sta.Timing_graph
 module Arrival = Tqwm_sta.Arrival
@@ -38,7 +37,6 @@ val create :
   ?default_slew:float ->
   ?cache:Tqwm_sta.Stage_cache.t ->
   ?domains:int ->
-  ?parallel_threshold:int ->
   ?epsilon:float ->
   Timing_graph.t ->
   t
@@ -46,14 +44,13 @@ val create :
     here on). Every stage starts dirty, so the first {!analysis} is a
     full propagation through the incremental path. [epsilon] (seconds,
     default [0.] = exact) is the early-cutoff tolerance on
-    [arrival_out] and [slew]; [domains] (default 1) and
-    [parallel_threshold] (default 4) govern parallel level evaluation;
-    [cache], [config] and [default_slew] are as in
-    {!Tqwm_sta.Arrival.propagate}.
+    [arrival_out] and [slew]; [domains] (default 1) is the team size
+    each dirty level is evaluated with; [cache], [config] and
+    [default_slew] are as in {!Tqwm_sta.Arrival.propagate}.
     @raise Invalid_argument when [default_slew <= 0] or [epsilon] is
     negative or not finite. *)
 
-val fork : ?cache:Tqwm_sta.Stage_cache.t -> ?domains:int -> ?epsilon:float -> t -> t
+val fork : ?cache:Tqwm_sta.Stage_cache.t -> ?epsilon:float -> t -> t
 (** Snapshot fork: a fully isolated what-if session starting exactly
     where this one stands — same graph (copied copy-on-write through
     {!Timing_graph.copy}), same computed timings (a
@@ -63,9 +60,9 @@ val fork : ?cache:Tqwm_sta.Stage_cache.t -> ?domains:int -> ?epsilon:float -> t 
     stay shared until a side mutates. [cache] defaults to
     [Stage_cache.fork ~copy_uses:true] of this session's cache (shared
     solve table, provenance as if the fork ran the baseline itself);
-    [domains]/[epsilon] default to the parent's. Lifetime {!stats}
-    restart at zero. This is the per-client overlay the timing server
-    hands each connection over one shared baseline.
+    [epsilon] and the domain count default to the parent's. Lifetime
+    {!stats} restart at zero. This is the per-client overlay the timing
+    server hands each connection over one shared baseline.
     @raise Invalid_argument when [epsilon] is negative or not finite. *)
 
 val graph : t -> Timing_graph.t

@@ -66,7 +66,6 @@ type t = {
   model : Tqwm_device.Device_model.t;
   cache : Stage_cache.t;  (** shared solve table; sessions hold forks *)
   baseline : Session.t option;
-  session_domains : int;
   epsilon : float;
   max_sessions : int;
   queue : Unix.file_descr Queue.t;
@@ -140,8 +139,7 @@ let effective_clock interp session =
 let do_load t conn req =
   let make_fresh () =
     Script.Interp.create ~tech:t.tech ~model:t.model
-      ~cache:(Stage_cache.fork t.cache) ~domains:t.session_domains
-      ~epsilon:t.epsilon ~out:conn.fmt ()
+      ~cache:(Stage_cache.fork t.cache) ~epsilon:t.epsilon ~out:conn.fmt ()
   in
   let interp, baseline =
     match string_member req "graph" with
@@ -156,9 +154,9 @@ let do_load t conn req =
         invalid_arg
           "no baseline graph (server started without --graph); pass \"graph\""
       | Some b ->
-        let session = Session.fork ~domains:t.session_domains b in
-        ( Script.Interp.create ~tech:t.tech ~model:t.model
-            ~domains:t.session_domains ~epsilon:t.epsilon ~out:conn.fmt ~session (),
+        let session = Session.fork b in
+        ( Script.Interp.create ~tech:t.tech ~model:t.model ~epsilon:t.epsilon
+            ~out:conn.fmt ~session (),
           true ))
   in
   conn.interp <- Some interp;
@@ -301,7 +299,6 @@ let do_health t =
       ("sessions", Json.Int (Atomic.get t.open_conns));
       ("max_sessions", Json.Int t.max_sessions);
       ("workers", Json.Int t.workers);
-      ("session_domains", Json.Int t.session_domains);
       ("tracing", Json.Bool (Trace.enabled ()));
       ("access_log", Json.Bool (t.access_log <> None));
     ]
@@ -608,7 +605,7 @@ let sampler_loop t =
     nap t.sample_period
   done
 
-let start ~tech ?graph ?(workers = 1) ?(session_domains = 1) ?(epsilon = 0.0)
+let start ~tech ?graph ?(workers = 1) ?(epsilon = 0.0)
     ?(max_sessions = 64) ?access_log ?(slow_threshold = 0.25)
     ?(sample_period = 1.0) address =
   if workers < 1 then invalid_arg "Server.start: workers must be >= 1";
@@ -621,7 +618,7 @@ let start ~tech ?graph ?(workers = 1) ?(session_domains = 1) ?(epsilon = 0.0)
   let baseline =
     Option.map
       (fun g ->
-        let s = Session.create ~model ~cache ~domains:session_domains ~epsilon g in
+        let s = Session.create ~model ~cache ~epsilon g in
         (* warm once: forks start from computed arrivals and a full table *)
         ignore (Session.analysis s);
         s)
@@ -648,7 +645,6 @@ let start ~tech ?graph ?(workers = 1) ?(session_domains = 1) ?(epsilon = 0.0)
       model;
       cache;
       baseline;
-      session_domains;
       epsilon;
       max_sessions;
       queue = Queue.create ();

@@ -38,8 +38,8 @@
       are shared across every session and worker domain, so the numbers
       are daemon-wide totals, {e not} per-session figures.
     - [health] — liveness summary: [ready], [uptime_s], [sessions] /
-      [max_sessions], [workers], [session_domains], [tracing],
-      [access_log].
+      [max_sessions], [workers], [tracing], [access_log]. Each session
+      recomputes on the worker domain serving it.
     - [stats] — [{"window_s": 60}] (optional): rates over the rolling
       {!Tqwm_obs.Series} window — [qps], [errors_per_s], per-verb
       request counts with p50/p99 latency estimates, session occupancy
@@ -89,7 +89,6 @@ val start :
   tech:Tqwm_device.Tech.t ->
   ?graph:Tqwm_sta.Timing_graph.t ->
   ?workers:int ->
-  ?session_domains:int ->
   ?epsilon:float ->
   ?max_sessions:int ->
   ?access_log:string ->
@@ -100,9 +99,8 @@ val start :
 (** Bind, warm the baseline and start serving. [graph] is the shared
     baseline: its full analysis runs once here, so every [load]ed fork
     starts from computed arrivals and a warm cache. [workers] (default 1)
-    is the serving domain count; [session_domains] (default 1) is the
-    [domains] each session's own recomputes use; [epsilon] (seconds,
-    default 0) is the sessions' cutoff tolerance; [max_sessions]
+    is the serving domain count; [epsilon] (seconds, default 0) is the
+    sessions' cutoff tolerance; [max_sessions]
     (default 64) bounds concurrently open connections — beyond it new
     connections are answered with a [server_full] error and closed.
     [access_log] appends one JSONL record per request to the given path

@@ -201,7 +201,7 @@ let timing_of_solve ~arrival_in ~input_slew ~critical_fanin scenario id
 
 (* Time one stage from its fanins' stored records and store the result
    in its own slot. Every engine calls this: the sequential run below,
-   the parallel chunk kernel and incremental re-propagation. With
+   the parallel level runner and incremental re-propagation. With
    tracing on, each evaluation is one trace slice labelled with the
    stage's scenario name and carrying the timing it produced; the
    counter feeds the sequential-vs-parallel equality check in the

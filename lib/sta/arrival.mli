@@ -6,8 +6,8 @@
     paper argues plain delay/slope STA loses); arrival times accumulate
     along the worst path. One function, {!evaluate_stage}, times a
     stage: it reads its fanins' records from a {!Timing_arena} and
-    writes its own slot. The sequential run below, the work-stealing
-    chunks of {!Parallel.propagate} and incremental re-propagation
+    writes its own slot. The sequential run below, the level runner of
+    {!Parallel.propagate} and incremental re-propagation
     ({!Tqwm_incr.Session.recompute}) all call it, so they produce
     identical results. *)
 

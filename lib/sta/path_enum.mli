@@ -19,9 +19,9 @@
     id, then fanin insertion order), matching the critical-path walk of
     {!Arrival.analysis_of_arena}, so [k_worst ~k:1] reproduces
     {!Report.critical_path_string} exactly. The enumeration consumes
-    only the analysis (itself bit-identical across domain counts and
-    chunk sizes), so reports built on it are deterministic
-    and bit-identical across all of those axes. *)
+    only the analysis (itself bit-identical across domain counts), so
+    reports built on it are deterministic and bit-identical across
+    domain counts too. *)
 
 type path = {
   stages : Timing_graph.stage_id list;  (** source to endpoint *)
@@ -59,7 +59,7 @@ type stage_attribution = {
       (** how many stage evaluations shared this stage's cache key during
           the analysis (1 = solved only for this stage, >1 = the solve
           was reused; 0 = run without a cache). Deterministic across
-          domain counts and chunk sizes — see {!Stage_cache.uses}. *)
+          domain counts — see {!Stage_cache.uses}. *)
 }
 
 type explained = {

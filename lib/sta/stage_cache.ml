@@ -22,7 +22,7 @@ type t = {
   (* per-key request counts: how many [run] calls asked for each key,
      hits and misses alike. The total per key is a property of the work
      submitted, not of scheduling, so it is deterministic across domain
-     counts and chunk sizes — the provenance path-explain reports lean on. *)
+     counts — the provenance path-explain reports lean on. *)
   uses : (string, int) Hashtbl.t;
   lock : Mutex.t;
   cond : Condition.t;

@@ -60,6 +60,6 @@ val level_digest : t -> Timing_graph.frozen -> int -> string
 (** Content hash of level [k] of the frozen schedule: the raw float64
     bits of each stored output in {!Tqwm_wave.Waveform} packed order,
     stages in level order (a stage without a stored output adds
-    nothing). Equal timing results hash equally across domain counts and
-    chunk sizes.
+    nothing). Equal timing results hash equally across domain
+    counts.
     @raise Invalid_argument on an unknown level. *)

@@ -263,24 +263,3 @@ let freeze t =
 let topological_order t = Array.to_list (freeze t).order
 
 let levels t = (freeze t).levels
-
-type chunk = { level : int; start : int; length : int }
-
-let max_level_width (f : frozen) =
-  Array.fold_left (fun w level -> max w (Array.length level)) 0 f.levels
-
-(* Contiguous partition of every level into runs of at most [chunk_size]
-   stages. The split is a pure function of the frozen schedule and the
-   chunk size — no randomness, no dependence on domain count — so every
-   scheduler consuming the same chunking sees the same work units, which
-   keeps parallel evaluation trivially deterministic. *)
-let level_chunks (f : frozen) ~chunk_size =
-  if chunk_size < 1 then invalid_arg "Timing_graph.level_chunks: chunk_size < 1";
-  Array.mapi
-    (fun k level ->
-      let width = Array.length level in
-      let n = (width + chunk_size - 1) / chunk_size in
-      Array.init n (fun i ->
-          let start = i * chunk_size in
-          { level = k; start; length = min chunk_size (width - start) }))
-    f.levels

@@ -114,22 +114,3 @@ val topological_order : t -> stage_id list
 
 val levels : t -> stage_id array array
 (** The frozen level schedule. *)
-
-type chunk = { level : int; start : int; length : int }
-(** A contiguous run of stages inside one topological level:
-    [levels.(level).(start .. start + length - 1)]. Chunks are the unit
-    of work handed to the work-stealing scheduler — every stage of a
-    chunk is mutually independent of every other stage in its level, so
-    a chunk can be solved by any domain without ordering. *)
-
-val level_chunks : frozen -> chunk_size:int -> chunk array array
-(** [level_chunks f ~chunk_size] partitions each level of the frozen
-    schedule into contiguous chunks of at most [chunk_size] stages
-    (the last chunk of a level may be shorter). The partition depends
-    only on the schedule and [chunk_size] — not on domain count or
-    runtime behaviour — so the work units seen by a parallel run are
-    deterministic. @raise Invalid_argument when [chunk_size < 1]. *)
-
-val max_level_width : frozen -> int
-(** Widest level of the schedule (0 for an empty graph) — the upper
-    bound on intra-level parallelism. *)

@@ -1,9 +1,9 @@
 (* Tests for the accuracy observatory (Tqwm_audit): workload catalog
    shape, decoder-tree accuracy against the golden engine, sequential ==
-   parallel audit measurements, JSON/ledger round-trips, and the drift
-   checker — self-comparison is all-unchanged, a deliberately loosened
-   solver config is classified as regressed, and classifications feed
-   the audit.* counters. *)
+   parallel audit measurements, allocation counted on worker domains,
+   JSON/ledger round-trips, and the drift checker — self-comparison is
+   all-unchanged, a deliberately loosened solver config is classified as
+   regressed, and classifications feed the audit.* counters. *)
 
 open Tqwm_device
 module Audit = Tqwm_audit.Audit
@@ -112,6 +112,17 @@ let test_sequential_equals_parallel () =
   Alcotest.(check bool)
     "4-domain audit measures identically to sequential" true
     (Audit.equal_measurements seq par)
+
+(* Worker domains fold their GC growth into the process-wide
+   [qwm.alloc.domains_*] counters before they exit, so a parallel audit's
+   allocation is not lost with its domains. *)
+let test_workers_count_allocation () =
+  let words () =
+    Option.value (Metrics.find_counter "qwm.alloc.domains_minor_words") ~default:0
+  in
+  let before = words () in
+  ignore (Audit.run ~dt:10e-12 ~domains:2 ~workloads:(Lazy.force smoke_workloads) tech);
+  Alcotest.(check bool) "qwm.alloc.domains_minor_words grew" true (words () > before)
 
 (* ---------- persistence ---------- *)
 
@@ -265,6 +276,11 @@ let () =
         [
           Alcotest.test_case "sequential == 4-domain" `Slow
             test_sequential_equals_parallel;
+        ] );
+      ( "telemetry",
+        [
+          Alcotest.test_case "worker domains count allocation" `Slow
+            test_workers_count_allocation;
         ] );
       ( "persistence",
         [

@@ -39,9 +39,8 @@ let check_identical what (a : Arrival.analysis) (b : Arrival.analysis) =
     true
     (a.Arrival.worst_arrival = b.Arrival.worst_arrival)
 
-let session ?cache ?domains ?parallel_threshold ?epsilon graph =
-  Session.create ~model:(Lazy.force table) ?cache ?domains ?parallel_threshold
-    ?epsilon graph
+let session ?cache ?domains ?epsilon graph =
+  Session.create ~model:(Lazy.force table) ?cache ?domains ?epsilon graph
 
 (* a deterministic stream of always-valid edits: resize / load / retime,
    uniformly over the graph's stages *)
@@ -69,8 +68,8 @@ let random_edit rng graph =
 
 (* apply [edits] random edits one at a time, checking incremental
    against from-scratch after every step *)
-let check_edit_sequence what ?cache ?domains ?parallel_threshold ~edits ~seed graph =
-  let s = session ?cache ?domains ?parallel_threshold graph in
+let check_edit_sequence what ?cache ?domains ~edits ~seed graph =
+  let s = session ?cache ?domains graph in
   let rng = Random.State.make [| seed |] in
   check_identical (what ^ " (initial)") (Session.analysis s) (Session.scratch_analysis s);
   for k = 1 to edits do
@@ -105,15 +104,13 @@ let test_equiv_decoder () =
        (Workloads.decoder_tree ~fanout:3 ~depth:2 ~levels:2 tech))
 
 let test_equiv_parallel () =
-  (* 4 domains with a threshold low enough that wide dirty levels really
-     do take the parallel path *)
+  (* every dirty level at least 2 wide is evaluated by a team *)
   ignore
-    (check_edit_sequence "decoder, 4 domains" ~domains:4 ~parallel_threshold:2
-       ~edits:6 ~seed:41
+    (check_edit_sequence "decoder, 4 domains" ~domains:4 ~edits:6 ~seed:41
        (Workloads.decoder_tree ~fanout:3 ~depth:2 ~levels:2 tech));
   ignore
     (check_edit_sequence "decoder, 4 domains + cache" ~cache:(Stage_cache.create ())
-       ~domains:4 ~parallel_threshold:2 ~edits:6 ~seed:41
+       ~domains:4 ~edits:6 ~seed:41
        (Workloads.decoder_tree ~fanout:3 ~depth:2 ~levels:2 tech))
 
 (* ---------- topology edits ---------- *)
@@ -167,11 +164,8 @@ let test_invalid_edits_leave_session_consistent () =
 (* A recompute that fails part-way through a level must not leave stale
    fanout behind: once the failing edit is undone, the next analysis is
    exact again. *)
-let check_failed_recompute_recovers ?domains ?parallel_threshold () =
-  let s =
-    session ?domains ?parallel_threshold
-      (Workloads.decoder_tree ~fanout:3 ~depth:2 ~levels:2 tech)
-  in
+let check_failed_recompute_recovers ?domains () =
+  let s = session ?domains (Workloads.decoder_tree ~fanout:3 ~depth:2 ~levels:2 tech) in
   ignore (Session.analysis s);
   let frozen = Timing_graph.freeze (Session.graph s) in
   let level =
@@ -193,7 +187,7 @@ let check_failed_recompute_recovers ?domains ?parallel_threshold () =
 
 let test_failed_recompute_recovers () =
   check_failed_recompute_recovers ();
-  check_failed_recompute_recovers ~domains:4 ~parallel_threshold:2 ()
+  check_failed_recompute_recovers ~domains:4 ()
 
 (* ---------- retiming ---------- *)
 

@@ -484,18 +484,6 @@ let test_quad_smallest_positive () =
   Alcotest.(check bool) "none positive" true
     (Quad.smallest_positive_root ~a:1.0 ~b:3.0 ~c:2.0 = None)
 
-(* ---------- Ode ---------- *)
-
-let test_rk4_exponential () =
-  let f _ x = Vec.of_list [ -.x.{0} ] in
-  let traj = Ode.rk4 ~f ~t0:0.0 ~x0:(Vec.of_list [ 1.0 ]) ~t1:1.0 ~steps:100 in
-  let _, x_end = traj.(Array.length traj - 1) in
-  check_close ~eps:1e-6 "e^-1" (exp (-1.0)) x_end.{0}
-
-let test_rk4_errors () =
-  Alcotest.check_raises "steps" (Invalid_argument "Ode.rk4: steps < 1") (fun () ->
-      ignore (Ode.rk4 ~f:(fun _ x -> x) ~t0:0.0 ~x0:(Vec.of_list [ 1.0 ]) ~t1:1.0 ~steps:0))
-
 (* ---------- Stats ---------- *)
 
 let test_stats () =
@@ -568,6 +556,5 @@ let () =
           prop prop_quad_roots_reconstruct;
           quick "smallest positive" test_quad_smallest_positive;
         ] );
-      ("ode", [ quick "exponential" test_rk4_exponential; quick "errors" test_rk4_errors ]);
       ("stats", [ quick "all" test_stats ]);
     ]

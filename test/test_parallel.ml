@@ -146,6 +146,18 @@ let test_parallel_identical_with_cache () =
     (Float.abs (uncached.Arrival.worst_arrival -. seq.Arrival.worst_arrival)
     < 1e-12)
 
+let test_identical_many_domains () =
+  List.iter
+    (fun (name, graph) ->
+      let seq = propagate ~domains:1 graph in
+      List.iter
+        (fun domains ->
+          check_identical
+            (Printf.sprintf "%s, %d domains" name domains)
+            seq (propagate ~domains graph))
+        [ 2; 4; 8 ])
+    (mixed_graphs ())
+
 let test_cache_bucketing () =
   (* a NaN or infinite bucket would turn every bucketed slew into NaN *)
   List.iter
@@ -370,15 +382,115 @@ let test_no_forced_minor_collection () =
   Timing_graph.connect graph ~from_stage:0 ~to_stage:1 ~input:"en";
   collections "re-freeze after rewiring" (fun () -> Timing_graph.freeze graph)
 
-(* ---------- work-stealing chunk scheduler ---------- *)
+(* ---------- level runner ---------- *)
 
-module Metrics = Tqwm_obs.Metrics
+(* [levels] numbered consecutively from 0, level by level *)
+let numbered_levels sizes =
+  let next = ref 0 in
+  Array.of_list
+    (List.map
+       (fun n ->
+         let level = Array.init n (fun i -> !next + i) in
+         next := !next + n;
+         level)
+       sizes)
 
-let counter name = Option.value (Metrics.find_counter name) ~default:0
+let prop_run_levels_in_order =
+  QCheck2.Test.make ~name:"every id once, no id before the earlier levels finish"
+    ~count:30
+    QCheck2.Gen.(
+      triple
+        (list_size (int_range 1 6) (int_range 0 10))
+        (int_range 1 8)
+        (int_range 0 1_000_000))
+    (fun (sizes, domains, seed) ->
+      let levels = numbered_levels sizes in
+      let n = List.fold_left ( + ) 0 sizes in
+      let rng = Random.State.make [| seed |] in
+      let cost = Array.init n (fun _ -> Random.State.int rng 4) in
+      let level_of = Array.make n 0 in
+      Array.iteri (fun k l -> Array.iter (fun id -> level_of.(id) <- k) l) levels;
+      (* [runs.(id)] counts the returned runs of [id] *)
+      let runs = Array.init n (fun _ -> Atomic.make 0) in
+      let early = Atomic.make false in
+      let f id =
+        for k = 0 to level_of.(id) - 1 do
+          Array.iter (fun j -> if Atomic.get runs.(j) = 0 then Atomic.set early true) levels.(k)
+        done;
+        if cost.(id) > 0 then Unix.sleepf (float_of_int cost.(id) *. 1e-4);
+        Atomic.incr runs.(id)
+      in
+      Parallel.run ~domains ~f levels;
+      Array.for_all (fun r -> Atomic.get r = 1) runs && not (Atomic.get early))
+
+let test_run_reraises_after_join () =
+  (* the main domain's first id waits until another domain is inside [f],
+     then fails; ids on the other domains fail only after a long sleep.
+     The first failure comes out, only once every started id has
+     returned, and no later level starts *)
+  let levels = numbered_levels [ 8; 2 ] in
+  let started = Atomic.make 0 and returned = Atomic.make 0 in
+  let later_level = Atomic.make false in
+  let f id =
+    Atomic.incr started;
+    Fun.protect
+      ~finally:(fun () -> Atomic.incr returned)
+      (fun () ->
+        if id >= 8 then Atomic.set later_level true
+        else if Domain.is_main_domain () then begin
+          let deadline = Unix.gettimeofday () +. 10.0 in
+          while Atomic.get started < 2 && Unix.gettimeofday () < deadline do
+            Unix.sleepf 1e-3
+          done;
+          failwith "first"
+        end
+        else begin
+          Unix.sleepf 0.3;
+          failwith "second"
+        end)
+  in
+  Alcotest.check_raises "first exception re-raised" (Failure "first") (fun () ->
+      Parallel.run ~domains:4 ~f levels);
+  Alcotest.(check bool) "another domain was inside f" true (Atomic.get started >= 2);
+  Alcotest.(check int) "every started id returned before the re-raise"
+    (Atomic.get started) (Atomic.get returned);
+  Alcotest.(check bool) "no later level started" false (Atomic.get later_level)
+
+let test_run_shares_a_slow_level () =
+  (* the slow id only returns once every other id of its level is done:
+     that can only happen if the other domain takes the rest of the
+     level while its domain is busy *)
+  let n = 12 and slow = 3 in
+  let others_done = Atomic.make 0 in
+  let ran_by = Array.make n (-1) in
+  let waited_out = ref false in
+  let f id =
+    ran_by.(id) <- (Domain.self () :> int);
+    if id = slow then begin
+      let deadline = Unix.gettimeofday () +. 10.0 in
+      while Atomic.get others_done < n - 1 && Unix.gettimeofday () < deadline do
+        Unix.sleepf 1e-3
+      done;
+      waited_out := Atomic.get others_done = n - 1
+    end
+    else Atomic.incr others_done
+  in
+  Parallel.run ~domains:2 ~f [| Array.init n Fun.id |];
+  Alcotest.(check bool) "the rest of the level finished during the slow id" true
+    !waited_out;
+  (* ids are claimed in order, so every later one went to the other domain *)
+  Array.iteri
+    (fun id d ->
+      if id > slow && d = ran_by.(slow) then
+        Alcotest.failf "id %d ran on the slow id's domain" id)
+    ran_by
+
+(* ---------- timing arena ---------- *)
+
+module Timing_arena = Tqwm_sta.Timing_arena
 
 (* a synthetic stage timing whose fields are a pure function of the id,
-   so any scheduling mistake (dropped, duplicated or misplaced stage)
-   corrupts the result array detectably *)
+   so a misplaced or torn store is detectable *)
 let fabricated_timing id =
   {
     Arrival.id;
@@ -388,93 +500,6 @@ let fabricated_timing id =
     arrival_out = float_of_int ((id * id) + 1) *. 1e-12;
     critical_fanin = (if id = 0 then None else Some (id - 1));
   }
-
-let test_steal_identical_many_domains () =
-  List.iter
-    (fun (name, graph) ->
-      let seq = propagate ~domains:1 graph in
-      List.iter
-        (fun domains ->
-          check_identical
-            (Printf.sprintf "%s, auto chunks, %d domains" name domains)
-            seq
-            (Parallel.propagate ~model:(Lazy.force table) ~domains graph);
-          check_identical
-            (Printf.sprintf "%s, 1-stage chunks, %d domains" name domains)
-            seq
-            (Parallel.propagate ~model:(Lazy.force table) ~domains ~chunk:1 graph))
-        [ 2; 4; 8 ])
-    (mixed_graphs ())
-
-let test_chunk_size_edges () =
-  let graph = Workloads.decoder_tree ~fanout:3 ~depth:2 tech in
-  let width = Timing_graph.max_level_width (Timing_graph.freeze graph) in
-  Alcotest.(check bool) "tree has a wide level" true (width > 1);
-  let seq = propagate ~domains:1 graph in
-  (* chunk 1 maximizes scheduling traffic; chunk = width puts a whole
-     level in one deque slot; chunk > width degenerates to one chunk per
-     level — all three must still be bit-identical to sequential *)
-  List.iter
-    (fun chunk ->
-      check_identical
-        (Printf.sprintf "chunk %d" chunk)
-        seq
-        (Parallel.propagate ~model:(Lazy.force table) ~domains:4 ~chunk graph))
-    [ 1; width; width + 7 ]
-
-let test_chunk_validation () =
-  let graph = Workloads.diamond tech in
-  Alcotest.check_raises "chunk 0 rejected"
-    (Invalid_argument "Parallel.propagate: chunk < 1") (fun () ->
-      ignore (Parallel.propagate ~model:(Lazy.force table) ~domains:2 ~chunk:0 graph))
-
-(* run [evaluate_stages] with each [f id] writing its own result slot *)
-let evaluate_fabricated ~domains ~cost n =
-  let results = Array.make n None in
-  Parallel.evaluate_stages ~domains
-    ~f:(fun id ->
-      cost id;
-      results.(id) <- Some (fabricated_timing id))
-    (Array.init n Fun.id);
-  results
-
-let test_steals_on_imbalance () =
-  (* 32 stages on 4 domains are cut into chunks of
-     max 1 (min 32 (32 / 16)) = 2 stages, dealt round-robin, so deque w
-     owns chunks congruent to w mod 4; making deque 0's chunks slow
-     guarantees workers 1..3 run dry while work remains there — the
-     steal counter must move *)
-  let n = 32 and chunk = 2 in
-  let cost id = if id / chunk mod 4 = 0 then Unix.sleepf 0.005 in
-  let steals0 = counter "sta.steals" and chunks0 = counter "sta.chunks" in
-  let results = evaluate_fabricated ~domains:4 ~cost n in
-  let steals = counter "sta.steals" - steals0 in
-  let chunks = counter "sta.chunks" - chunks0 in
-  Array.iteri
-    (fun i r ->
-      if r <> Some (fabricated_timing i) then
-        Alcotest.failf "stage %d result corrupted" i)
-    results;
-  Alcotest.(check int) "every chunk executed exactly once" (n / chunk) chunks;
-  Alcotest.(check bool) "imbalance forced steals" true (steals > 0)
-
-let prop_evaluate_stages_identical =
-  QCheck2.Test.make ~name:"evaluate_stages bit-identical under random costs" ~count:20
-    QCheck2.Gen.(pair (list_size (int_range 1 40) (int_range 0 3)) (int_range 1 8))
-    (fun (costs, domains) ->
-      let costs = Array.of_list costs in
-      let n = Array.length costs in
-      (* random per-stage costs skew the deques so steal interleavings
-         vary run to run; the result may not *)
-      let cost id =
-        if costs.(id) > 0 then Unix.sleepf (float_of_int costs.(id) *. 2e-4)
-      in
-      evaluate_fabricated ~domains ~cost n
-      = Array.init n (fun id -> Some (fabricated_timing id)))
-
-(* ---------- timing arena ---------- *)
-
-module Timing_arena = Tqwm_sta.Timing_arena
 
 let check_level_digests what graph (a : Timing_arena.t) (b : Timing_arena.t) =
   let frozen = Timing_graph.freeze graph in
@@ -510,7 +535,7 @@ let test_diamond_digests_pinned () =
   in
   check "sequential" (snd (Arrival.propagate_arena ~model graph));
   check "2 domains" (snd (Parallel.propagate_arena ~model ~domains:2 graph));
-  check "4 domains, chunk 1" (snd (Parallel.propagate_arena ~model ~domains:4 ~chunk:1 graph));
+  check "4 domains" (snd (Parallel.propagate_arena ~model ~domains:4 graph));
   Alcotest.check_raises "unknown level"
     (Invalid_argument "Timing_arena.level_digest: unknown level") (fun () ->
       ignore
@@ -526,16 +551,9 @@ let test_arena_race_four_domains () =
   let graph = Workloads.decoder_tree ~fanout:3 ~depth:2 tech in
   let model = Lazy.force table in
   let seq, seq_arena = Arrival.propagate_arena ~model graph in
-  List.iter
-    (fun chunk ->
-      let par, par_arena = Parallel.propagate_arena ~model ~domains:4 ?chunk graph in
-      let what =
-        Printf.sprintf "4 domains, %s"
-          (match chunk with Some c -> Printf.sprintf "chunk %d" c | None -> "auto chunk")
-      in
-      check_identical what seq par;
-      check_level_digests what graph seq_arena par_arena)
-    [ None; Some 1 ]
+  let par, par_arena = Parallel.propagate_arena ~model ~domains:4 graph in
+  check_identical "4 domains" seq par;
+  check_level_digests "4 domains" graph seq_arena par_arena
 
 let test_arena_reuse_and_idempotent_digests () =
   let graph = Workloads.diamond tech in
@@ -576,15 +594,15 @@ let test_arena_reuse_and_idempotent_digests () =
 
 let prop_arena_digests_stable =
   QCheck2.Test.make
-    ~name:"arena slab digests identical across domains and chunks"
+    ~name:"arena slab digests identical across domains"
     ~count:8
-    QCheck2.Gen.(pair (int_range 1 6) (int_range 1 6))
-    (fun (domains, chunk) ->
+    QCheck2.Gen.(int_range 1 6)
+    (fun domains ->
       let graph = Workloads.decoder_tree ~fanout:2 ~depth:2 tech in
       let model = Lazy.force table in
       let frozen = Timing_graph.freeze graph in
       let _, ref_arena = Arrival.propagate_arena ~model graph in
-      let _, arena = Parallel.propagate_arena ~model ~domains ~chunk graph in
+      let _, arena = Parallel.propagate_arena ~model ~domains graph in
       Array.for_all
         (fun k ->
           String.equal
@@ -618,15 +636,13 @@ let () =
           slow "diamond bit-identical" test_parallel_identical_diamond;
           slow "decoder tree bit-identical" test_parallel_identical_decoder_tree;
           slow "cached runs bit-identical" test_parallel_identical_with_cache;
+          slow "bit-identical at 2/4/8 domains" test_identical_many_domains;
         ] );
-      ( "work stealing",
+      ( "level runner",
         [
-          slow "bit-identical at 2/4/8 domains, auto and 1-stage chunks"
-            test_steal_identical_many_domains;
-          slow "chunk size edge cases" test_chunk_size_edges;
-          quick "chunk validation" test_chunk_validation;
-          slow "imbalance forces steals" test_steals_on_imbalance;
-          QCheck_alcotest.to_alcotest prop_evaluate_stages_identical;
+          QCheck_alcotest.to_alcotest prop_run_levels_in_order;
+          quick "first exception re-raised after the join" test_run_reraises_after_join;
+          quick "other domains take a slow id's level" test_run_shares_a_slow_level;
         ] );
       ( "stage cache",
         [
