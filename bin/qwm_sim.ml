@@ -112,11 +112,7 @@ let run_sta ~tech ~depth ~fanout ~domains ~use_cache
     let clock_period =
       match clock_period_ps with
       | Some p -> p *. 1e-12
-      | None ->
-        (* zero-slack normalization: the critical path sets the clock;
-           degenerate (empty / zero-arrival) graphs fall back to 1 ns *)
-        if analysis.Arrival.worst_arrival > 0.0 then analysis.Arrival.worst_arrival
-        else 1e-9
+      | None -> Arrival.zero_slack_clock analysis
     in
     let required = Arrival.required graph analysis ~clock_period in
     if report_slack then Report.print_slack Format.std_formatter graph analysis required;
@@ -394,6 +390,9 @@ let run_main circuit engine dt_ps waveform ramp_ps partition incr_script scratch
       | None -> scenario
       | Some r -> Scenario.with_ramp_input ~rise_time:(r *. 1e-12) scenario
     in
+    (* a stage that cannot be timed (e.g. an input ramp slower than the
+       window) is a result to report, not an internal error *)
+    try
     match sta_depth with
     | Some depth ->
       let domains = Option.value domains ~default:(Parallel.default_domains ()) in
@@ -419,6 +418,9 @@ let run_main circuit engine dt_ps waveform ramp_ps partition incr_script scratch
           (sp.Engine.runtime_seconds /. qw.Qwm.runtime_seconds)
       | (Some _ | None), _ -> ()));
     0
+    with Path.No_path message | Arrival.Analysis_failure message ->
+      Printf.eprintf "qwm_sim: %s\n" message;
+      1
 
 let main circuit engine dt_ps waveform ramp_ps partition incr_script scratch
     epsilon_ps sta_depth sta_fanout domains no_cache report_timing

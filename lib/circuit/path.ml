@@ -1,5 +1,7 @@
 module Device = Tqwm_device.Device
 
+exception No_path of string
+
 type lowering = { chain : Chain.t; stage_nodes : Stage.node array }
 
 (* DFS over traversable edges, treating the stage graph as undirected. *)
@@ -34,7 +36,11 @@ let to_chain ~model ~rail ~output ?(conducting = fun _ -> true) ~bias stage =
   let path =
     match find_path stage ~from:rail_node ~target:output ~traversable with
     | Some p -> p
-    | None -> raise Not_found
+    | None ->
+      raise
+        (No_path
+           (Printf.sprintf "no conducting path from %s to %s"
+              (Stage.node_name stage rail_node) (Stage.node_name stage output)))
   in
   (* walk the path recording the far node of each edge *)
   let nodes =

@@ -2,6 +2,10 @@
     path (paper §III-C: "only charging/discharging along the longest paths
     needs to be considered"). *)
 
+exception No_path of string
+(** No traversable path joins the rail to the output; the payload names
+    the two nodes, and {!Scenario.lower} adds the scenario's name. *)
+
 type lowering = {
   chain : Chain.t;
   stage_nodes : Stage.node array;
@@ -22,4 +26,4 @@ val to_chain :
     sum the terminal contributions of {e every} incident stage element at
     the node's [bias] voltage, plus external loads — side branches load
     the path even though they are not traversed.
-    @raise Not_found when no path exists. *)
+    @raise No_path when no path exists. *)

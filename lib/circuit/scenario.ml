@@ -42,8 +42,13 @@ let conducting t (edge : Stage.edge) =
     | Device.Wire -> true)
 
 let lower ~model t =
-  Path.to_chain ~model ~rail:t.rail ~output:t.output ~conducting:(conducting t)
-    ~bias:(fun n -> t.initial.(n)) t.stage
+  try
+    Path.to_chain ~model ~rail:t.rail ~output:t.output ~conducting:(conducting t)
+      ~bias:(fun n -> t.initial.(n)) t.stage
+  with Path.No_path reason ->
+    (* typically an input ramp whose midpoint lies past the window *)
+    let at = Printf.sprintf "at the end of its %.0f ps window" (t.t_end *. 1e12) in
+    raise (Path.No_path (Printf.sprintf "stage %s: %s %s" t.name reason at))
 
 (* Build the initial-voltage array: supply/ground pinned, everything else
    from [assign] (defaulting to VDD). *)

@@ -36,7 +36,9 @@ val conducting : t -> Stage.edge -> bool
 
 val lower : model:Device_model.t -> t -> Path.lowering
 (** Lower the scenario's stage to its charge/discharge chain, with node
-    capacitances evaluated at the initial node biases. *)
+    capacitances evaluated at the initial node biases.
+    @raise Path.No_path, naming the scenario, when no path conducts at
+    [t_end] — for example under an input ramp slower than the window. *)
 
 val gate_value : t -> string -> float -> float
 (** Gate-drive voltage of an input at a time. *)

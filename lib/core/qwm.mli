@@ -27,7 +27,8 @@ val lower_scenario :
 (** Extract the scenario's charge/discharge chain; when
     [config.reduce_wires] is set, runs of consecutive wire edges are
     collapsed into O'Brien–Savarino pi macromodels (single equivalent
-    resistor edge, near/far capacitance folded into the adjacent nodes). *)
+    resistor edge, near/far capacitance folded into the adjacent nodes).
+    @raise Path.No_path as {!Scenario.lower}. *)
 
 val run :
   model:Tqwm_device.Device_model.t ->
@@ -36,7 +37,8 @@ val run :
   Scenario.t ->
   report
 (** [workspace] supplies the solver's scratch buffers (default: the
-    calling domain's); the report is bit-identical either way. *)
+    calling domain's); the report is bit-identical either way.
+    @raise Path.No_path, naming the scenario, when no path conducts. *)
 
 val run_on_lowering :
   model:Tqwm_device.Device_model.t ->

@@ -399,8 +399,7 @@ let edge_current p k ~t ~vb ~va =
 
 (* (dJ'_k/dv'_below, dJ'_k/dv'_above), left in [p.ws.dv] with the below
    derivative in [dsrc] and the above derivative in [dsnk] (the record is
-   repurposed as the rail-mapped pair — same expressions as the old
-   tuple-returning form, so the values are bit-identical) *)
+   repurposed as the rail-mapped pair) *)
 let edge_current_derivs_into p k ~t ~vb ~va =
   let tv = terminal_voltages p k ~t ~vb ~va in
   let d = p.ws.Workspace.dv in
@@ -586,7 +585,7 @@ let region_jacobian p st target (alpha : Vec.t) delta =
 (* Solve the bordered system held in the workspace band buffers for the
    Newton step, reading the residual from [f] and writing the step into
    [ws.dx.(0..m)]. All three solver modes run allocation-free on the
-   in-place kernels, bit-identical to the old allocating forms. *)
+   in-place kernels. *)
 let solve_linear p m ~f =
   let ws = p.ws in
   match p.cfg.Config.linear_solver with

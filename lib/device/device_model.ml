@@ -7,8 +7,7 @@ type terminal_voltages = {
 (* All-float record, so the fields are stored flat: writing them is a
    plain float store and reading them into locals never boxes. One such
    record, owned by the caller and reused across calls, makes the
-   derivative query allocation-free where the tuple-returning
-   [iv_derivatives] costs a block plus two boxed floats per call. *)
+   derivative query allocation-free. *)
 type derivs = { mutable dsrc : float; mutable dsnk : float }
 
 let derivs () = { dsrc = 0.0; dsnk = 0.0 }
@@ -16,7 +15,6 @@ let derivs () = { dsrc = 0.0; dsnk = 0.0 }
 type t = {
   name : string;
   iv : Device.t -> terminal_voltages -> float;
-  iv_derivatives : Device.t -> terminal_voltages -> float * float;
   iv_derivatives_into : Device.t -> terminal_voltages -> derivs -> unit;
   threshold : Device.t -> terminal_voltages -> float;
   src_cap : Device.t -> v:float -> float;
@@ -48,13 +46,6 @@ let analytic ?(miller_factor = 1.0) (tech : Tech.t) =
     | Device.Wire ->
       (tv.src -. tv.snk) /. Capacitance.wire_resistance tech ~w:device.w ~l:device.l
   in
-  let iv_derivatives (device : Device.t) tv =
-    match device.kind with
-    | Device.Nmos | Device.Pmos -> finite_difference_derivatives iv device tv
-    | Device.Wire ->
-      let g = 1.0 /. Capacitance.wire_resistance tech ~w:device.w ~l:device.l in
-      (g, -.g)
-  in
   let threshold (device : Device.t) tv =
     match device.kind with
     | Device.Nmos -> Mosfet.threshold tech Mosfet.N ~vsb:tv.snk
@@ -76,7 +67,6 @@ let analytic ?(miller_factor = 1.0) (tech : Tech.t) =
   {
     name = "analytic";
     iv;
-    iv_derivatives;
     iv_derivatives_into;
     threshold;
     src_cap = terminal_cap;

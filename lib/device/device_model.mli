@@ -19,7 +19,7 @@ type terminal_voltages = {
 type derivs = { mutable dsrc : float; mutable dsnk : float }
 (** Out-buffer for {!t.iv_derivatives_into}: an all-float record, stored
     flat, so a single caller-owned instance makes repeated derivative
-    queries allocation-free (the tuple form boxes three blocks per call). *)
+    queries allocation-free. *)
 
 val derivs : unit -> derivs
 (** A fresh zeroed out-buffer. *)
@@ -28,11 +28,9 @@ type t = {
   name : string;
   iv : Device.t -> terminal_voltages -> float;
       (** current src -> snk; positive when conducting "downhill" *)
-  iv_derivatives : Device.t -> terminal_voltages -> float * float;
-      (** [(dI/dVsrc, dI/dVsnk)] *)
   iv_derivatives_into : Device.t -> terminal_voltages -> derivs -> unit;
-      (** [iv_derivatives] written into a caller-owned {!derivs} —
-          bit-identical values, no per-call allocation. *)
+      (** [dI/dVsrc] and [dI/dVsnk], written into a caller-owned
+          {!derivs}; no per-call allocation for the table model. *)
   threshold : Device.t -> terminal_voltages -> float;
       (** turn-on threshold (positive magnitude, body-corrected): an NMOS
           conducts when [input - snk > threshold], a PMOS when
@@ -49,5 +47,6 @@ val analytic : ?miller_factor:float -> Tech.t -> t
 
 val finite_difference_derivatives :
   (Device.t -> terminal_voltages -> float) -> Device.t -> terminal_voltages -> float * float
-(** Central-difference [iv_derivatives] for models that lack analytic
-    ones. *)
+(** Central-difference [(dI/dVsrc, dI/dVsnk)] of an I/V function: the
+    analytic model's transistor derivatives, and an independent oracle
+    for the table model's. *)

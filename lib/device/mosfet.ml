@@ -44,10 +44,3 @@ let channel_current tech polarity ~w ~l ~vg ~va ~vb =
     (* PMOS source is the higher-potential terminal *)
     if va >= vb then ids tech P ~w ~l ~vg ~vd:vb ~vs:va
     else -.ids tech P ~w ~l ~vg ~vd:va ~vs:vb
-
-let channel_current_derivatives tech polarity ~w ~l ~vg ~va ~vb =
-  let h = 1e-6 in
-  let i = channel_current tech polarity ~w ~l ~vg in
-  let da = (i ~va:(va +. h) ~vb -. i ~va:(va -. h) ~vb) /. (2.0 *. h) in
-  let db = (i ~va ~vb:(vb +. h) -. i ~va ~vb:(vb -. h)) /. (2.0 *. h) in
-  (da, db)

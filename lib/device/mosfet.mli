@@ -28,8 +28,3 @@ val channel_current :
 (** Current flowing from channel terminal [a] to terminal [b], resolving
     which acts as source/drain from the potentials (MOSFETs are
     symmetric). Positive when conventional current flows a -> b. *)
-
-val channel_current_derivatives :
-  Tech.t -> polarity -> w:float -> l:float -> vg:float -> va:float -> vb:float -> float * float
-(** [(dI/dva, dI/dvb)] by central finite differences on
-    {!channel_current}; adequate for Newton Jacobians. *)

@@ -26,12 +26,8 @@ let reference_w = 1.0e-6
 
 let reference_l (tech : Tech.t) = tech.l_min
 
-(* Evaluate one grid point's piecewise fit at a channel drop [x = vd - vs];
+(* Slope of one grid point's piecewise fit at a channel drop [x = vd - vs]:
    the quadratic covers the triode region, the line the saturation region. *)
-let[@inline] fit_eval fit x =
-  if x <= fit.vdsat then fit.t0 +. (fit.t1 *. x) +. (fit.t2 *. x *. x)
-  else (fit.s1 *. x) +. fit.s2
-
 let[@inline] fit_eval_deriv fit x =
   if x <= fit.vdsat then fit.t1 +. (2.0 *. fit.t2 *. x) else fit.s1
 
@@ -108,13 +104,13 @@ let interp_corners t ~vg ~vs ~vd eval =
   +. ((1.0 -. tx) *. ty *. f01)
   +. (tx *. ty *. f11)
 
-(* The hot lookups below are [interp_corners fit_eval] with every helper
-   expanded in place: the closure, the [Interp.locate] tuples, and the
-   float-returning calls to [Interp.locate_frac]/[Interp.knot]/[fit_eval]
-   (this compiler boxes each such return, ~2 words per call, and does not
-   reliably inline them away). The expansions copy the helpers'
-   expressions verbatim — same corner order, same arithmetic — so results
-   are bit-identical; only the allocations go. *)
+(* The hot lookups below are bilinear corner interpolations with every
+   helper expanded in place: no closure, no [Interp.locate] tuple, and no
+   float-returning call to [Interp.locate_frac]/[Interp.knot] (this
+   compiler boxes each such return, ~2 words per call, and does not
+   reliably inline them away). Each corner's piecewise fit is evaluated
+   at the query's own channel drop: the quadratic below [vdsat], the line
+   above it. *)
 
 (* [Interp.locate_index], verbatim *)
 let[@inline] locate_index_x (ax : Interp.axis) x =
@@ -155,39 +151,13 @@ let lookup t ~vg ~vs ~vd =
 
 let lookup_dvd t ~vg ~vs ~vd = interp_corners t ~vg ~vs ~vd fit_eval_deriv
 
-(* One corner pass yielding the current and both fast derivatives (paper
-   §V-A: "I/V queries ... dIds/dVd and dIds/dVs can be computed very
-   fast"). dI/dVd interpolates the fitted-polynomial slopes; dI/dVs
-   differentiates the interpolation weights (the corners' own [vds]
-   arguments do not depend on the query's source voltage). *)
-let lookup_with_derivs t ~vg ~vs ~vd =
-  let i = Interp.locate_index t.vg_axis vg in
-  let tx = Interp.locate_frac t.vg_axis vg i in
-  let j = Interp.locate_index t.vs_axis vs in
-  let ty = Interp.locate_frac t.vs_axis vs j in
-  let x0 = vd -. Interp.knot t.vs_axis j in
-  let x1 = vd -. Interp.knot t.vs_axis (j + 1) in
-  let fi = t.fits.(i) and fi1 = t.fits.(i + 1) in
-  let f00 = fit_eval fi.(j) x0 and f10 = fit_eval fi1.(j) x0 in
-  let f01 = fit_eval fi.(j + 1) x1 and f11 = fit_eval fi1.(j + 1) x1 in
-  let d00 = fit_eval_deriv fi.(j) x0 and d10 = fit_eval_deriv fi1.(j) x0 in
-  let d01 = fit_eval_deriv fi.(j + 1) x1 and d11 = fit_eval_deriv fi1.(j + 1) x1 in
-  let w00 = (1.0 -. tx) *. (1.0 -. ty)
-  and w10 = tx *. (1.0 -. ty)
-  and w01 = (1.0 -. tx) *. ty
-  and w11 = tx *. ty in
-  let value = (w00 *. f00) +. (w10 *. f10) +. (w01 *. f01) +. (w11 *. f11) in
-  let dvd = (w00 *. d00) +. (w10 *. d10) +. (w01 *. d01) +. (w11 *. d11) in
-  let dvs =
-    (((1.0 -. tx) *. (f01 -. f00)) +. (tx *. (f11 -. f10))) /. t.vs_axis.Interp.step
-  in
-  (value, dvd, dvs)
-
-(* Tuple-free core of [lookup_with_derivs] for hot callers that only need
-   the derivative pair: the raw table-frame dI/dVd lands in [out.dsrc] and
+(* Both fast derivatives in one corner pass (paper §V-A: "I/V queries ...
+   dIds/dVd and dIds/dVs can be computed very fast"). dI/dVd interpolates
+   the fitted-polynomial slopes; dI/dVs differentiates the interpolation
+   weights (the corners' own [vds] arguments do not depend on the query's
+   source voltage). The raw table-frame dI/dVd lands in [out.dsrc] and
    dI/dVs in [out.dsnk] (scratch semantics — the caller maps them onto
-   terminals). Same corner order and arithmetic as [lookup_with_derivs],
-   so the written values are bit-identical to the tuple's. *)
+   terminals). *)
 let lookup_derivs_into t ~vg ~vs ~vd (out : Device_model.derivs) =
   let gax = t.vg_axis and sax = t.vs_axis in
   let i = locate_index_x gax vg in
@@ -228,8 +198,6 @@ let lookup_derivs_into t ~vg ~vs ~vd (out : Device_model.derivs) =
 
 let threshold t ~vs =
   Interp.linear t.vs_axis t.vth_by_vs vs
-
-let vdsat t ~vg ~vs = interp_corners t ~vg ~vs ~vd:vs (fun fit _ -> fit.vdsat)
 
 let fit_at t i j = t.fits.(i).(j)
 
@@ -354,40 +322,9 @@ let to_device_model ?(miller_factor = 1.0) (tech : Tech.t) ~nmos ~pmos =
     | Device.Wire -> analytic.Device_model.iv device tv
   in
   (* (dI/dVsrc, dI/dVsnk) from the fast table derivatives, with the same
-     terminal-symmetry and polarity normalization as [transistor_iv] *)
-  let transistor_derivs table device (tv : Device_model.terminal_voltages) =
-    let scale = geometry_scale table device in
-    match table.polarity with
-    | Mosfet.N ->
-      if tv.src >= tv.snk then begin
-        let _, dvd, dvs = lookup_with_derivs table ~vg:tv.input ~vs:tv.snk ~vd:tv.src in
-        (scale *. dvd, scale *. dvs)
-      end
-      else begin
-        let _, dvd, dvs = lookup_with_derivs table ~vg:tv.input ~vs:tv.src ~vd:tv.snk in
-        (-.(scale *. dvs), -.(scale *. dvd))
-      end
-    | Mosfet.P ->
-      let vdd = table.tech.vdd in
-      let g = vdd -. tv.input and a = vdd -. tv.src and b = vdd -. tv.snk in
-      if b >= a then begin
-        let _, dvd, dvs = lookup_with_derivs table ~vg:g ~vs:a ~vd:b in
-        (-.(scale *. dvs), -.(scale *. dvd))
-      end
-      else begin
-        let _, dvd, dvs = lookup_with_derivs table ~vg:g ~vs:b ~vd:a in
-        (scale *. dvd, scale *. dvs)
-      end
-  in
-  let iv_derivatives (device : Device.t) tv =
-    match device.kind with
-    | Device.Nmos -> transistor_derivs nmos device tv
-    | Device.Pmos -> transistor_derivs pmos device tv
-    | Device.Wire -> analytic.Device_model.iv_derivatives device tv
-  in
-  (* [transistor_derivs] with the tuple chain cut: the raw (dvd, dvs)
-     pair arrives in [out] (scratch), is rescaled/swapped in place with
-     the same expressions, so the final values are bit-identical. *)
+     terminal-symmetry and polarity normalization as [transistor_iv]: the
+     raw (dvd, dvs) pair arrives in [out] (scratch) and is rescaled and
+     swapped in place. *)
   let transistor_derivs_into table device (tv : Device_model.terminal_voltages)
       (out : Device_model.derivs) =
     let scale = geometry_scale table device in
@@ -437,7 +374,6 @@ let to_device_model ?(miller_factor = 1.0) (tech : Tech.t) ~nmos ~pmos =
     analytic with
     Device_model.name = "table";
     iv;
-    iv_derivatives;
     iv_derivatives_into;
     threshold = threshold_fn;
   }

@@ -52,23 +52,18 @@ val lookup : t -> vg:float -> vs:float -> vd:float -> float
 val lookup_dvd : t -> vg:float -> vs:float -> vd:float -> float
 (** Interpolated dIds/dVd from the fitted polynomials. *)
 
-val lookup_with_derivs : t -> vg:float -> vs:float -> vd:float -> float * float * float
-(** [(ids, dIds/dVd, dIds/dVs)] in one corner pass — the paper's "fast
-    derivative" benefit of the characterization (§V-A): the drain
-    derivative comes from the fitted polynomial slopes, the source
-    derivative from the interpolation weights. *)
-
 val lookup_derivs_into :
   t -> vg:float -> vs:float -> vd:float -> Device_model.derivs -> unit
-(** The derivative pair of {!lookup_with_derivs}, bit-identical, written
-    into a caller-owned buffer instead of a tuple: dIds/dVd lands in
-    [dsrc] and dIds/dVs in [dsnk] (table-frame scratch semantics — the
-    caller maps them onto edge terminals). Allocation-free. *)
+(** dIds/dVd and dIds/dVs in one corner pass — the paper's "fast
+    derivative" benefit of the characterization (§V-A): the drain
+    derivative comes from the fitted polynomial slopes, the source
+    derivative from the interpolation weights. Written into a
+    caller-owned buffer: dIds/dVd lands in [dsrc] and dIds/dVs in [dsnk]
+    (table-frame scratch semantics — the caller maps them onto edge
+    terminals). Allocation-free. *)
 
 val threshold : t -> vs:float -> float
 (** Interpolated threshold voltage from the stored table column. *)
-
-val vdsat : t -> vg:float -> vs:float -> float
 
 val fit_at : t -> int -> int -> fit
 (** Raw fit at grid indices (for inspection and the Fig. 8 bench). *)

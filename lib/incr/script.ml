@@ -74,20 +74,17 @@ let graph_of_spec ~tech spec =
    [tqwm-report/1] JSON [qwm_sim --report-timing --json] writes, built
    from the session's own analysis, cache and retimings so the per-stage
    attributions replay the solves the session actually performed. With
-   no [clock_period], the critical path sets the clock (zero-slack
-   normalization; degenerate graphs fall back to 1 ns) — the same rule
-   the [timing] script command applies. *)
+   no [clock_period], [Arrival.zero_slack_clock] sets the clock — the
+   same rule the [timing] script command applies. *)
 let timing_json ?clock_period ?(k = 1) session =
   if k < 1 then invalid_arg "Script.timing_json: k must be >= 1";
-  let paths = Session.k_worst ?clock_period session ~k in
-  let explained = List.map (Session.explain session) paths in
   let cp =
     match clock_period with
     | Some cp -> cp
-    | None ->
-      let wa = (Session.analysis session).Arrival.worst_arrival in
-      if wa > 0.0 then wa else 1e-9
+    | None -> Arrival.zero_slack_clock (Session.analysis session)
   in
+  let paths = Session.k_worst ~clock_period:cp session ~k in
+  let explained = List.map (Session.explain session) paths in
   let required = Session.required session ~clock_period:cp in
   Report.timing_to_json (Session.graph session)
     (Session.analysis session)
@@ -281,22 +278,16 @@ module Interp = struct
       let s = session t in
       (* always over the session's incremental analysis: the explain
          replay then peeks the solves this session actually cached *)
-      let cp = t.clock in
-      (match Session.k_worst ?clock_period:cp s ~k with
+      let cp =
+        match t.clock with
+        | Some cp -> cp
+        | None -> Arrival.zero_slack_clock (Session.analysis s)
+      in
+      (match Session.k_worst ~clock_period:cp s ~k with
       | exception Invalid_argument message -> fail line "%s" message
       | paths ->
         let explained = List.map (Session.explain s) paths in
-        let required =
-          Session.required s
-            ~clock_period:
-              (match cp with
-              | Some cp -> cp
-              | None ->
-                (* zero-slack normalization; degenerate (empty /
-                   zero-arrival) graphs fall back to 1 ns *)
-                let wa = (Session.analysis s).Arrival.worst_arrival in
-                if wa > 0.0 then wa else 1e-9)
-        in
+        let required = Session.required s ~clock_period:cp in
         Report.print_timing out (Session.graph s) required explained)
     | [ "query"; f; tt ] ->
       let s = session t in
@@ -314,12 +305,18 @@ module Interp = struct
     t.fed <- t.fed + 1;
     let line = match line with Some l -> l | None -> t.fed in
     let tokens = tokenize raw in
-    if not (Trace.enabled ()) then command t line tokens
+    (* a stage the analysis cannot time fails the line that asked for the
+       analysis; the session stays usable *)
+    let run () =
+      try command t line tokens
+      with Arrival.Analysis_failure message -> fail line "%s" message
+    in
+    if not (Trace.enabled ()) then run ()
     else
       let verb = match tokens with [] -> "" | v :: _ -> v in
       Trace.with_span ~name:"script.command" ~cat:"script"
         ~args:[ ("command", Json.String verb); ("line", Json.Int line) ]
-        (fun () -> command t line tokens)
+        run
 
   let document t =
     let s = session t in
@@ -368,10 +365,16 @@ type outcome = { session : Session.t; clock_period : float option; json : Json.t
 let run ~tech ~model ?use_cache ?(domains = 1) ?(epsilon = 0.0)
     ?(mode = Incremental) ?(out = Format.std_formatter) text =
   let interp = Interp.create ~tech ~model ?use_cache ~domains ~epsilon ~mode ~out () in
-  List.iteri
-    (fun idx raw -> Interp.feed interp ~line:(idx + 1) raw)
-    (String.split_on_char '\n' text);
-  let json = Interp.document interp in
+  let lines = String.split_on_char '\n' text in
+  List.iteri (fun idx raw -> Interp.feed interp ~line:(idx + 1) raw) lines;
+  let json =
+    (* the closing document times what the last edits left dirty: a
+       failure there belongs to the script's last line *)
+    try Interp.document interp
+    with Arrival.Analysis_failure message ->
+      let last = List.length lines - if String.ends_with ~suffix:"\n" text then 1 else 0 in
+      fail last "%s" message
+  in
   {
     session = Interp.session interp;
     clock_period = Interp.clock_period interp;

@@ -33,8 +33,9 @@
     session actually cached. *)
 
 exception Script_error of { line : int; message : string }
-(** A command failed: syntax error, unknown name, or an edit the graph
-    rejected. [line] is 1-based. *)
+(** A command failed: syntax error, unknown name, an edit the graph
+    rejected, or an analysis that cannot time a stage
+    ({!Tqwm_sta.Arrival.Analysis_failure}). [line] is 1-based. *)
 
 type mode =
   | Incremental  (** reports come from {!Session.analysis} *)
@@ -64,11 +65,14 @@ val timing_json :
     — exactly what the [timing] script command prints, as JSON: [k]
     (default 1) worst paths with stage-by-stage attribution replayed
     through the session's own cache, plus the per-endpoint required
-    times under [clock_period] (default: the worst arrival, i.e.
-    zero-slack normalization; 1 ns on degenerate graphs). Byte-identical
-    across session transports — the offline/server CI equivalence
-    check.
-    @raise Invalid_argument when [k < 1] or the graph has no stages. *)
+    times under [clock_period] (default:
+    {!Tqwm_sta.Arrival.zero_slack_clock}). Byte-identical across
+    session transports — the offline/server CI equivalence check. A
+    graph with no stages gives a document with no paths and no
+    endpoints.
+    @raise Invalid_argument when [k < 1].
+    @raise Tqwm_sta.Arrival.Analysis_failure when a stage cannot be
+    timed. *)
 
 (** One live interpreter: the per-connection server object. {!Interp.feed}
     runs exactly one script line through the same code path {!run} uses,
@@ -117,7 +121,9 @@ module Interp : sig
 
   val document : t -> Tqwm_obs.Json.t
   (** The ["tqwm-incr-report/1"] document of the current state — what
-      {!run} returns as [json], available at any point mid-script. *)
+      {!run} returns as [json], available at any point mid-script.
+      @raise Tqwm_sta.Arrival.Analysis_failure when a stage cannot be
+      timed. *)
 end
 
 val run :
@@ -134,7 +140,8 @@ val run :
     one {!Tqwm_sta.Stage_cache} across the whole run; [domains]
     (default 1) and [epsilon] (seconds, default 0) are passed to
     {!Session.create}; progress lines go to [out] (default stdout).
-    @raise Script_error on the first failing line. *)
+    @raise Script_error on the first failing line; when the closing
+    document cannot time a stage, at the script's last line. *)
 
 val run_file :
   tech:Tqwm_device.Tech.t ->

@@ -86,7 +86,8 @@ val recompute : t -> int
     already clean. Emits an [incr.recompute] trace span and bumps the
     [incr.stages_reeval] / [incr.cutoff_hits] counters.
     @raise Tqwm_sta.Arrival.Analysis_failure when a stage cannot be
-    timed (its output never crosses 50 %). The session stays dirty, and
+    timed (its output never crosses 50 %, or no path of it conducts
+    within its window). The session stays dirty, and
     once an edit removes the cause the next recompute is again
     bit-identical to a from-scratch run. *)
 

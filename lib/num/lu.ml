@@ -1,78 +1,14 @@
 exception Singular of int
 
-type factor = { lu : Mat.t; perm : int array; sign : float }
+type factor = { lu : Mat.t; perm : int array }
 
 let pivot_epsilon = 1e-300
 
-(* Doolittle LU with partial pivoting; the combined L\U factors are stored in
-   one matrix and [perm] records row exchanges. *)
-let factorize a =
-  let n, cols = Mat.dims a in
-  if n <> cols then invalid_arg "Lu.factorize: non-square matrix";
-  let lu = Mat.copy a in
-  let perm = Array.init n (fun i -> i) in
-  let sign = ref 1.0 in
-  let swap_rows i j =
-    if i <> j then begin
-      for c = 0 to n - 1 do
-        let t = Mat.get lu i c in
-        Mat.set lu i c (Mat.get lu j c);
-        Mat.set lu j c t
-      done;
-      let t = perm.(i) in
-      perm.(i) <- perm.(j);
-      perm.(j) <- t;
-      sign := -. !sign
-    end
-  in
-  for k = 0 to n - 1 do
-    let best = ref k and best_mag = ref (Float.abs (Mat.get lu k k)) in
-    for i = k + 1 to n - 1 do
-      let mag = Float.abs (Mat.get lu i k) in
-      if mag > !best_mag then begin
-        best := i;
-        best_mag := mag
-      end
-    done;
-    if !best_mag < pivot_epsilon then raise (Singular k);
-    swap_rows k !best;
-    let pivot = Mat.get lu k k in
-    for i = k + 1 to n - 1 do
-      let factor = Mat.get lu i k /. pivot in
-      Mat.set lu i k factor;
-      if factor <> 0.0 then
-        for j = k + 1 to n - 1 do
-          Mat.set lu i j (Mat.get lu i j -. (factor *. Mat.get lu k j))
-        done
-    done
-  done;
-  { lu; perm; sign = !sign }
-
-let solve_factored { lu; perm; sign = _ } b =
-  let n, _ = Mat.dims lu in
-  if Vec.dim b <> n then invalid_arg "Lu.solve_factored: dimension mismatch";
-  let x = Vec.init n (fun i -> b.{perm.(i)}) in
-  for i = 1 to n - 1 do
-    let s = ref x.{i} in
-    for j = 0 to i - 1 do
-      s := !s -. (Mat.get lu i j *. x.{j})
-    done;
-    x.{i} <- !s
-  done;
-  for i = n - 1 downto 0 do
-    let s = ref x.{i} in
-    for j = i + 1 to n - 1 do
-      s := !s -. (Mat.get lu i j *. x.{j})
-    done;
-    x.{i} <- !s /. Mat.get lu i i
-  done;
-  x
-
-(* In-place factorization of the leading [n] x [n] block of [m] (the
-   matrix's column count is the row stride, so a capacity-sized matrix can
-   host systems of any [n <= min rows cols]): the pivoting and elimination
-   arithmetic of [factorize], allocation-free. [perm.(0 .. n-1)] receives
-   the row permutation. Entries outside the leading block are untouched. *)
+(* Doolittle LU with partial pivoting, in place over the leading [n] x [n]
+   block of [m] (the matrix's column count is the row stride, so a
+   capacity-sized matrix can host systems of any [n <= min rows cols]):
+   the combined L\U factors overwrite the block and [perm.(0 .. n-1)]
+   records the row exchanges. Entries outside the block are untouched. *)
 let factorize_into ~n m ~perm =
   let rows, cols = Mat.dims m in
   if n < 0 || n > rows || n > cols then
@@ -140,29 +76,18 @@ let solve_factored_into ~n m ~perm ~b ~x =
     Vec.unsafe_set x i (!s /. Mat.get m i i)
   done
 
+let factorize a =
+  let n, cols = Mat.dims a in
+  if n <> cols then invalid_arg "Lu.factorize: non-square matrix";
+  let lu = Mat.copy a and perm = Array.make n 0 in
+  factorize_into ~n lu ~perm;
+  { lu; perm }
+
+let solve_factored { lu; perm } b =
+  let n = Array.length perm in
+  if Vec.dim b <> n then invalid_arg "Lu.solve_factored: dimension mismatch";
+  let x = Vec.create n in
+  solve_factored_into ~n lu ~perm ~b ~x;
+  x
+
 let solve a b = solve_factored (factorize a) b
-
-let det a =
-  match factorize a with
-  | exception Singular _ -> 0.0
-  | { lu; sign; _ } ->
-    let n, _ = Mat.dims lu in
-    let d = ref sign in
-    for i = 0 to n - 1 do
-      d := !d *. Mat.get lu i i
-    done;
-    !d
-
-let inverse a =
-  let f = factorize a in
-  let n, _ = Mat.dims a in
-  let inv = Mat.create n n in
-  for j = 0 to n - 1 do
-    let e = Vec.create n in
-    e.{j} <- 1.0;
-    let col = solve_factored f e in
-    for i = 0 to n - 1 do
-      Mat.set inv i j col.{i}
-    done
-  done;
-  inv

@@ -1,19 +1,9 @@
 exception Singular
 
-let solve ~base_solve ~u ~v b =
-  let y = base_solve b in
-  let z = base_solve u in
-  let denom = 1.0 +. Vec.dot v z in
-  if Float.abs denom < 1e-300 then raise Singular;
-  let coeff = Vec.dot v y /. denom in
-  Vec.init (Vec.dim y) (fun i -> y.{i} -. (coeff *. z.{i}))
-
-let solve_tridiag t ~u ~v b = solve ~base_solve:(Tridiag.solve t) ~u ~v b
-
 (* In-place rank-1-update solve over the first [n] entries of
-   capacity-sized buffers, with a tridiagonal base matrix: the arithmetic
-   of [solve_tridiag], allocation-free. [cp]/[dp] are the Thomas scratch,
-   [y]/[z] hold the two base solves, the solution lands in [x.(0..n-1)]. *)
+   capacity-sized buffers, with a tridiagonal base matrix, allocation-free.
+   [cp]/[dp] are the Thomas scratch, [y]/[z] hold the two base solves, the
+   solution lands in [x.(0..n-1)]. *)
 let solve_tridiag_into ~n ~lower ~diag ~upper ~u ~v ~cp ~dp ~y ~z ~b ~x =
   Vec.check_prefix1 "Sherman_morrison.solve_tridiag_into" n lower;
   Vec.check_prefix1 "Sherman_morrison.solve_tridiag_into" n diag;
@@ -34,3 +24,13 @@ let solve_tridiag_into ~n ~lower ~diag ~upper ~u ~v ~cp ~dp ~y ~z ~b ~x =
   for i = 0 to n - 1 do
     Vec.unsafe_set x i (Vec.unsafe_get y i -. (coeff *. Vec.unsafe_get z i))
   done
+
+let solve_tridiag (t : Tridiag.t) ~u ~v b =
+  let n = Tridiag.dim t in
+  if Vec.dim u <> n || Vec.dim v <> n || Vec.dim b <> n then
+    invalid_arg "Sherman_morrison.solve_tridiag: dimension mismatch";
+  let cp = Vec.create n and dp = Vec.create n and y = Vec.create n in
+  let z = Vec.create n and x = Vec.create n in
+  solve_tridiag_into ~n ~lower:t.lower ~diag:t.diag ~upper:t.upper ~u ~v ~cp ~dp ~y ~z
+    ~b ~x;
+  x

@@ -11,12 +11,12 @@
 exception Singular
 (** Raised when [1 + vT z] vanishes, i.e. the updated matrix is singular. *)
 
-val solve : base_solve:(Vec.t -> Vec.t) -> u:Vec.t -> v:Vec.t -> Vec.t -> Vec.t
-(** [solve ~base_solve ~u ~v b] solves [(A + u vT) x = b] where
-    [base_solve] solves systems in [A]. *)
-
 val solve_tridiag : Tridiag.t -> u:Vec.t -> v:Vec.t -> Vec.t -> Vec.t
-(** Specialisation with a tridiagonal base matrix, the paper's exact use. *)
+(** [solve_tridiag a ~u ~v b] solves [(A + u vT) x = b] for a tridiagonal
+    [A], the paper's exact use: {!solve_tridiag_into} over fresh buffers.
+    @raise Singular / Tridiag.Singular as {!solve_tridiag_into}.
+    @raise Invalid_argument when [u], [v] or [b] differs in length from
+    [A]. *)
 
 val solve_tridiag_into :
   n:int ->
@@ -32,9 +32,10 @@ val solve_tridiag_into :
   b:Vec.t ->
   x:Vec.t ->
   unit
-(** Allocation-free {!solve_tridiag} over the first [n] entries of
-    capacity-sized buffers — bit-identical on the same system. [cp]/[dp]
-    are Thomas scratch, [y]/[z] the two base solves; the solution lands in
-    [x.(0..n-1)]. Nothing past the prefixes is read or written.
-    @raise Singular / Tridiag.Singular as the allocating form.
+(** The rank-1-update solve over the first [n] entries of capacity-sized
+    buffers, allocation-free. [cp]/[dp] are Thomas scratch, [y]/[z] the
+    two base solves; the solution lands in [x.(0..n-1)]. Nothing past the
+    prefixes is read or written.
+    @raise Singular when [1 + vT z] vanishes.
+    @raise Tridiag.Singular on a zero pivot of the base matrix.
     @raise Invalid_argument if any buffer is shorter than [n]. *)

@@ -65,13 +65,9 @@ let solve_into ~n ~lower ~diag ~upper ~cp ~dp ~b ~x =
 let solve t b =
   let n = dim t in
   if Vec.dim b <> n then invalid_arg "Tridiag.solve: dimension mismatch";
-  if n = 0 then Vec.create 0
-  else begin
-    let cp = Vec.create n and dp = Vec.create n in
-    let x = Vec.create n in
-    solve_into ~n ~lower:t.lower ~diag:t.diag ~upper:t.upper ~cp ~dp ~b ~x;
-    x
-  end
+  let cp = Vec.create n and dp = Vec.create n and x = Vec.create n in
+  solve_into ~n ~lower:t.lower ~diag:t.diag ~upper:t.upper ~cp ~dp ~b ~x;
+  x
 
 let mul_vec t x =
   let n = dim t in

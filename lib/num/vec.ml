@@ -64,27 +64,14 @@ let axpy a x y =
     unsafe_set y i ((a *. unsafe_get x i) +. unsafe_get y i)
   done
 
-let dot x y =
-  check_dims "dot" x y;
-  let s = ref 0.0 in
-  for i = 0 to dim x - 1 do
-    s := !s +. (unsafe_get x i *. unsafe_get y i)
-  done;
-  !s
-
-(* Single-buffer form: the hot-path kernels call this once per operand so
-   the check itself never allocates (the list-taking [check_prefix] builds
-   its argument list at every call site). After it passes, indices below
-   [n] are in bounds, so the kernels may use [unsafe_get]/[unsafe_set]. *)
+(* The hot-path kernels call this once per operand, so the check itself
+   never allocates. After it passes, indices below [n] are in bounds, so
+   the kernels may use [unsafe_get]/[unsafe_set]. *)
 let[@inline] check_prefix1 name n x =
   if n < 0 then invalid_arg (Printf.sprintf "%s: negative prefix %d" name n);
   if dim x < n then
     invalid_arg
       (Printf.sprintf "%s: prefix %d exceeds length %d" name n (dim x))
-
-let check_prefix name n xs =
-  if n < 0 then invalid_arg (Printf.sprintf "%s: negative prefix %d" name n);
-  List.iter (fun x -> check_prefix1 name n x) xs
 
 let dot_n n x y =
   check_prefix1 "Vec.dot_n" n x;
@@ -107,6 +94,10 @@ let fill_n n v x =
   for i = 0 to n - 1 do
     unsafe_set v i x
   done
+
+let dot x y =
+  check_dims "dot" x y;
+  dot_n (dim x) x y
 
 let norm2 x = sqrt (dot x x)
 

@@ -73,14 +73,11 @@ val check_prefix1 : string -> int -> t -> unit
     Allocation-free — the in-place kernels call it once per operand and
     then index the first [n] entries unchecked. *)
 
-val check_prefix : string -> int -> t list -> unit
-(** List convenience over {!check_prefix1}; builds its argument list at
-    the call site, so hot paths should prefer the single-buffer form. *)
-
 val dot_n : int -> t -> t -> float
 (** [dot_n n x y] is the dot product of the first [n] entries, accumulated
-    in index order exactly as {!dot} — the prefix form the in-place solver
-    kernels use so capacity-sized scratch buffers never enter the product.
+    in index order ({!dot} is [dot_n] over the whole vectors) — the prefix
+    form the in-place solver kernels use so capacity-sized scratch buffers
+    never enter the product.
     @raise Invalid_argument if either vector is shorter than [n]. *)
 
 val blit_n : int -> t -> t -> unit

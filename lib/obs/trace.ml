@@ -24,13 +24,9 @@ type shard = {
   cap : int;  (** max events retained in this shard; [max_int] = unbounded *)
 }
 
-type sink =
-  | Null
-  | Memory of shard array
-  | Stderr  (** one JSON object per line, for interactive diagnostics *)
+type sink = Null | Memory of shard array
 
-(* guards sink swaps and Stderr writes; Memory emission only touches
-   per-shard locks *)
+(* guards sink swaps; Memory emission only touches per-shard locks *)
 let lock = Mutex.create ()
 
 let sink = ref Null
@@ -66,8 +62,6 @@ let make_shards cap =
 
 let enable ?cap () = set (Memory (make_shards cap))
 
-let enable_stderr () = set Stderr
-
 let disable () = set Null
 
 let clear () =
@@ -80,7 +74,7 @@ let clear () =
                   s.buf <- [];
                   s.count <- 0))
             shards
-      | Null | Stderr -> ())
+      | Null -> ())
 
 (* Ambient per-domain span context: key/value args appended to every
    event emitted while a [with_context] scope is active on the emitting
@@ -129,9 +123,6 @@ let emit e =
             s.count <- s.count + 1
           end
           else Metrics.incr dropped)
-  | Stderr ->
-      Mutex.protect lock (fun () ->
-          Printf.eprintf "%s\n%!" (Json.to_string (json_of_event e)))
 
 let us_of_seconds t = (t -. epoch) *. 1e6
 
@@ -181,7 +172,7 @@ let events () =
       in
       List.concat per_shard
       |> List.stable_sort (fun a b -> Float.compare a.ts_us b.ts_us)
-  | Null | Stderr -> []
+  | Null -> []
 
 let to_json () =
   Json.Obj

@@ -29,9 +29,6 @@ val enable : ?cap:int -> unit -> unit
     shard are dropped and counted in the [trace.dropped_events]
     counter. Default: unbounded — long-lived daemons should pass a cap. *)
 
-val enable_stderr : unit -> unit
-(** Install the line-per-event stderr sink. *)
-
 val disable : unit -> unit
 
 val clear : unit -> unit

@@ -21,17 +21,10 @@ let c_errors = Metrics.counter "server.errors"
 let c_connections = Metrics.counter "server.connections"
 let c_slow = Metrics.counter "server.slow_requests"
 let g_sessions = Metrics.gauge "server.sessions"
-
-(* synonym kept in lockstep with [server.sessions] under the
-   conventional serving-stack name *)
-let g_sessions_active = Metrics.gauge "server.sessions_active"
 let g_queue_depth = Metrics.gauge "server.queue_depth"
 let g_uptime = Metrics.gauge "server.uptime_seconds"
 
-let set_sessions n =
-  let v = float_of_int n in
-  Metrics.set g_sessions v;
-  Metrics.set g_sessions_active v
+let set_sessions n = Metrics.set g_sessions (float_of_int n)
 
 (* Lower edge extends to 2 µs: introspection verbs (health, document,
    metrics, stats) answer in single-digit microseconds on a warm server,
@@ -127,14 +120,11 @@ let string_member req name =
   | None -> None
 
 (* the clock the session's timing verbs run under when the script never
-   set one: the critical path sets the clock (zero-slack normalization),
-   1 ns on degenerate graphs — the rule every offline report applies *)
+   set one — the rule every offline report applies *)
 let effective_clock interp session =
   match Script.Interp.clock_period interp with
   | Some cp -> cp
-  | None ->
-    let wa = (Session.analysis session).Arrival.worst_arrival in
-    if wa > 0.0 then wa else 1e-9
+  | None -> Arrival.zero_slack_clock (Session.analysis session)
 
 let do_load t conn req =
   let make_fresh () =
@@ -427,7 +417,8 @@ let handle_request t conn fd req ~bytes_in =
           (Printf.sprintf "unknown verb %S" verb),
         false,
         "unknown_verb" )
-    | exception Script.Script_error { line = _; message } ->
+    | exception
+        (Script.Script_error { line = _; message } | Arrival.Analysis_failure message) ->
       (* the command failed; the session survives *)
       Metrics.incr c_errors;
       (Protocol.error ~id ~code:"script_error" message, false, "script_error")

@@ -74,8 +74,8 @@
 
     All instruments live in the process-global registry:
     [server.requests] / [server.errors] / [server.connections] /
-    [server.slow_requests] counters, [server.sessions] and its synonym
-    [server.sessions_active] (live connections), [server.queue_depth]
+    [server.slow_requests] counters, [server.sessions] (live
+    connections), [server.queue_depth]
     (accepted, not yet picked up by a worker) and
     [server.uptime_seconds] gauges, and per-verb
     [server.latency_ms.<verb>] histograms. A sampler domain snapshots

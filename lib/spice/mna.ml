@@ -57,10 +57,12 @@ let conductance ctx ~time x =
   let voltages = full_voltages ctx x in
   let n = dimension ctx.index in
   let g = Mat.create n n in
+  let d = Device_model.derivs () in
   Array.iter
     (fun (e : Stage.edge) ->
       let tv = terminal_voltages ctx ~time voltages e in
-      let dsrc, dsnk = ctx.model.Device_model.iv_derivatives e.Stage.device tv in
+      ctx.model.Device_model.iv_derivatives_into e.Stage.device tv d;
+      let dsrc = d.Device_model.dsrc and dsnk = d.Device_model.dsnk in
       let src_u = ctx.index.of_node.(e.src) and snk_u = ctx.index.of_node.(e.snk) in
       if src_u >= 0 then begin
         Mat.add_to g src_u src_u dsrc;

@@ -87,6 +87,7 @@ let chord_matrix ctx ~dt caps =
   let n = Mna.dimension ctx.Mna.index in
   let j = Mat.create n n in
   let biases = [ 0.0; 0.25 *. vdd; 0.5 *. vdd; 0.75 *. vdd; vdd ] in
+  let d = Tqwm_device.Device_model.derivs () in
   Array.iter
     (fun (e : Tqwm_circuit.Stage.edge) ->
       let input =
@@ -100,8 +101,11 @@ let chord_matrix ctx ~dt caps =
           List.iter
             (fun snk ->
               let tv = { Tqwm_device.Device_model.input; src; snk } in
-              let dsrc, dsnk = model.Tqwm_device.Device_model.iv_derivatives e.device tv in
-              g_max := Float.max !g_max (Float.max (Float.abs dsrc) (Float.abs dsnk)))
+              model.Tqwm_device.Device_model.iv_derivatives_into e.device tv d;
+              g_max :=
+                Float.max !g_max
+                  (Float.max (Float.abs d.Tqwm_device.Device_model.dsrc)
+                     (Float.abs d.Tqwm_device.Device_model.dsnk)))
             biases)
         biases;
       let g = !g_max in

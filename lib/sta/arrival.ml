@@ -56,6 +56,9 @@ type required_report = {
   tns : float;
 }
 
+let zero_slack_clock analysis =
+  if analysis.worst_arrival > 0.0 then analysis.worst_arrival else 1e-9
+
 let required graph analysis ~clock_period =
   if not (Float.is_finite clock_period) || clock_period <= 0.0 then
     invalid_arg "Arrival.required: clock_period must be finite and > 0";
@@ -174,6 +177,11 @@ let shaped_inputs ~find ~default_slew ?cache ?pi (frozen : Timing_graph.frozen) 
   in
   (arrival_in, input_slew, critical_fanin, { scenario with Scenario.sources })
 
+(* Solve a shaped stage. A stage whose path never conducts within its
+   window cannot be timed, like one whose output never crosses 50 %. *)
+let solve_stage solve =
+  try solve () with Path.No_path message -> raise (Analysis_failure message)
+
 (* Turn a stage's QWM solve into its timing record. *)
 let timing_of_solve ~arrival_in ~input_slew ~critical_fanin scenario id
     (report : Tqwm_core.Qwm.report) =
@@ -215,11 +223,12 @@ let evaluate_stage ~model ~config ~default_slew ?cache ?pi
     shaped_inputs ~find:(Timing_arena.timing arena) ~default_slew ?cache ?pi frozen id
   in
   let report =
-    match cache with
-    | None -> Tqwm_core.Qwm.run ~model ~config scenario
-    | Some c ->
-      Stage_cache.run c ~structure:frozen.Timing_graph.structure.(id) ~model ~config
-        scenario
+    solve_stage (fun () ->
+        match cache with
+        | None -> Tqwm_core.Qwm.run ~model ~config scenario
+        | Some c ->
+          Stage_cache.run c ~structure:frozen.Timing_graph.structure.(id) ~model ~config
+            scenario)
   in
   let t = timing_of_solve ~arrival_in ~input_slew ~critical_fanin scenario id report in
   Timing_arena.store arena id t report.Tqwm_core.Qwm.output;
@@ -253,7 +262,7 @@ let replay_stage ~model ~config ~default_slew ?cache ?pi
   let report =
     match Option.bind cache peek with
     | Some report -> report
-    | None -> Tqwm_core.Qwm.run ~model ~config scenario
+    | None -> solve_stage (fun () -> Tqwm_core.Qwm.run ~model ~config scenario)
   in
   (timing_of_solve ~arrival_in ~input_slew ~critical_fanin scenario id report, report, scenario)
 

@@ -48,7 +48,8 @@ val propagate :
   ?pi:pi_timing option array ->
   Timing_graph.t ->
   analysis
-(** @raise Analysis_failure when a stage's output never crosses 50 %.
+(** @raise Analysis_failure when a stage's output never crosses 50 % or
+    no path of it conducts within its window.
     @raise Invalid_argument when [default_slew <= 0] (a non-positive
     slew would shape degenerate ramps — the same positivity contract as
     {!Stage_cache.create}).
@@ -87,9 +88,9 @@ val evaluate_stage :
     concurrently in any order with identical results. A stage's timing
     depends on its fanins only through their [arrival_out] and [slew]
     (the early-cutoff invariant {!Tqwm_incr.Session} relies on).
-    @raise Analysis_failure if a fanin stage has no timing yet or the
-    stage's output never crosses 50 %; the slot is then left as it
-    was. *)
+    @raise Analysis_failure if a fanin stage has no timing yet, the
+    stage's output never crosses 50 %, or no path of it conducts within
+    its window; the slot is then left as it was. *)
 
 val analysis_of_arena : Timing_arena.t -> analysis
 (** Worst arrival and critical-path walk over the stored records, which
@@ -118,7 +119,8 @@ val replay_stage :
     ran with this is a {!Stage_cache.peek} of the original report — no
     new solve, no hit/miss/use accounting; without a cache the stage is
     solved afresh (bit-identical, the solver being deterministic).
-    [timings] must hold the timings of [id]'s fanins. *)
+    [timings] must hold the timings of [id]'s fanins.
+    @raise Analysis_failure as {!evaluate_stage}. *)
 
 (** {2 Required times and slack} *)
 
@@ -141,6 +143,12 @@ type required_report = {
 (** On an empty graph every aggregate is [clock_period] (full margin)
     rather than an infinite fold identity, so consumers always see
     finite numbers. *)
+
+val zero_slack_clock : analysis -> float
+(** The clock period a report assumes when none is given: the worst
+    arrival, so the critical path has zero slack, or 1 ns when the worst
+    arrival is not positive (an empty graph, or outputs that cross
+    before their inputs' midpoints). *)
 
 val required : Timing_graph.t -> analysis -> clock_period:float -> required_report
 (** The backward required-time pass: endpoints must settle by

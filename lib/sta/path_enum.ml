@@ -55,7 +55,7 @@ let k_worst ?clock_period ~k graph (analysis : Arrival.analysis) =
   if n <> Array.length frozen.Timing_graph.scenarios then
     invalid_arg "Path_enum.k_worst: analysis does not match this graph";
   let cp =
-    match clock_period with Some cp -> cp | None -> analysis.Arrival.worst_arrival
+    match clock_period with Some cp -> cp | None -> Arrival.zero_slack_clock analysis
   in
   (* the path's own arrival, re-accumulated forward exactly as the
      propagation did (arrival_in + delay per stage), so the critical

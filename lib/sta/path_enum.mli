@@ -45,8 +45,9 @@ val k_worst :
     sorted worst slack first; fewer when the graph holds fewer distinct
     paths. Two parallel edges between the same pair of stages (different
     inputs) collapse to one path — sequences are distinct. [clock_period]
-    defaults to the analysis' worst arrival, making the critical path
-    zero-slack and every other path's slack its margin to critical.
+    defaults to {!Arrival.zero_slack_clock}: the worst arrival, making
+    the critical path zero-slack and every other path's slack its margin
+    to critical.
     @raise Invalid_argument when [k < 1], [clock_period] is non-positive
     or not finite, or the analysis does not match the graph. *)
 

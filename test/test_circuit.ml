@@ -119,8 +119,8 @@ let test_path_requires_conducting () =
        ~bias:(fun _ -> 1.0)
        scenario.Scenario.stage
    with
-  | exception Not_found -> ()
-  | _ -> Alcotest.fail "expected Not_found")
+  | exception Path.No_path _ -> ()
+  | _ -> Alcotest.fail "expected No_path")
 
 let test_conducting_excludes_pmos_on_fall () =
   let scenario = Scenario.nand_falling ~n:2 tech in

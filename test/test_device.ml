@@ -91,12 +91,26 @@ let test_pmos_conducts_when_gate_low () =
   check_close "off" 0.0 off
 
 let test_derivatives_match_fd () =
-  let da, db =
-    Mosfet.channel_current_derivatives tech Mosfet.N ~w:1e-6 ~l:0.35e-6 ~vg:3.3 ~va:2.0
-      ~vb:0.5
+  (* the golden model's derivative kernel against central differences
+     taken straight on the channel current *)
+  let d = Device_model.derivs () in
+  golden.Device_model.iv_derivatives_into (Device.nmos ~w:1e-6 tech)
+    { Device_model.input = 3.3; src = 2.0; snk = 0.5 }
+    d;
+  let i ~va ~vb = Mosfet.channel_current tech Mosfet.N ~w:1e-6 ~l:0.35e-6 ~vg:3.3 ~va ~vb in
+  let h = 1e-4 in
+  let check_rel msg expected actual =
+    if Float.abs (expected -. actual) > 1e-3 *. Float.abs expected then
+      Alcotest.failf "%s: expected %.12g, got %.12g" msg expected actual
   in
-  Alcotest.(check bool) "dI/dva >= 0" true (da >= 0.0);
-  Alcotest.(check bool) "dI/dvb <= 0" true (db <= 0.0)
+  check_rel "dI/dva"
+    ((i ~va:(2.0 +. h) ~vb:0.5 -. i ~va:(2.0 -. h) ~vb:0.5) /. (2.0 *. h))
+    d.Device_model.dsrc;
+  check_rel "dI/dvb"
+    ((i ~va:2.0 ~vb:(0.5 +. h) -. i ~va:2.0 ~vb:(0.5 -. h)) /. (2.0 *. h))
+    d.Device_model.dsnk;
+  Alcotest.(check bool) "dI/dva >= 0" true (d.Device_model.dsrc >= 0.0);
+  Alcotest.(check bool) "dI/dvb <= 0" true (d.Device_model.dsnk <= 0.0)
 
 (* ---------- capacitances ---------- *)
 
@@ -160,8 +174,9 @@ let prop_table_dvd_matches_fd =
       Float.abs (fd -. an) < 0.02 *. ((Float.abs fd +. Float.abs an) +. 1e-4))
 
 let prop_table_analytic_derivs_match_fd =
-  (* the one-pass analytic derivatives must agree with central differences
-     on the interpolated surface for every polarity and terminal order *)
+  (* the one-pass derivative kernel QWM runs must agree with central
+     differences on the interpolated surface for every polarity and
+     terminal order *)
   QCheck2.Test.make ~name:"table iv_derivatives match finite differences" ~count:200
     QCheck2.Gen.(
       quad (oneofl [ Device.Nmos; Device.Pmos ]) (float_range 0.0 3.3)
@@ -174,7 +189,9 @@ let prop_table_analytic_derivs_match_fd =
       let near_knot x = Float.abs (Float.rem x 0.1) < 0.005 in
       if near_knot v_src || near_knot v_snk || Float.abs (v_src -. v_snk) < 0.02 then true
       else begin
-        let da, db = model.Device_model.iv_derivatives dev tv in
+        let d = Device_model.derivs () in
+        model.Device_model.iv_derivatives_into dev tv d;
+        let da = d.Device_model.dsrc and db = d.Device_model.dsnk in
         let fa, fb =
           Device_model.finite_difference_derivatives model.Device_model.iv dev tv
         in
@@ -184,11 +201,12 @@ let prop_table_analytic_derivs_match_fd =
 
 let test_lookup_with_derivs_consistent () =
   let t = Lazy.force table_n in
-  let v, dvd, dvs = Table_model.lookup_with_derivs t ~vg:3.3 ~vs:0.42 ~vd:2.17 in
-  check_close ~eps:1e-12 "value matches lookup" (Table_model.lookup t ~vg:3.3 ~vs:0.42 ~vd:2.17) v;
+  let d = Device_model.derivs () in
+  Table_model.lookup_derivs_into t ~vg:3.3 ~vs:0.42 ~vd:2.17 d;
   check_close ~eps:1e-12 "dvd matches lookup_dvd"
-    (Table_model.lookup_dvd t ~vg:3.3 ~vs:0.42 ~vd:2.17) dvd;
-  Alcotest.(check bool) "dvs negative (raising source reduces current)" true (dvs < 0.0)
+    (Table_model.lookup_dvd t ~vg:3.3 ~vs:0.42 ~vd:2.17) d.Device_model.dsrc;
+  Alcotest.(check bool) "dvs negative (raising source reduces current)" true
+    (d.Device_model.dsnk < 0.0)
 
 let test_table_threshold_interpolation () =
   let t = Lazy.force table_n in
@@ -304,9 +322,10 @@ let test_analytic_model_wire () =
   let r = Capacitance.wire_resistance tech ~w:1e-6 ~l:10e-6 in
   let tv = { Device_model.input = 0.0; src = 1.0; snk = 0.0 } in
   check_close "ohm's law" (1.0 /. r) (golden.Device_model.iv dev tv);
-  let dsrc, dsnk = golden.Device_model.iv_derivatives dev tv in
-  check_close "g" (1.0 /. r) dsrc;
-  check_close "-g" (-1.0 /. r) dsnk;
+  let d = Device_model.derivs () in
+  golden.Device_model.iv_derivatives_into dev tv d;
+  check_close "g" (1.0 /. r) d.Device_model.dsrc;
+  check_close "-g" (-1.0 /. r) d.Device_model.dsnk;
   check_close "wire threshold" 0.0 (golden.Device_model.threshold dev tv)
 
 let test_model_threshold_polarity () =

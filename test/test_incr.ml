@@ -15,6 +15,7 @@ module Edit = Tqwm_incr.Edit
 module Cone = Tqwm_incr.Cone
 module Session = Tqwm_incr.Session
 module Script = Tqwm_incr.Script
+module Json = Tqwm_obs.Json
 
 let tech = Tech.cmosp35
 
@@ -163,31 +164,53 @@ let test_invalid_edits_leave_session_consistent () =
 
 (* A recompute that fails part-way through a level must not leave stale
    fanout behind: once the failing edit is undone, the next analysis is
-   exact again. *)
-let check_failed_recompute_recovers ?domains () =
-  let s = session ?domains (Workloads.decoder_tree ~fanout:3 ~depth:2 ~levels:2 tech) in
+   exact again. Two ways to fail: a 1 uF load, whose output never
+   crosses 50 %, on the last stage of a decoder-tree level, and a 1 ns
+   ramp on the primary input of an inverter chain, whose midpoint lies
+   past the inverter's 400 ps window so that no path conducts. *)
+let check_failed_recompute_recovers ?domains breakage =
+  let graph =
+    match breakage with
+    | `Huge_load -> Workloads.decoder_tree ~fanout:3 ~depth:2 ~levels:2 tech
+    | `Slow_input -> Workloads.chain ~n:4 tech
+  in
+  let s = session ?domains graph in
   ignore (Session.analysis s);
   let frozen = Timing_graph.freeze (Session.graph s) in
   let level =
-    Array.to_list frozen.Timing_graph.levels
-    |> List.find (fun l ->
-           Array.length l >= 2
-           && Array.for_all (fun id -> Array.length frozen.Timing_graph.fanout.(id) > 0) l)
+    match breakage with
+    | `Huge_load ->
+      Array.to_list frozen.Timing_graph.levels
+      |> List.find (fun l ->
+             Array.length l >= 2
+             && Array.for_all (fun id -> Array.length frozen.Timing_graph.fanout.(id) > 0) l)
+    | `Slow_input -> frozen.Timing_graph.levels.(0)
   in
   let first = level.(0) and last = level.(Array.length level - 1) in
   let original = Timing_graph.scenario (Session.graph s) last in
   ignore (Session.apply s (Edit.Resize_device { stage = first; edge = 0; scale = 1.7 }));
-  (* a 1 uF load: the last stage's output never crosses 50 % *)
-  ignore (Session.apply s (Edit.Set_load { stage = last; load = 1e-6 }));
+  let break, undo =
+    match breakage with
+    | `Huge_load ->
+      ( Edit.Set_load { stage = last; load = 1e-6 },
+        Edit.Swap_scenario { stage = last; scenario = original } )
+    | `Slow_input ->
+      ( Edit.Retime_input { stage = last; arrival = 0.0; slew = 1e-9 },
+        Edit.Retime_input { stage = last; arrival = 0.0; slew = 0.0 } )
+  in
+  ignore (Session.apply s break);
   (match Session.analysis s with
   | exception Arrival.Analysis_failure _ -> ()
   | _ -> Alcotest.fail "an unswitchable stage must fail the analysis");
-  ignore (Session.apply s (Edit.Swap_scenario { stage = last; scenario = original }));
+  ignore (Session.apply s undo);
   check_identical "recovered after undo" (Session.analysis s) (Session.scratch_analysis s)
 
 let test_failed_recompute_recovers () =
-  check_failed_recompute_recovers ();
-  check_failed_recompute_recovers ~domains:4 ()
+  List.iter
+    (fun breakage ->
+      check_failed_recompute_recovers breakage;
+      check_failed_recompute_recovers ~domains:4 breakage)
+    [ `Huge_load; `Slow_input ]
 
 (* ---------- retiming ---------- *)
 
@@ -367,10 +390,47 @@ let test_script_roundtrip () =
     Alcotest.(check bool) "json analysis members equal" true
       (List.assoc "analysis" a = List.assoc "analysis" b)
   | _ -> Alcotest.fail "script json must be an object");
-  (match Script.run ~tech ~model:(Lazy.force table) ~out:fmt "graph diamond\nfrobnicate\n" with
-  | exception Script.Script_error { line; _ } ->
-    Alcotest.(check int) "error line" 2 line
-  | _ -> Alcotest.fail "expected Script_error")
+  (* a failing line is a script error at that line; so is a stage the
+     analysis cannot time, at the line that asked for the analysis (a
+     1 ns ramp leaves the inverter no conducting path in its 400 ps
+     window), or at the last line when only the closing document times it *)
+  List.iter
+    (fun (text, expected) ->
+      match Script.run ~tech ~model:(Lazy.force table) ~out:fmt text with
+      | exception Script.Script_error { line; _ } ->
+        Alcotest.(check int) "error line" expected line
+      | _ -> Alcotest.fail "expected Script_error")
+    [
+      ("graph diamond\nfrobnicate\n", 2);
+      ("stage inv\nretime 0 0 1000\nreport\n", 3);
+      ("stage inv\nretime 0 0 1000\n", 2);
+      ("graph chain 4\nload 0 5e-13\nreport\n", 3);
+    ]
+
+(* When the output crosses before the input ramp's midpoint the worst
+   arrival is 0 and the document's clock falls back to 1 ns: the path
+   must then carry its endpoint's slack. *)
+let test_zero_arrival_slacks_agree () =
+  let quiet = Format.make_formatter (fun _ _ _ -> ()) ignore in
+  let outcome =
+    Script.run ~tech ~model:(Lazy.force table) ~out:quiet "stage inv\nretime 0 0 600\nreport\n"
+  in
+  let session = outcome.Script.session in
+  Alcotest.(check (float 0.0)) "worst arrival" 0.0
+    (Session.analysis session).Arrival.worst_arrival;
+  let doc = Script.timing_json session in
+  let get name j = Option.get (Json.member name j) in
+  let items name j = Option.get (Json.to_list_opt (get name j)) in
+  let slack j =
+    match get "slack_ps" j with
+    | Json.Float f -> f
+    | Json.Int i -> float_of_int i
+    | _ -> Alcotest.fail "slack_ps is not a number"
+  in
+  match (items "endpoints" doc, items "paths" doc) with
+  | [ endpoint ], [ path ] ->
+    Alcotest.(check (float 0.0)) "path slack = endpoint slack" (slack endpoint) (slack path)
+  | _ -> Alcotest.fail "expected one endpoint and one path"
 
 let () =
   let quick name f = Alcotest.test_case name `Quick f in
@@ -396,5 +456,9 @@ let () =
         ] );
       ( "query", [ quick "paths" test_query_paths ] );
       ( "validation", [ quick "create" test_create_validation ] );
-      ( "script", [ quick "roundtrip" test_script_roundtrip ] );
+      ( "script",
+        [
+          quick "roundtrip" test_script_roundtrip;
+          quick "zero-arrival slacks agree" test_zero_arrival_slacks_agree;
+        ] );
     ]

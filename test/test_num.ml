@@ -52,18 +52,11 @@ let test_lu_solve () =
   check_close "x0" (1.0 /. 11.0) x.{0};
   check_close "x1" (7.0 /. 11.0) x.{1}
 
-let test_lu_det_inverse () =
-  let a = Mat.of_rows [| [| 2.0; 1.0 |]; [| 1.0; 2.0 |] |] in
-  check_close "det" 3.0 (Lu.det a);
-  let inv = Lu.inverse a in
-  check_float "a * a^-1 = i" 0.0 (Mat.max_abs_diff (Mat.identity 2) (Mat.mul a inv))
-
 let test_lu_singular () =
   let a = Mat.of_rows [| [| 1.0; 2.0 |]; [| 2.0; 4.0 |] |] in
-  (match Lu.factorize a with
+  match Lu.factorize a with
   | exception Lu.Singular _ -> ()
-  | _ -> Alcotest.fail "expected Singular");
-  check_float "det singular" 0.0 (Lu.det a)
+  | _ -> Alcotest.fail "expected Singular"
 
 let random_spd_system rng n =
   (* diagonally dominant => well-conditioned, solvable *)
@@ -504,7 +497,6 @@ let () =
       ( "lu",
         [
           quick "solve 2x2" test_lu_solve;
-          quick "det and inverse" test_lu_det_inverse;
           quick "singular" test_lu_singular;
           prop prop_lu_roundtrip;
         ] );

@@ -234,6 +234,31 @@ let test_protocol_robustness () =
            with Client.Server_error { code; _ } ->
              Alcotest.(check string) "failing command" "script_error" code);
           ignore (Client.request c "report" []);
+          (* a stage the analysis cannot time fails every verb that needs
+             the analysis as a script error, and the session survives: a
+             1 ns ramp leaves the inverter no conducting path in its
+             400 ps window *)
+          ignore (Client.request c "load" [ ("graph", Json.String "") ]);
+          List.iter
+            (fun line -> ignore (Client.request c "script" [ ("line", Json.String line) ]))
+            [ "stage inv"; "retime 0 0 1000" ];
+          List.iter
+            (fun (verb, args) ->
+              try
+                ignore (Client.request c verb args);
+                Alcotest.failf "%s must fail on an untimeable stage" verb
+              with Client.Server_error { code; _ } ->
+                Alcotest.(check string) ("untimeable stage: " ^ verb) "script_error" code)
+            [
+              ("report", []);
+              ("timing", []);
+              ("slack", []);
+              ("explain", [ ("pin", Json.Int 0) ]);
+              ("query", [ ("from", Json.Int 0); ("to", Json.Int 0) ]);
+              ("document", []);
+            ];
+          ignore (Client.request c "script" [ ("line", Json.String "retime 0 0 0") ]);
+          ignore (Client.request c "report" []);
           (* missing arguments are a structured bad_request *)
           try
             ignore (Client.request c "query" []);
