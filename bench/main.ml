@@ -13,7 +13,7 @@
      dune exec bench/main.exe -- --table ablation-sc
      dune exec bench/main.exe -- --table ablation-grid
      dune exec bench/main.exe -- --table ablation-waveform
-     dune exec bench/main.exe -- --table obs [--smoke]
+     dune exec bench/main.exe -- --table obs
      dune exec bench/main.exe -- --bechamel
 
    Performance of the STA engine, the incremental sessions and the
@@ -424,11 +424,10 @@ module Server_protocol = Tqwm_server.Protocol
    JSONL access log on, and the throughput delta reported. The table
    fails when the traced pass captures no trace events or the access log
    loses a request. *)
-let sta_obs ?(smoke = false) () =
-  let fanout, depth = if smoke then (3, 2) else (4, 3) in
-  let rounds = if smoke then 5 else 25 in
+let sta_obs () =
+  let rounds = 25 in
   let workers = 2 and clients = 2 in
-  let graph = Workloads.decoder_tree ~fanout ~depth tech in
+  let graph = Workloads.decoder_tree ~fanout:4 ~depth:3 tech in
   let n_stages = Timing_graph.num_stages graph in
   Printf.printf
     "\n=== Telemetry overhead: %d workers, %d sessions, %d rounds each — serve with \
@@ -519,7 +518,7 @@ let sta_obs ?(smoke = false) () =
   (* alternate off/on passes and keep the best of each mode: a single
      pass on an oversubscribed runner measures the scheduler's mood,
      not the telemetry *)
-  let passes = if smoke then 1 else 3 in
+  let passes = 3 in
   let best a b =
     let (_, _, qa, _), _ = a and (_, _, qb, _), _ = b in
     if qb > qa then b else a
@@ -637,10 +636,9 @@ let () =
   | [ _; "--table"; "ablation-grid" ] -> ablation_grid ()
   | [ _; "--table"; "ablation-waveform" ] -> ablation_waveform ()
   | [ _; "--table"; "obs" ] -> sta_obs ()
-  | [ _; "--table"; "obs"; "--smoke" ] -> sta_obs ~smoke:true ()
   | [ _; "--bechamel" ] -> bechamel ()
   | _ ->
     prerr_endline
       "usage: main.exe [--table I|II|ablation-linsolve|ablation-sc|ablation-grid|\
-       ablation-waveform | --table obs [--smoke] | --figure 5|7|8|9|10 | --bechamel]";
+       ablation-waveform | --table obs | --figure 5|7|8|9|10 | --bechamel]";
     exit 1

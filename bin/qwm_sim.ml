@@ -69,6 +69,12 @@ let run_qwm ~model ~waveform scenario =
     print_waveform_samples "qwm.out" (Qwm.output_waveform report ~dt:2e-12) ~count:60;
   report
 
+(* A usage error unless [v] is finite and > 0. *)
+let require_positive flag v =
+  if not (v > 0.0 && Float.is_finite v) then (
+    Printf.eprintf "qwm_sim: %s must be finite and > 0 (got %g)\n" flag v;
+    exit 2)
+
 (* --sta: propagate arrivals over a fan-out tree of the selected stage *)
 let run_sta ~tech ~depth ~fanout ~domains ~use_cache
     ~report_timing ~report_slack ~k_paths ~clock_period_ps ~json_file scenario =
@@ -78,11 +84,7 @@ let run_sta ~tech ~depth ~fanout ~domains ~use_cache
   if k_paths < 1 then (
     Printf.eprintf "qwm_sim: --k-paths must be >= 1 (got %d)\n" k_paths;
     exit 2);
-  (match clock_period_ps with
-  | Some p when p <= 0.0 || not (Float.is_finite p) ->
-    Printf.eprintf "qwm_sim: --clock-period must be finite and > 0 (got %g)\n" p;
-    exit 2
-  | Some _ | None -> ());
+  Option.iter (require_positive "--clock-period") clock_period_ps;
   let domains = max 1 domains in
   let model = Models.table tech in
   let graph = Workloads.fanout_tree ~fanout ~depth scenario in
@@ -129,7 +131,7 @@ let run_sta ~tech ~depth ~fanout ~domains ~use_cache
     | None -> ()
     | Some path ->
       (* no gc block here: the timing report is bit-identical across
-         runs and domain counts, and CI diffs the bytes *)
+         runs and domain counts, and test/cli.t diffs the bytes *)
       Json.write_file path (Report.timing_to_json graph analysis required explained);
       Printf.printf "sta: wrote timing report to %s\n" path
   end
@@ -250,8 +252,8 @@ let run_incr ~tech ~domains ~use_cache ~scratch ~epsilon_ps ~json_file
     | None -> ()
     | Some out ->
       (* the same tqwm-report/1 document a live server session answers
-         to a [timing] request — the byte-identity oracle CI compares
-         server replays against *)
+         to a [timing] request — the byte-identity oracle test/cli.t
+         compares server replays against *)
       Json.write_file out
         (Tqwm_incr.Script.timing_json
            ?clock_period:outcome.Tqwm_incr.Script.clock_period ~k:timing_k
@@ -378,6 +380,8 @@ let run_main circuit engine dt_ps waveform ramp_ps partition incr_script scratch
       ~use_cache:(not no_cache) ~scratch ~epsilon_ps ~json_file
       ~timing_json_file ~timing_k path
   | None ->
+  require_positive "--dt" dt_ps;
+  Option.iter (require_positive "--ramp") ramp_ps;
   let tech = Tech.cmosp35 in
   match Catalog.scenario tech circuit with
   | exception Not_found ->

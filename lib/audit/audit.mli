@@ -63,7 +63,7 @@ val catalog :
     stacks), ["decoder-tree"] (Fig. 10 decoders) and ["awe-wires"]
     (stages whose wire runs are reduced to AWE/O'Brien-Savarino pi
     macromodels). [~smoke:true] selects a small deterministic subset for
-    bounded CI and test runs. Stage names are unique within each
+    bounded test runs. Stage names are unique within each
     workload — they key baseline comparisons. *)
 
 val run :

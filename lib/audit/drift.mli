@@ -33,4 +33,4 @@ val pp : Format.formatter -> report -> unit
 val to_json : report -> Tqwm_obs.Json.t
 (** [{"regressed": [...], "improved": [...], "unchanged": n,
     "unmatched": n, "regressions_by_workload": {...}}] — the drift
-    section of the [--audit --json] document the CI gate consumes. *)
+    section of the [--audit --json] document. *)

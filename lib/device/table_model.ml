@@ -201,99 +201,6 @@ let threshold t ~vs =
 
 let fit_at t i j = t.fits.(i).(j)
 
-let format_version = 1
-
-let to_string t =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf (Printf.sprintf "tqwm-table %d\n" format_version);
-  Buffer.add_string buf
-    (Printf.sprintf "polarity %s\n"
-       (match t.polarity with Mosfet.N -> "N" | Mosfet.P -> "P"));
-  Buffer.add_string buf (Printf.sprintf "vdd %.17g\n" t.tech.Tech.vdd);
-  Buffer.add_string buf
-    (Printf.sprintf "grid %.17g %.17g %d\n" t.vg_axis.Interp.start t.vg_axis.Interp.step
-       t.vg_axis.Interp.count);
-  Array.iter
-    (Array.iter (fun fit ->
-         Buffer.add_string buf
-           (Printf.sprintf "%.17g %.17g %.17g %.17g %.17g %.17g %.17g\n" fit.s1 fit.s2
-              fit.t0 fit.t1 fit.t2 fit.vth fit.vdsat)))
-    t.fits;
-  Buffer.contents buf
-
-let of_string (tech : Tech.t) text =
-  let fail msg = failwith ("Table_model.of_string: " ^ msg) in
-  let lines =
-    String.split_on_char '\n' text |> List.map String.trim
-    |> List.filter (fun l -> l <> "")
-  in
-  match lines with
-  | magic :: polarity_line :: vdd_line :: grid_line :: fit_lines ->
-    (match String.split_on_char ' ' magic with
-    | [ "tqwm-table"; v ] when int_of_string_opt v = Some format_version -> ()
-    | _ -> fail "bad magic or version");
-    let polarity =
-      match String.split_on_char ' ' polarity_line with
-      | [ "polarity"; "N" ] -> Mosfet.N
-      | [ "polarity"; "P" ] -> Mosfet.P
-      | _ -> fail "bad polarity line"
-    in
-    let vdd =
-      match String.split_on_char ' ' vdd_line with
-      | [ "vdd"; v ] -> (try float_of_string v with Failure _ -> fail "bad vdd")
-      | _ -> fail "bad vdd line"
-    in
-    if Float.abs (vdd -. tech.Tech.vdd) > 1e-9 then
-      fail
-        (Printf.sprintf "table characterized at vdd=%g but tech has %g" vdd tech.Tech.vdd);
-    let start, step, count =
-      match String.split_on_char ' ' grid_line with
-      | [ "grid"; a; b; c ] ->
-        (try (float_of_string a, float_of_string b, int_of_string c)
-         with Failure _ -> fail "bad grid")
-      | _ -> fail "bad grid line"
-    in
-    if count < 2 || step <= 0.0 then fail "bad grid parameters";
-    let axis = { Interp.start; step; count } in
-    let expected = count * count in
-    if List.length fit_lines <> expected then
-      fail
-        (Printf.sprintf "expected %d fit lines, found %d" expected
-           (List.length fit_lines));
-    let parse_fit line =
-      match String.split_on_char ' ' line |> List.filter (( <> ) "") with
-      | [ s1; s2; t0; t1; t2; vth; vdsat ] ->
-        (try
-           {
-             s1 = float_of_string s1;
-             s2 = float_of_string s2;
-             t0 = float_of_string t0;
-             t1 = float_of_string t1;
-             t2 = float_of_string t2;
-             vth = float_of_string vth;
-             vdsat = float_of_string vdsat;
-           }
-         with Failure _ -> fail "bad fit value")
-      | _ -> fail "fit line needs 7 values"
-    in
-    let all = Array.of_list (List.map parse_fit fit_lines) in
-    let fits = Array.init count (fun i -> Array.init count (fun j -> all.((i * count) + j))) in
-    let vth_by_vs = Tqwm_num.Vec.init count (fun j -> fits.(0).(j).vth) in
-    { tech; polarity; vg_axis = axis; vs_axis = axis; fits; vth_by_vs }
-  | _ -> fail "truncated header"
-
-let save t ~path =
-  let oc = open_out path in
-  output_string oc (to_string t);
-  close_out oc
-
-let load tech ~path =
-  let ic = open_in path in
-  let n = in_channel_length ic in
-  let text = really_input_string ic n in
-  close_in ic;
-  of_string tech text
-
 let grid t = (t.vg_axis, t.vs_axis)
 
 let[@inline] geometry_scale t (device : Device.t) =

@@ -71,23 +71,6 @@ val fit_at : t -> int -> int -> fit
 val grid : t -> Tqwm_num.Interp.axis * Tqwm_num.Interp.axis
 (** The (Vg, Vs) axes. *)
 
-(** {2 Persistence}
-
-    Characterization is one-time work per process; production flows cache
-    the table on disk. The text format is versioned and roundtrips
-    exactly. *)
-
-val to_string : t -> string
-
-val of_string : Tech.t -> string -> t
-(** @raise Failure on a malformed or version-incompatible payload, or
-    when the stored supply range disagrees with [tech]. *)
-
-val save : t -> path:string -> unit
-
-val load : Tech.t -> path:string -> t
-(** @raise Failure, [Sys_error]. *)
-
 val to_device_model :
   ?miller_factor:float -> Tech.t -> nmos:t -> pmos:t -> Device_model.t
 (** Package NMOS and PMOS tables as a {!Device_model.t}: transistor I/V

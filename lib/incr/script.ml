@@ -172,7 +172,12 @@ module Interp = struct
     | [] -> ()
     | "graph" :: spec ->
       if t.session <> None then fail line "graph must be the first command";
-      let graph = build_graph t.tech line spec in
+      (* the builders reject a non-positive size with [Invalid_argument],
+         which is an error at this line like any other bad argument *)
+      let graph =
+        try build_graph t.tech line spec
+        with Invalid_argument message -> fail line "%s" message
+      in
       t.session <-
         Some
           (Session.create ~model:t.model ?cache:t.cache ~domains:t.domains
@@ -323,7 +328,7 @@ module Interp = struct
     let analysis = current_analysis t s in
     let stats = Session.stats s in
     (* only scripts that set a clock get the timing block, so documents of
-       clock-less scripts (the CI equivalence corpus) are byte-identical to
+       clock-less scripts (the equivalence corpus) are byte-identical to
        what they were before slack reporting existed *)
     let timing_fields =
       match t.clock with

@@ -49,8 +49,8 @@ type outcome = {
       (** ["tqwm-incr-report/1"] document: mode, final analysis
           ({!Tqwm_sta.Report.to_json}), session stats, and — when the
           script set a clock — the [timing] aggregates. Identical
-          [analysis] members across the two modes is the CI equivalence
-          check. *)
+          [analysis] members across the two modes is the equivalence
+          check [test_incr] makes. *)
 }
 
 val graph_of_spec : tech:Tqwm_device.Tech.t -> string -> Tqwm_sta.Timing_graph.t
@@ -67,7 +67,8 @@ val timing_json :
     through the session's own cache, plus the per-endpoint required
     times under [clock_period] (default:
     {!Tqwm_sta.Arrival.zero_slack_clock}). Byte-identical across
-    session transports — the offline/server CI equivalence check. A
+    session transports — the offline/daemon equivalence test/cli.t
+    and [test_server] check. A
     graph with no stages gives a document with no paths and no
     endpoints.
     @raise Invalid_argument when [k < 1].

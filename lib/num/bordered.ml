@@ -2,8 +2,6 @@ exception Singular
 
 type t = { core : Tridiag.t; last_col : Vec.t; last_row : Vec.t; corner : float }
 
-let dim t = Tridiag.dim t.core + 1
-
 let to_mat t =
   let n = Tridiag.dim t.core in
   let m = Mat.create (n + 1) (n + 1) in

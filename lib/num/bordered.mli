@@ -20,9 +20,6 @@ type t = {
   corner : float;  (** d *)
 }
 
-val dim : t -> int
-(** Size of the full system, [n + 1]. *)
-
 val to_mat : t -> Mat.t
 (** Densify (for tests and the dense-LU ablation path). *)
 

@@ -43,8 +43,6 @@ let of_rows rows =
     init r c (fun i j -> rows.(i).(j))
   end
 
-let to_rows m = Array.init m.rows (fun i -> Array.init m.cols (fun j -> get m i j))
-
 let transpose m = init m.cols m.rows (fun i j -> get m j i)
 
 let mul a b =
@@ -72,25 +70,7 @@ let mul_vec a x =
 
 let scale k m = { m with data = Vec.scale k m.data }
 
-let binop name f a b =
-  if a.rows <> b.rows || a.cols <> b.cols then
-    invalid_arg (Printf.sprintf "Mat.%s: dimension mismatch" name);
-  { a with data = Vec.map2 f a.data b.data }
-
-let add a b = binop "add" ( +. ) a b
-
-let sub a b = binop "sub" ( -. ) a b
-
 let max_abs_diff a b =
   if a.rows <> b.rows || a.cols <> b.cols then
     invalid_arg "Mat.max_abs_diff: dimension mismatch";
   Vec.max_abs_diff a.data b.data
-
-let pp fmt m =
-  for i = 0 to m.rows - 1 do
-    Format.fprintf fmt "[ ";
-    for j = 0 to m.cols - 1 do
-      Format.fprintf fmt "%10.4g " (get m i j)
-    done;
-    Format.fprintf fmt "]@\n"
-  done

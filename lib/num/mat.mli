@@ -32,8 +32,6 @@ val dims : t -> int * int
 
 val of_rows : float array array -> t
 
-val to_rows : t -> float array array
-
 val transpose : t -> t
 
 val mul : t -> t -> t
@@ -42,10 +40,4 @@ val mul_vec : t -> Vec.t -> Vec.t
 
 val scale : float -> t -> t
 
-val add : t -> t -> t
-
-val sub : t -> t -> t
-
 val max_abs_diff : t -> t -> float
-
-val pp : Format.formatter -> t -> unit

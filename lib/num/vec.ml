@@ -37,10 +37,6 @@ let to_array x = Array.init (dim x) (fun i -> x.{i})
 
 let of_list l = of_array (Array.of_list l)
 
-let to_list x = Array.to_list (to_array x)
-
-let fill v x = Bigarray.Array1.fill v x
-
 let view v ~pos ~len = Bigarray.Array1.sub v pos len
 
 let check_dims name x y =
@@ -115,11 +111,3 @@ let max_abs_diff x y =
     m := Float.max !m (Float.abs (unsafe_get x i -. unsafe_get y i))
   done;
   !m
-
-let pp fmt v =
-  Format.fprintf fmt "[|";
-  for i = 0 to dim v - 1 do
-    if i > 0 then Format.fprintf fmt "; ";
-    Format.fprintf fmt "%g" v.{i}
-  done;
-  Format.fprintf fmt "|]"

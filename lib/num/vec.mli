@@ -25,10 +25,6 @@ val to_array : t -> float array
 
 val of_list : float list -> t
 
-val to_list : t -> float list
-
-val fill : t -> float -> unit
-
 val view : t -> pos:int -> len:int -> t
 (** [view v ~pos ~len] is the zero-copy [Array1.sub] window
     [v.(pos .. pos+len-1)]; writes through the view are visible in [v].
@@ -94,7 +90,3 @@ val norm_inf : t -> float
 
 val max_abs_diff : t -> t -> float
 (** [max_abs_diff x y] is [norm_inf (sub x y)]. *)
-
-val map2 : (float -> float -> float) -> t -> t -> t
-
-val pp : Format.formatter -> t -> unit

@@ -36,7 +36,7 @@ let last path =
   match List.rev (read path) with [] -> None | newest :: _ -> Some newest
 
 (* Every ledger consumer dispatches on the record's "schema" field
-   (tools/check_ledgers.py, the CI gates, Baseline.load); a record
+   (Baseline.load, the test suite's shape checks); a record
    without one is unidentifiable forever, so it is rejected at the
    source instead of poisoning the committed history. *)
 let has_schema = function

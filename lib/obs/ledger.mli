@@ -2,8 +2,7 @@
 
     A ledger is a file holding a JSON array of run records — one element
     per invocation, so repeated runs accumulate instead of overwriting.
-    [AUDIT_accuracy.json] is the live one; [BENCH_parallel.json] is
-    frozen history in the same format, no longer appended to. Every
+    [AUDIT_accuracy.json] is the one the repository keeps. Every
     appended record is stamped with the UTC date and the current git
     commit ({!Vcs.commit}), making each point of the trajectory
     attributable. *)

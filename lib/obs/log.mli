@@ -4,7 +4,7 @@
     sees each record as soon as the request that produced it finishes.
 
     The daemon uses this for its access log; the record schema is
-    checked by [tools/check_ledgers.py]. *)
+    checked by test/test_server.ml. *)
 
 type t
 

@@ -169,6 +169,7 @@ let implicit_step ctx ~config ~caps ~chord ~t_prev ~dt x_prev =
 
 let simulate ~model ~config (scenario : Scenario.t) =
   if config.dt <= 0.0 then invalid_arg "Transient.simulate: dt <= 0";
+  if not (Float.is_finite config.dt) then invalid_arg "Transient.simulate: dt is not finite";
   let ctx = Mna.make_context ~model scenario in
   let n = Mna.dimension ctx.Mna.index in
   let stage = scenario.stage in

@@ -123,8 +123,8 @@ let to_json graph analysis =
 
 (* The timing-report document is a pure function of the analysis and the
    enumerated paths — deliberately no runtime/GC block, so two runs that
-   agree on the timing agree on the bytes: the bit-identity contract the
-   CI report smoke and the seq-vs-parallel bench gate diff against. *)
+   agree on the timing agree on the bytes: the bit-identity contract
+   test/cli.t and test_sta's seq-vs-parallel case diff against. *)
 let timing_to_json graph (analysis : Arrival.analysis)
     (required : Arrival.required_report) (paths : Path_enum.explained list) =
   let module Json = Tqwm_obs.Json in

@@ -49,5 +49,5 @@ val timing_to_json :
     slack, the endpoint table, per-stage timings with required/slack, and
     the enumerated paths with per-stage attribution. A pure function of
     its arguments (no GC/runtime block), so it is bit-identical across
-    domain counts — the contract the CI report smoke diffs against.
+    domain counts — the contract test/cli.t diffs across 1 and 4 domains.
     Written by [qwm_sim --report-timing --json FILE]. *)

@@ -249,19 +249,34 @@ let test_unmatched_stages_counted () =
 
 (* the drift gate: the full catalog at [qwm_sim --audit]'s defaults
    against the committed AUDIT_accuracy.json baseline. Nothing may
-   regress, and every audited stage must still have a baseline record. *)
+   regress, every audited stage must still have a baseline record, and
+   the average accuracy over the whole catalog stays at 98 % or more.
+   Every committed record, and the [--audit --json] document, keep the
+   [tqwm-audit/1] shape. *)
 let test_committed_baseline () =
+  let path = "../AUDIT_accuracy.json" in
+  List.iteri
+    (fun i record -> Schema.audit (Printf.sprintf "%s[%d]" path i) record)
+    (Schema.ledger path (Ledger.read path));
   let baseline =
-    match Baseline.load "../AUDIT_accuracy.json" with
+    match Baseline.load path with
     | Some baseline -> baseline
     | None -> Alcotest.fail "AUDIT_accuracy.json holds no record"
   in
-  let report = Drift.check ~baseline (Audit.run tech) in
+  let audit = Audit.run tech in
+  let report = Drift.check ~baseline audit in
   if Drift.has_regressions report then
     Alcotest.failf "drift against AUDIT_accuracy.json:\n%s"
       (Format.asprintf "%a" Drift.pp report);
   Alcotest.(check int) "no unmatched stages" 0 report.Drift.unmatched;
-  Alcotest.(check bool) "metrics were compared" true (report.Drift.deltas <> [])
+  Alcotest.(check bool) "metrics were compared" true (report.Drift.deltas <> []);
+  let overall = audit.Audit.overall.Audit.avg_accuracy_pct in
+  if not (overall >= 98.0) then
+    Alcotest.failf "average accuracy %.2f %% over the catalog is below 98 %%" overall;
+  Schema.audit "Audit.to_json" (Audit.to_json audit);
+  List.iter
+    (fun name -> ignore (Schema.list "Drift.to_json" name (Drift.to_json report)))
+    [ "regressed"; "improved" ]
 
 let () =
   Alcotest.run "tqwm_audit"

@@ -265,43 +265,6 @@ let test_characterize_validation () =
     (Invalid_argument "Table_model.characterize: grid_step <= 0") (fun () ->
       ignore (Table_model.of_analytic ~grid_step:0.0 tech Mosfet.N))
 
-let test_table_serialization_roundtrip () =
-  let t = Lazy.force table_n in
-  let t' = Table_model.of_string tech (Table_model.to_string t) in
-  (* interpolated queries must be bit-identical after the roundtrip *)
-  List.iter
-    (fun (vg, vs, vd) ->
-      Alcotest.(check (float 0.0))
-        (Printf.sprintf "lookup %g %g %g" vg vs vd)
-        (Table_model.lookup t ~vg ~vs ~vd)
-        (Table_model.lookup t' ~vg ~vs ~vd))
-    [ (3.3, 0.0, 3.3); (2.17, 0.42, 1.9); (1.0, 0.9, 1.1); (0.3, 0.0, 2.0) ];
-  Alcotest.(check (float 0.0)) "threshold roundtrip"
-    (Table_model.threshold t ~vs:1.234)
-    (Table_model.threshold t' ~vs:1.234)
-
-let test_table_serialization_errors () =
-  (match Table_model.of_string tech "garbage" with
-  | exception Failure _ -> ()
-  | _ -> Alcotest.fail "expected Failure on garbage");
-  let other = Tech.scale_supply tech 2.5 in
-  let payload = Table_model.to_string (Lazy.force table_n) in
-  match Table_model.of_string other payload with
-  | exception Failure _ -> ()
-  | _ -> Alcotest.fail "expected Failure on supply mismatch"
-
-let test_table_file_roundtrip () =
-  let t = Lazy.force table_p in
-  let path = Filename.temp_file "tqwm_table" ".txt" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      Table_model.save t ~path;
-      let t' = Table_model.load tech ~path in
-      Alcotest.(check (float 0.0)) "file roundtrip"
-        (Table_model.lookup t ~vg:3.0 ~vs:0.2 ~vd:1.7)
-        (Table_model.lookup t' ~vg:3.0 ~vs:0.2 ~vd:1.7))
-
 (* ---------- corners ---------- *)
 
 let test_corners_order_current () =
@@ -373,9 +336,6 @@ let () =
           quick "pmos and reverse" test_table_model_pmos_and_reverse;
           quick "wire passthrough" test_table_wire_passthrough;
           quick "validation" test_characterize_validation;
-          quick "serialization roundtrip" test_table_serialization_roundtrip;
-          quick "serialization errors" test_table_serialization_errors;
-          quick "file roundtrip" test_table_file_roundtrip;
         ] );
       ("corners", [ quick "current ordering" test_corners_order_current ]);
       ( "device model",

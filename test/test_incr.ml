@@ -381,10 +381,23 @@ let test_script_roundtrip () =
   let out = Buffer.create 256 in
   let fmt = Format.formatter_of_buffer out in
   let run mode = Script.run ~tech ~model:(Lazy.force table) ~mode ~out:fmt text in
-  let incr_run = run Script.Incremental and scratch_run = run Script.Scratch in
+  (* the [incr.*] counters a [--metrics] snapshot carries count the
+     script's two edits and the stages they re-timed *)
+  let counter name = Option.value (Metrics.find_counter name) ~default:0 in
+  let edits = counter "incr.edits" and reeval = counter "incr.stages_reeval" in
+  let incr_run = run Script.Incremental in
+  Alcotest.(check int) "incr.edits counts the script's edits" 2 (counter "incr.edits" - edits);
+  Alcotest.(check bool) "incr.stages_reeval counts re-timed stages" true
+    (counter "incr.stages_reeval" > reeval);
+  let scratch_run = run Script.Scratch in
   check_identical "script: incremental = scratch"
     (Session.analysis incr_run.Script.session)
     (Session.analysis scratch_run.Script.session);
+  List.iter
+    (fun outcome ->
+      Schema.incr_report "script document"
+        (Json.of_string (Json.to_string outcome.Script.json)))
+    [ incr_run; scratch_run ];
   (match (incr_run.Script.json, scratch_run.Script.json) with
   | Tqwm_obs.Json.Obj a, Tqwm_obs.Json.Obj b ->
     Alcotest.(check bool) "json analysis members equal" true
@@ -405,6 +418,10 @@ let test_script_roundtrip () =
       ("stage inv\nretime 0 0 1000\nreport\n", 3);
       ("stage inv\nretime 0 0 1000\n", 2);
       ("graph chain 4\nload 0 5e-13\nreport\n", 3);
+      (* the graph builders reject non-positive sizes *)
+      ("graph chain 0\n", 1);
+      ("graph chain -1\n", 1);
+      ("graph decoder 0 2\n", 1);
     ]
 
 (* When the output crosses before the input ramp's midpoint the worst
@@ -419,15 +436,8 @@ let test_zero_arrival_slacks_agree () =
   Alcotest.(check (float 0.0)) "worst arrival" 0.0
     (Session.analysis session).Arrival.worst_arrival;
   let doc = Script.timing_json session in
-  let get name j = Option.get (Json.member name j) in
-  let items name j = Option.get (Json.to_list_opt (get name j)) in
-  let slack j =
-    match get "slack_ps" j with
-    | Json.Float f -> f
-    | Json.Int i -> float_of_int i
-    | _ -> Alcotest.fail "slack_ps is not a number"
-  in
-  match (items "endpoints" doc, items "paths" doc) with
+  let slack = Schema.number "timing" "slack_ps" in
+  match (Schema.list "timing" "endpoints" doc, Schema.list "timing" "paths" doc) with
   | [ endpoint ], [ path ] ->
     Alcotest.(check (float 0.0)) "path slack = endpoint slack" (slack endpoint) (slack path)
   | _ -> Alcotest.fail "expected one endpoint and one path"

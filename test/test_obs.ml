@@ -21,6 +21,9 @@ module Report = Tqwm_sta.Report
 module Stage_cache = Tqwm_sta.Stage_cache
 module Timing_graph = Tqwm_sta.Timing_graph
 module Workloads = Tqwm_sta.Workloads
+module Server = Tqwm_server.Server
+module Server_client = Tqwm_server.Client
+module Server_protocol = Tqwm_server.Protocol
 
 let tech = Tech.cmosp35
 
@@ -650,10 +653,21 @@ let test_prometheus_render_scalars () =
   assert_line "# TYPE test_prom_temp gauge";
   assert_line "test_prom_temp 1.25"
 
+(* A live daemon ([qwm_sim --serve --prom]) that has served a request,
+   scraped over a raw socket: the payload carries this test's counter,
+   the daemon's request counter and the latency histograms' [+Inf]
+   buckets. *)
 let test_prometheus_scrape_http () =
   Metrics.reset ();
   let c = Metrics.counter "test_prom.scraped" in
   Metrics.incr c;
+  let sock = Filename.temp_file "tqwm-test-prom" ".sock" in
+  Sys.remove sock;
+  let daemon = Server.start ~tech:Tech.cmosp35 (Server_protocol.Unix_sock sock) in
+  Fun.protect ~finally:(fun () -> Server.stop daemon) @@ fun () ->
+  let client = Server_client.connect (Server.address daemon) in
+  Fun.protect ~finally:(fun () -> Server_client.close client) (fun () ->
+      ignore (Server_client.health client));
   let server =
     Prometheus.serve (Unix.ADDR_INET (Unix.inet_addr_loopback, 0))
   in
@@ -693,6 +707,19 @@ let test_prometheus_scrape_http () =
       in
       Alcotest.(check bool) "payload carries the counter" true
         (contains "test_prom_scraped 1" body);
+      (match
+         List.find_map
+           (fun line ->
+             match String.split_on_char ' ' line with
+             | [ "server_requests"; n ] -> int_of_string_opt n
+             | _ -> None)
+           (String.split_on_char '\n' body)
+       with
+      | Some n when n >= 1 -> ()
+      | Some n -> Alcotest.failf "server_requests reads %d after a served request" n
+      | None -> Alcotest.fail "the scrape lacks the server_requests counter");
+      Alcotest.(check bool) "payload carries +Inf histogram buckets" true
+        (contains "le=\"+Inf\"" body);
       Alcotest.(check bool) "404 elsewhere" true
         (String.starts_with ~prefix:"HTTP/1.1 404" (fetch "/nope")))
 

@@ -9,6 +9,10 @@ module Arrival = Tqwm_sta.Arrival
 module Parallel = Tqwm_sta.Parallel
 module Stage_cache = Tqwm_sta.Stage_cache
 module Workloads = Tqwm_sta.Workloads
+module Report = Tqwm_sta.Report
+module Json = Tqwm_obs.Json
+module Metrics = Tqwm_obs.Metrics
+module Trace = Tqwm_obs.Trace
 
 let tech = Tech.cmosp35
 
@@ -157,6 +161,44 @@ let test_identical_many_domains () =
             seq (propagate ~domains graph))
         [ 2; 4; 8 ])
     (mixed_graphs ())
+
+(* [qwm_sim nand2 --sta 2 --fanout 3 --domains 4 --trace --metrics --json]
+   in process: each of the team's domains closes one [sta.worker] span
+   carrying the stages it timed, and those add up to the report's stage
+   count. Every document is read back from its text, as a consumer of
+   the written files would. *)
+let test_worker_spans_cover_stages () =
+  let graph = Workloads.fanout_tree ~fanout:3 ~depth:2 (Scenario.nand_falling ~n:2 tech) in
+  let reread doc = Json.of_string (Json.to_string doc) in
+  Trace.enable ();
+  let analysis, trace =
+    Fun.protect ~finally:Trace.disable (fun () ->
+        let analysis = propagate ~cache:(Stage_cache.create ()) ~domains:4 graph in
+        (analysis, reread (Trace.to_json ())))
+  in
+  Schema.trace "trace" trace;
+  let workers =
+    List.filter
+      (fun e -> Json.member "name" e = Some (Json.String "sta.worker"))
+      (Schema.list "trace" "traceEvents" trace)
+  in
+  if workers = [] then Alcotest.fail "no per-domain sta.worker spans in the trace";
+  let stages e = Schema.int "sta.worker span" "stages" (Schema.field "sta.worker span" "args" e) in
+  let timed = List.fold_left (fun sum e -> sum + stages e) 0 workers in
+  let report = reread (Report.to_json graph analysis) in
+  Schema.sta_report "report" report;
+  Alcotest.(check int) "worker spans time every stage" (Timing_graph.num_stages graph) timed;
+  Alcotest.(check int) "the report lists every stage" timed
+    (List.length (Schema.list "report" "stages" report));
+  let metrics = reread (Metrics.snapshot ()) in
+  Schema.metrics "metrics" metrics;
+  let counters = Schema.field "metrics" "counters" metrics in
+  List.iter
+    (fun name ->
+      if Schema.int "metrics.counters" name counters <= 0 then
+        Alcotest.failf "counter %s is not positive" name)
+    [ "qwm.regions"; "qwm.device_calls.residual"; "qwm.device_calls.jacobian";
+      "stage_cache.misses" ]
 
 let test_cache_bucketing () =
   (* a NaN or infinite bucket would turn every bucketed slew into NaN *)
@@ -637,6 +679,7 @@ let () =
           slow "decoder tree bit-identical" test_parallel_identical_decoder_tree;
           slow "cached runs bit-identical" test_parallel_identical_with_cache;
           slow "bit-identical at 2/4/8 domains" test_identical_many_domains;
+          slow "worker spans cover the stages" test_worker_spans_cover_stages;
         ] );
       ( "level runner",
         [

@@ -237,9 +237,14 @@ let test_workspace_reuse_bit_identical () =
         (run ~workspace:ws () = reference))
     [ Config.Bordered; Config.Sherman_morrison; Config.Dense_lu ]
 
+(* the committed ceilings, shape-checked before any test reads one *)
 let alloc_budget =
   lazy
-    (Json.of_string (In_channel.with_open_bin "../ALLOC_budget.json" In_channel.input_all))
+    (let doc =
+       Json.of_string (In_channel.with_open_bin "../ALLOC_budget.json" In_channel.input_all)
+     in
+     Schema.alloc_budget "ALLOC_budget.json" doc;
+     doc)
 
 (* A number in ALLOC_budget.json under the [path] of members. *)
 let budget_number path =

@@ -83,6 +83,8 @@ let test_eco_golden_bytes () =
       ~out:(Format.formatter_of_buffer (Buffer.create 256))
       script
   in
+  Schema.incr_report "golden/eco-offline-incr.json" (Json.of_string golden_incr);
+  Schema.timing_report "golden/eco-offline-timing.json" (Json.of_string golden_timing);
   check_bytes "offline incr document" golden_incr offline.Script.json;
   check_bytes "offline timing document" golden_timing
     (Script.timing_json ?clock_period:offline.Script.clock_period ~k:1
@@ -311,16 +313,6 @@ let test_session_cap () =
 
 module Trace = Tqwm_obs.Trace
 
-let member_exn what name doc =
-  match Json.member name doc with
-  | Some v -> v
-  | None -> Alcotest.failf "%s lacks %S: %s" what name (Json.to_string doc)
-
-let as_number what = function
-  | Json.Float f -> f
-  | Json.Int i -> float_of_int i
-  | j -> Alcotest.failf "%s is not a number: %s" what (Json.to_string j)
-
 let test_health_verb () =
   with_server ~workers:2 (fun server ->
       let c = Client.connect (Server.address server) in
@@ -329,18 +321,18 @@ let test_health_verb () =
         (fun () ->
           let h = Client.health c in
           Alcotest.(check bool) "ready" true
-            (member_exn "health" "ready" h = Json.Bool true);
+            (Schema.field "health" "ready" h = Json.Bool true);
           Alcotest.(check bool) "own session counted" true
-            (as_number "sessions" (member_exn "health" "sessions" h) >= 1.0);
+            (Schema.number "health" "sessions" h >= 1.0);
           Alcotest.(check bool) "workers reported" true
-            (member_exn "health" "workers" h = Json.Int 2);
+            (Schema.field "health" "workers" h = Json.Int 2);
           Alcotest.(check bool) "uptime non-negative" true
-            (as_number "uptime_s" (member_exn "health" "uptime_s" h) >= 0.0);
+            (Schema.number "health" "uptime_s" h >= 0.0);
           (* neither observability feature is on in this server *)
           Alcotest.(check bool) "tracing off" true
-            (member_exn "health" "tracing" h = Json.Bool false);
+            (Schema.field "health" "tracing" h = Json.Bool false);
           Alcotest.(check bool) "no access log" true
-            (member_exn "health" "access_log" h = Json.Bool false)))
+            (Schema.field "health" "access_log" h = Json.Bool false)))
 
 let test_stats_verb () =
   with_server (fun server ->
@@ -354,17 +346,17 @@ let test_stats_verb () =
           done;
           let s = Client.stats ~window_s:60.0 c in
           Alcotest.(check bool) "window echoed" true
-            (as_number "window_s" (member_exn "stats" "window_s" s) = 60.0);
+            (Schema.number "stats" "window_s" s = 60.0);
           Alcotest.(check bool) "samples recorded" true
-            (as_number "samples" (member_exn "stats" "samples" s) >= 1.0);
+            (Schema.number "stats" "samples" s >= 1.0);
           Alcotest.(check bool) "qps positive after traffic" true
-            (as_number "qps" (member_exn "stats" "qps" s) > 0.0);
-          (let verbs = member_exn "stats" "verbs" s in
-           let row = member_exn "stats.verbs" "report" verbs in
+            (Schema.number "stats" "qps" s > 0.0);
+          (let verbs = Schema.field "stats" "verbs" s in
+           let row = Schema.field "stats.verbs" "report" verbs in
            Alcotest.(check bool) "report count" true
-             (as_number "count" (member_exn "report row" "count" row) >= 3.0);
+             (Schema.number "report row" "count" row >= 3.0);
            Alcotest.(check bool) "report p50" true
-             (as_number "p50_ms" (member_exn "report row" "p50_ms" row) >= 0.0));
+             (Schema.number "report row" "p50_ms" row >= 0.0));
           (match Json.member "gc" s with
           | Some (Json.Obj _) -> ()
           | _ -> Alcotest.fail "stats lacks a gc object");
@@ -520,6 +512,70 @@ let test_access_log () =
           (List.assoc "verb" fields = Json.String "-"))
     records
 
+(* One daemon with tracing and an access log, two clients editing,
+   reporting and reading slack at once: every request, [close]
+   included, leaves one whole access-log record of the closed shape,
+   and each record's request id names a traced [server.request] span. *)
+let test_traced_clients_share_the_log () =
+  let log_path = Filename.temp_file "tqwm-test-access" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove log_path with Sys_error _ -> ())
+  @@ fun () ->
+  Trace.enable ();
+  let requests, trace =
+    Fun.protect ~finally:Trace.disable @@ fun () ->
+    with_server ~graph:(Script.graph_of_spec ~tech "decoder 3 2") ~access_log:log_path
+      ~slow_threshold:0.0
+      (fun server ->
+        let run_client idx =
+          let c = Client.connect (Server.address server) in
+          let sent = ref 1 (* the [close] of [Client.close] *) in
+          let send verb args =
+            ignore (Client.request c verb args);
+            incr sent
+          in
+          Fun.protect ~finally:(fun () -> Client.close c) (fun () ->
+              send "load" [];
+              for round = 1 to 3 do
+                let line = Printf.sprintf "resize %d 0 1.2" ((idx + (3 * round)) mod 13) in
+                send "edit" [ ("line", Json.String line) ];
+                send "report" [];
+                send "slack" [ ("clock_period_ps", Json.Float 900.0) ]
+              done);
+          !sent
+        in
+        let clients = List.init 2 (fun idx -> Domain.spawn (fun () -> run_client idx)) in
+        let requests = List.fold_left ( + ) 0 (List.map Domain.join clients) in
+        wait_drained server;
+        (requests, Json.of_string (Json.to_string (Trace.to_json ()))))
+  in
+  Schema.trace "trace" trace;
+  let events = Schema.list "trace" "traceEvents" trace in
+  if events = [] then Alcotest.fail "the traced daemon captured no trace events";
+  let traced =
+    List.filter_map
+      (fun e ->
+        match (Json.member "name" e, Option.bind (Json.member "args" e) (Json.member "request")) with
+        | Some (Json.String "server.request"), Some (Json.String rid) -> Some rid
+        | _ -> None)
+      events
+  in
+  let lines =
+    In_channel.with_open_bin log_path In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> l <> "")
+  in
+  Alcotest.(check int) "one access-log line per request" requests (List.length lines);
+  List.iteri
+    (fun i line ->
+      let ctx = Printf.sprintf "access log line %d" (i + 1) in
+      let record = Json.of_string line in
+      Schema.access_record ctx record;
+      let rid = Schema.string ctx "request" record in
+      if not (List.mem rid traced) then
+        Alcotest.failf "%s: request %s has no server.request span" ctx rid)
+    lines
+
 let quick name f = Alcotest.test_case name `Quick f
 
 let () =
@@ -542,5 +598,6 @@ let () =
           quick "stats verb" test_stats_verb;
           quick "trace verb is request-scoped" test_trace_verb_request_scoped;
           quick "access log" test_access_log;
+          quick "traced clients share the log" test_traced_clients_share_the_log;
         ] );
     ]

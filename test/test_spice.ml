@@ -209,11 +209,20 @@ let test_dc_inverter_input_low () =
 
 let test_simulate_validation () =
   let scenario = Scenario.inverter_falling tech in
-  Alcotest.check_raises "dt" (Invalid_argument "Transient.simulate: dt <= 0") (fun () ->
-      ignore
-        (Transient.simulate ~model:golden
-           ~config:{ Transient.default_config with Transient.dt = 0.0 }
-           scenario))
+  let simulate dt () =
+    ignore
+      (Transient.simulate ~model:golden
+         ~config:{ Transient.default_config with Transient.dt }
+         scenario)
+  in
+  Alcotest.check_raises "dt" (Invalid_argument "Transient.simulate: dt <= 0") (simulate 0.0);
+  (* a NaN step passes [dt <= 0] and an infinite one takes no step:
+     either would end in an empty, silently wrong simulation *)
+  List.iter
+    (fun dt ->
+      Alcotest.check_raises (Printf.sprintf "dt = %g" dt)
+        (Invalid_argument "Transient.simulate: dt is not finite") (simulate dt))
+    [ Float.nan; Float.infinity ]
 
 let () =
   let quick name f = Alcotest.test_case name `Quick f in

@@ -283,7 +283,10 @@ let test_timing_report_bit_identical_seq_vs_parallel () =
     (document ~domains:1) (document ~domains:4)
 
 (* A small report generated before the float printer was rewritten:
-   the bytes of [tqwm-report/1] must not move. *)
+   the bytes of [tqwm-report/1] must not move. The document, read back
+   from its text, keeps the [tqwm-report/1] shape and invariants and
+   lists five distinct paths, and the [sta.wns]/[sta.tns] gauges a
+   [--metrics] snapshot carries equal its WNS and TNS. *)
 let test_timing_report_golden () =
   let model = Lazy.force table in
   let graph = Workloads.decoder_tree ~fanout:3 ~depth:2 tech in
@@ -295,7 +298,20 @@ let test_timing_report_golden () =
   let explained = List.map (Path_enum.explain ~model ~cache graph analysis) paths in
   let golden = In_channel.with_open_bin "golden/decoder-report.json" In_channel.input_all in
   Alcotest.(check string) "tqwm-report/1 equals test/golden/decoder-report.json" golden
-    (Json.to_string (Report.timing_to_json graph analysis required explained) ^ "\n")
+    (Json.to_string (Report.timing_to_json graph analysis required explained) ^ "\n");
+  let doc = Json.of_string golden in
+  Schema.timing_report "report" doc;
+  let paths = Schema.list "report" "paths" doc in
+  let ids path = List.map (Schema.int "stage" "id") (Schema.list "path" "stages" path) in
+  Alcotest.(check (pair int int)) "five paths, all distinct" (5, 5)
+    (List.length paths, List.length (List.sort_uniq compare (List.map ids paths)));
+  List.iter
+    (fun (gauge, member) ->
+      Alcotest.(check (option (float 1e-6)))
+        (gauge ^ " gauge = " ^ member)
+        (Some (Schema.number "report" member doc))
+        (Metrics.find_gauge gauge))
+    [ ("sta.wns", "wns_ps"); ("sta.tns", "tns_ps") ]
 
 (* ---------- property tests ---------- *)
 
