@@ -13,62 +13,26 @@ let read_file path =
   close_in ic;
   text
 
-let num_member name j =
-  match Json.member name j with
-  | Some (Json.Float f) -> f
-  | Some (Json.Int i) -> float_of_int i
-  | _ -> 0.0
+(* one [metrics] verb read-out: what --watch differences *)
+type snapshot = { at : float; requests : float; errors : float; sessions : float }
 
-let int_member name j =
-  match Json.member name j with Some (Json.Int i) -> i | _ -> 0
+let snapshot client =
+  let m = Client.request client "metrics" [] in
+  let at = Unix.gettimeofday () in
+  let read section name =
+    match Option.bind (Json.member section m) (Json.member name) with
+    | Some (Json.Int i) -> float_of_int i
+    | Some (Json.Float f) -> f
+    | _ -> 0.0
+  in
+  {
+    at;
+    requests = read "counters" "server.requests";
+    errors = read "counters" "server.errors";
+    sessions = read "gauges" "server.sessions";
+  }
 
-let print_stats stats =
-  Printf.printf
-    "uptime %.0fs  sessions %d  qps %.2f  errors/s %.2f  (%d samples over %gs)\n"
-    (num_member "uptime_s" stats) (int_member "sessions" stats)
-    (num_member "qps" stats)
-    (num_member "errors_per_s" stats)
-    (int_member "samples" stats)
-    (num_member "window_s" stats);
-  (match Json.member "verbs" stats with
-  | Some (Json.Obj ((_ :: _) as verbs)) ->
-    Printf.printf "%-10s %8s %10s %10s\n" "verb" "count" "p50_ms" "p99_ms";
-    List.iter
-      (fun (v, s) ->
-        let quantile name =
-          match Json.member name s with
-          | Some (Json.Float f) -> Printf.sprintf "%.3f" f
-          | Some (Json.Int i) -> Printf.sprintf "%d" i
-          | _ -> "-"
-        in
-        Printf.printf "%-10s %8d %10s %10s\n" v (int_member "count" s)
-          (quantile "p50_ms") (quantile "p99_ms"))
-      verbs
-  | _ -> ());
-  match Json.member "gc" stats with
-  | Some (Json.Obj gc) ->
-    Printf.printf "gc: %s\n"
-      (String.concat "  "
-         (List.map
-            (fun (k, v) ->
-              Printf.sprintf "%s %.4g" k
-                (match v with
-                | Json.Float f -> f
-                | Json.Int i -> float_of_int i
-                | _ -> 0.0))
-            gc))
-  | _ -> ()
-
-(* one-line form for --watch *)
-let print_stats_line i stats =
-  Printf.printf "[%d] qps %.2f  err/s %.2f  sessions %d  uptime %.0fs\n%!" i
-    (num_member "qps" stats)
-    (num_member "errors_per_s" stats)
-    (int_member "sessions" stats)
-    (num_member "uptime_s" stats)
-
-let run addr replay_file verb_opt k json_file timing_json_file quiet stats watch
-    count =
+let run addr replay_file verb_opt k json_file timing_json_file quiet watch count =
   if k < 1 then (
     Printf.eprintf "qwm_client: --k must be >= 1 (got %d)\n" k;
     exit 2);
@@ -80,10 +44,10 @@ let run addr replay_file verb_opt k json_file timing_json_file quiet stats watch
   if count < 0 then (
     Printf.eprintf "qwm_client: --count must be >= 0 (got %d)\n" count;
     exit 2);
-  if replay_file = None && verb_opt = None && not stats && watch = None then (
+  if replay_file = None && verb_opt = None && watch = None then (
     Printf.eprintf
-      "qwm_client: nothing to do; pass --replay SCRIPT, --verb VERB, --stats \
-       or --watch SECS\n";
+      "qwm_client: nothing to do; pass --replay SCRIPT, --verb VERB or --watch \
+       SECS\n";
     exit 2);
   let client =
     match Client.connect addr with
@@ -100,23 +64,23 @@ let run addr replay_file verb_opt k json_file timing_json_file quiet stats watch
   Fun.protect ~finally @@ fun () ->
   match watch with
   | Some period ->
-    (* poll until interrupted (or --count polls); the stats window is
-       the polling period, so each line reports what happened since the
-       previous one *)
-    let i = ref 0 in
-    let continue () = count = 0 || !i < count in
-    while continue () do
-      incr i;
-      print_stats_line !i (Client.stats ~window_s:period client);
-      if continue () then Unix.sleepf period
-    done;
+    (* poll until interrupted (or --count lines); each line reports what
+       happened since the previous snapshot *)
+    let rec poll i prev =
+      if count = 0 || i <= count then begin
+        Unix.sleepf period;
+        let cur = snapshot client in
+        let dt = cur.at -. prev.at in
+        Printf.printf "[%d] qps %.2f  err/s %.2f  sessions %.0f\n%!" i
+          ((cur.requests -. prev.requests) /. dt)
+          ((cur.errors -. prev.errors) /. dt)
+          cur.sessions;
+        poll (i + 1) cur
+      end
+    in
+    poll 1 (snapshot client);
     0
   | None ->
-  if stats then begin
-    print_stats (Client.stats client);
-    0
-  end
-  else
   match replay_file with
   | Some path ->
     let text = read_file path in
@@ -146,12 +110,8 @@ let run addr replay_file verb_opt k json_file timing_json_file quiet stats watch
       print_endline (Json.to_string result);
       0)
 
-let run addr replay_file verb_opt k json_file timing_json_file quiet stats watch
-    count =
-  match
-    run addr replay_file verb_opt k json_file timing_json_file quiet stats watch
-      count
-  with
+let run addr replay_file verb_opt k json_file timing_json_file quiet watch count =
+  match run addr replay_file verb_opt k json_file timing_json_file quiet watch count with
   | code -> code
   | exception Client.Server_error { code; message } ->
     Printf.eprintf "qwm_client: server error [%s]: %s\n" code message;
@@ -199,24 +159,17 @@ let quiet =
   let doc = "Suppress the replayed commands' progress output." in
   Arg.(value & flag & info [ "q"; "quiet" ] ~doc)
 
-let stats =
-  let doc =
-    "Fetch the daemon's live telemetry (stats verb) once and pretty-print \
-     it: qps, errors/s, per-verb request counts with p50/p99 latency, \
-     session occupancy and GC rates over the server's rolling window."
-  in
-  Arg.(value & flag & info [ "stats" ] ~doc)
-
 let watch =
   let doc =
-    "Poll the stats verb every $(docv) seconds and print a one-line \
-     summary per poll, with the window matched to the period. Runs until \
-     interrupted, or for --count polls."
+    "Read the metrics verb, then every $(docv) seconds read it again and \
+     print one line: requests and errors per second since the previous \
+     read (the watch's own reads included) and the open sessions. Runs \
+     until interrupted, or for --count lines."
   in
   Arg.(value & opt (some float) None & info [ "watch" ] ~docv:"SECS" ~doc)
 
 let count =
-  let doc = "Stop --watch after $(docv) polls (0 = poll forever)." in
+  let doc = "Stop --watch after $(docv) lines (0 = run until interrupted)." in
   Arg.(value & opt int 0 & info [ "count" ] ~docv:"N" ~doc)
 
 let cmd =
@@ -225,6 +178,6 @@ let cmd =
     (Cmd.info "qwm_client" ~version:"1.0.0" ~doc)
     Term.(
       const run $ addr $ replay_file $ verb $ k $ json_file $ timing_json_file
-      $ quiet $ stats $ watch $ count)
+      $ quiet $ watch $ count)
 
 let () = exit (Cmd.eval' cmd)

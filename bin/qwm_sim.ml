@@ -75,6 +75,11 @@ let require_positive flag v =
     Printf.eprintf "qwm_sim: %s must be finite and > 0 (got %g)\n" flag v;
     exit 2)
 
+let require_non_negative flag v =
+  if not (v >= 0.0 && Float.is_finite v) then (
+    Printf.eprintf "qwm_sim: %s must be finite and >= 0 (got %g)\n" flag v;
+    exit 2)
+
 (* --sta: propagate arrivals over a fan-out tree of the selected stage *)
 let run_sta ~tech ~depth ~fanout ~domains ~use_cache
     ~report_timing ~report_slack ~k_paths ~clock_period_ps ~json_file scenario =
@@ -158,9 +163,8 @@ let run_serve ~tech ~addr ~graph_spec ~domains ~epsilon_ps ~max_sessions ~prom
   if max_sessions < 1 then (
     Printf.eprintf "qwm_sim: --max-sessions must be >= 1 (got %d)\n" max_sessions;
     exit 2);
-  if slow_ms < 0.0 || not (Float.is_finite slow_ms) then (
-    Printf.eprintf "qwm_sim: --slow-ms must be finite and >= 0 (got %g)\n" slow_ms;
-    exit 2);
+  require_non_negative "--slow-ms" slow_ms;
+  require_non_negative "--epsilon" epsilon_ps;
   let prom_addr =
     match prom with
     | None -> None
@@ -225,6 +229,7 @@ let run_incr ~tech ~domains ~use_cache ~scratch ~epsilon_ps ~json_file
   if timing_k < 1 then (
     Printf.eprintf "qwm_sim: --timing-k must be >= 1 (got %d)\n" timing_k;
     exit 2);
+  require_non_negative "--epsilon" epsilon_ps;
   let model = Models.table tech in
   let mode = if scratch then Tqwm_incr.Script.Scratch else Tqwm_incr.Script.Incremental in
   match
@@ -496,7 +501,7 @@ let scratch =
   Arg.(value & flag & info [ "scratch" ] ~doc)
 
 let epsilon_ps =
-  let doc = "In --incr mode, early-cutoff tolerance in picoseconds on per-stage arrival and slew (0 = exact, bit-identical to from-scratch)." in
+  let doc = "In --incr and --serve modes, early-cutoff tolerance in picoseconds on per-stage arrival and slew (finite and >= 0; 0 = exact, bit-identical to from-scratch)." in
   Arg.(value & opt float 0.0 & info [ "epsilon" ] ~docv:"PS" ~doc)
 
 let sta_depth =
@@ -571,8 +576,8 @@ let serve =
      0 picks a free port): one shared frozen baseline graph, --domains \
      worker domains, each client connection an isolated what-if session \
      speaking newline-delimited JSON (verbs: load, edit, script, report, \
-     query, timing, slack, explain, document, metrics, health, stats, \
-     trace, close). Runs until SIGINT/SIGTERM."
+     query, timing, slack, explain, document, metrics, health, trace, \
+     close). Runs until SIGINT/SIGTERM."
   in
   Arg.(value & opt (some string) None & info [ "serve" ] ~docv:"ADDR" ~doc)
 

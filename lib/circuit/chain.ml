@@ -37,16 +37,3 @@ let transistor_positions t =
   Array.to_list t.edges
   |> List.mapi (fun i e -> (i + 1, e))
   |> List.filter_map (fun (i, e) -> if is_transistor e then Some i else None)
-
-let pp fmt t =
-  Format.fprintf fmt "chain (%s, %d edges):@\n"
-    (match t.rail with Pull_down -> "pull-down" | Pull_up -> "pull-up")
-    (length t);
-  Array.iteri
-    (fun i e ->
-      Format.fprintf fmt "  edge %d: %a%s  (node %d cap %.3g fF)@\n" (i + 1)
-        Device.pp e.device
-        (match e.gate with Some g -> " gate=" ^ g | None -> "")
-        (i + 1)
-        (t.caps.(i) *. 1e15))
-    t.edges

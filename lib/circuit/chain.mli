@@ -33,5 +33,3 @@ val transistor_positions : t -> int list
     critical points. *)
 
 val is_transistor : edge -> bool
-
-val pp : Format.formatter -> t -> unit

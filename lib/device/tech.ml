@@ -51,8 +51,6 @@ let cmosp35 =
     c_wire_fringe = 8.0e-11;
   }
 
-let scale_supply t vdd = { t with vdd }
-
 type corner = Typical | Fast | Slow
 
 let corner t = function

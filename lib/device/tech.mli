@@ -34,10 +34,6 @@ type t = {
 val cmosp35 : t
 (** Default 0.35 um, 3.3 V technology. *)
 
-val scale_supply : t -> float -> t
-(** [scale_supply tech vdd] re-targets the supply (for low-voltage
-    experiments); thresholds are kept. *)
-
 type corner = Typical | Fast | Slow
 
 val corner : t -> corner -> t

@@ -19,11 +19,3 @@ let fanout_cone (frozen : Timing_graph.frozen) seeds =
   mark
 
 let size mark = Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 mark
-
-let level_of (frozen : Timing_graph.frozen) =
-  let n = Array.length frozen.Timing_graph.scenarios in
-  let level = Array.make n 0 in
-  Array.iteri
-    (fun k ids -> Array.iter (fun id -> level.(id) <- k) ids)
-    frozen.Timing_graph.levels;
-  level

@@ -15,7 +15,3 @@ val fanout_cone : Timing_graph.frozen -> Timing_graph.stage_id list -> bool arra
 
 val size : bool array -> int
 (** Number of marked stages. *)
-
-val level_of : Timing_graph.frozen -> int array
-(** Topological level index per stage (position of the stage's level in
-    [frozen.levels]). *)

@@ -120,8 +120,6 @@ let fork ?cache ?epsilon t =
 
 let graph t = t.graph
 
-let epsilon t = t.epsilon
-
 let mark_dirty t id =
   if not t.dirty.(id) then begin
     t.dirty.(id) <- true;

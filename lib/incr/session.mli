@@ -67,8 +67,6 @@ val fork : ?cache:Tqwm_sta.Stage_cache.t -> ?epsilon:float -> t -> t
 
 val graph : t -> Timing_graph.t
 
-val epsilon : t -> float
-
 val apply : t -> Edit.t -> Timing_graph.stage_id option
 (** Apply one edit, marking its dirty seed stages; no re-timing happens
     until {!recompute}/{!analysis}/{!query}. Returns the new stage id

@@ -37,9 +37,9 @@ let since s0 =
 
 (* ---- cross-domain aggregation ----
 
-   GC counters are domain-local in OCaml 5, so any single-point sampler
-   (the daemon's stats domain, a CLI epilogue) under-reports by whatever
-   the other domains allocated. Instead of trying to read foreign
+   GC counters are domain-local in OCaml 5, so any single-point reader
+   (a CLI epilogue) under-reports by whatever the other domains
+   allocated. Instead of trying to read foreign
    domains' counters (impossible), each domain folds its own growth into
    these process-wide registry counters; a flush is two [Gc] reads plus
    five atomic adds, cheap enough for per-request / per-worker use. *)

@@ -31,9 +31,9 @@ val flush_domain : unit -> unit
     [qwm.alloc.domains_*] registry counters ([minor_words],
     [promoted_words], [major_words], [minor_collections],
     [major_collections]). GC counters are domain-local in OCaml 5, so a
-    single-point sampler only sees its own domain; every worker domain
-    flushing on completion — and the sampler flushing before it reads —
-    makes the exported counters cover the whole process. Two [Gc] reads
+    single-point reader only sees its own domain; every worker domain
+    flushing on completion makes the exported counters cover the whole
+    process. Two [Gc] reads
     plus five atomic adds; safe from any domain, idempotent between
     allocations. *)
 

@@ -185,8 +185,6 @@ let snapshot () =
       ("histograms", Json.Obj histograms);
     ]
 
-let write_file path = Json.write_file path (snapshot ())
-
 let reset () =
   Mutex.protect registry_lock (fun () ->
       Hashtbl.iter

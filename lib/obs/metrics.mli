@@ -71,16 +71,12 @@ type exported =
 val export : unit -> (string * exported) list
 (** Typed point-in-time view of every registered instrument, sorted by
     name. Each histogram's arrays are fresh copies. This is the feed for
-    the Prometheus renderer ({!Prometheus.render}) and for rolling
-    {!Series} samples. *)
+    the Prometheus renderer ({!Prometheus.render}). *)
 
 val snapshot : unit -> Json.t
 (** [{"counters": {...}, "gauges": {...}, "histograms": {name: {bounds,
     counts, total, sum}}}] — the metrics document written by
     [qwm_sim --metrics]. *)
-
-val write_file : string -> unit
-(** Write [snapshot ()] to a file. *)
 
 val reset : unit -> unit
 (** Zero every registered instrument. Registrations are kept, and so are

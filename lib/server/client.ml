@@ -86,14 +86,6 @@ let close t =
 
 let health t = request t "health" []
 
-let stats ?window_s t =
-  let args =
-    match window_s with
-    | None -> []
-    | Some w -> [ ("window_s", Json.Float w) ]
-  in
-  request t "stats" args
-
 type replayed = { output : string; document : Json.t; timing : Json.t option }
 
 let replay ?(k = 1) t text =

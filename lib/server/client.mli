@@ -42,10 +42,6 @@ val recv_response : t -> Json.t option
 val health : t -> Json.t
 (** The [health] verb's result object. *)
 
-val stats : ?window_s:float -> t -> Json.t
-(** The [stats] verb's result object over the given trailing window
-    (server default: 60 s). *)
-
 type replayed = {
   output : string;  (** concatenated [output] text of every command *)
   document : Json.t;  (** the final [tqwm-incr-report/1] document *)

@@ -1,7 +1,6 @@
 module Json = Tqwm_obs.Json
 module Metrics = Tqwm_obs.Metrics
 module Trace = Tqwm_obs.Trace
-module Series = Tqwm_obs.Series
 module Log = Tqwm_obs.Log
 module Models = Tqwm_device.Models
 module Timing_graph = Tqwm_sta.Timing_graph
@@ -22,15 +21,15 @@ let c_connections = Metrics.counter "server.connections"
 let c_slow = Metrics.counter "server.slow_requests"
 let g_sessions = Metrics.gauge "server.sessions"
 let g_queue_depth = Metrics.gauge "server.queue_depth"
-let g_uptime = Metrics.gauge "server.uptime_seconds"
+let g_start_time = Metrics.gauge "server.start_time_seconds"
 
 let set_sessions n = Metrics.set g_sessions (float_of_int n)
 
 (* Lower edge extends to 2 µs: introspection verbs (health, document,
-   metrics, stats) answer in single-digit microseconds on a warm server,
-   and with 50 µs as the first bound every one of them landed in bucket
-   0 — p50 and p99 both degenerated to the first bound. Sub-50 µs verbs
-   now spread over five buckets, so the [stats] quantiles resolve. *)
+   metrics) answer in single-digit microseconds on a warm server, and
+   with 50 µs as the first bound every one of them landed in bucket 0 —
+   p50 and p99 both degenerated to the first bound. Sub-50 µs verbs now
+   spread over five buckets, so quantiles over the scrape resolve. *)
 let latency_bounds =
   [|
     0.002; 0.005; 0.01; 0.02; 0.05; 0.1; 0.25; 0.5; 1.0; 2.5; 5.0; 10.0; 25.0;
@@ -42,7 +41,7 @@ let latency_bounds =
 let verbs =
   [
     "load"; "edit"; "script"; "report"; "query"; "timing"; "slack"; "explain";
-    "document"; "metrics"; "health"; "stats"; "trace"; "close";
+    "document"; "metrics"; "health"; "trace"; "close";
   ]
 
 let latency =
@@ -67,15 +66,12 @@ type t = {
   stopping : bool Atomic.t;
   open_conns : int Atomic.t;  (** accepted and not yet torn down *)
   started : float;  (** wall clock at [start], for uptime *)
-  series : Series.t;  (** rolling metric samples behind [stats] *)
-  sample_period : float;
   access_log : Log.t option;
   slow_threshold : float;  (** seconds; at or above emits a trace instant *)
   session_counter : int Atomic.t;  (** mints session ids *)
   request_counter : int Atomic.t;  (** mints request ids *)
   workers : int;
   mutable acceptor : unit Domain.t option;
-  mutable sampler : unit Domain.t option;
   mutable worker_domains : unit Domain.t list;
   mutable stopped : bool;
 }
@@ -252,107 +248,18 @@ let do_explain conn req =
   let required = Session.required s ~clock_period in
   Report.timing_to_json graph analysis required [ explained ]
 
-(* ---- live telemetry (health / stats / trace verbs) ---- *)
-
-(* One rolling-window sample: every registered instrument, plus — when
-   [gc] — the GC's cumulative statistics, which live outside the
-   registry. OCaml 5 GC counters are per-domain, so the raw [gc.*]
-   extras only cover the sampler domain; the process-wide view lives in
-   the [qwm.alloc.domains_*] registry counters, which every sample
-   captures automatically once each domain flushes its growth
-   ({!Tqwm_obs.Alloc.flush_domain} — connection handlers after every
-   request, STA workers on retirement, and this sampler before it
-   reads). *)
-let sample_now ?(gc = false) t =
-  let now = Unix.gettimeofday () in
-  Metrics.set g_uptime (now -. t.started);
-  Tqwm_obs.Alloc.flush_domain ();
-  let extra_counters, extra_gauges =
-    if gc then
-      let q = Gc.quick_stat () in
-      ( [
-          ("gc.minor_collections", q.Gc.minor_collections);
-          ("gc.major_collections", q.Gc.major_collections);
-        ],
-        [ ("gc.minor_words", Gc.minor_words ()) ] )
-    else ([], [])
-  in
-  Series.record t.series (Series.capture ~extra_counters ~extra_gauges ~now ())
+(* ---- liveness (health verb) ---- *)
 
 let do_health t =
-  let now = Unix.gettimeofday () in
-  Metrics.set g_uptime (now -. t.started);
   Json.Obj
     [
       ("ready", Json.Bool (not (Atomic.get t.stopping)));
-      ("uptime_s", Json.Float (now -. t.started));
+      ("uptime_s", Json.Float (Unix.gettimeofday () -. t.started));
       ("sessions", Json.Int (Atomic.get t.open_conns));
       ("max_sessions", Json.Int t.max_sessions);
       ("workers", Json.Int t.workers);
       ("tracing", Json.Bool (Trace.enabled ()));
       ("access_log", Json.Bool (t.access_log <> None));
-    ]
-
-let do_stats t req =
-  let seconds = Option.value (float_member req "window_s") ~default:60.0 in
-  if not (Float.is_finite seconds && seconds > 0.0) then
-    invalid_arg "\"window_s\" must be finite and > 0";
-  (* close the window at "now" so rates cover traffic since the last
-     periodic sample too *)
-  sample_now t;
-  let rate name =
-    Option.value (Series.counter_rate t.series ~seconds name) ~default:0.0
-  in
-  let verb_stats =
-    List.filter_map
-      (fun v ->
-        match
-          Series.histogram_delta t.series ~seconds ("server.latency_ms." ^ v)
-        with
-        | None -> None
-        | Some d ->
-          let total = Array.fold_left ( + ) 0 d.Series.counts in
-          if total = 0 then None
-          else
-            let quantile p =
-              match Series.quantile ~bounds:d.Series.bounds ~counts:d.Series.counts p with
-              | Some v -> Json.Float v
-              | None -> Json.Null
-            in
-            Some
-              ( v,
-                Json.Obj
-                  [
-                    ("count", Json.Int total);
-                    ("p50_ms", quantile 0.5);
-                    ("p99_ms", quantile 0.99);
-                  ] ))
-      verbs
-  in
-  let gc =
-    [
-      ( "minor_words_per_s",
-        Option.value (Series.gauge_rate t.series ~seconds "gc.minor_words") ~default:0.0 );
-      ("minor_collections_per_s", rate "gc.minor_collections");
-      ("major_collections_per_s", rate "gc.major_collections");
-      (* all-domain totals (each domain flushes its own GC growth into
-         the registry), vs the sampler-domain-only [gc.*] keys above *)
-      ("domains_minor_words_per_s", rate "qwm.alloc.domains_minor_words");
-      ("domains_major_words_per_s", rate "qwm.alloc.domains_major_words");
-      ("domains_minor_collections_per_s", rate "qwm.alloc.domains_minor_collections");
-    ]
-    |> List.map (fun (k, v) -> (k, Json.Float v))
-  in
-  Json.Obj
-    [
-      ("window_s", Json.Float seconds);
-      ("samples", Json.Int (List.length (Series.window t.series ~seconds)));
-      ("qps", Json.Float (rate "server.requests"));
-      ("errors_per_s", Json.Float (rate "server.errors"));
-      ("sessions", Json.Int (Atomic.get t.open_conns));
-      ("uptime_s", Json.Float (Unix.gettimeofday () -. t.started));
-      ("verbs", Json.Obj verb_stats);
-      ("gc", Json.Obj gc);
     ]
 
 let dispatch t conn req =
@@ -367,7 +274,6 @@ let dispatch t conn req =
   | "document" -> `Reply (Script.Interp.document (the_interp conn))
   | "metrics" -> `Reply (Metrics.snapshot ())
   | "health" -> `Reply (do_health t)
-  | "stats" -> `Reply (do_stats t req)
   | "trace" -> `Reply (Trace.to_json ())
   | "close" -> `Close (Json.Obj [ ("closed", Json.Bool true) ])
   | verb -> `Unknown verb
@@ -433,9 +339,9 @@ let handle_request t conn fd req ~bytes_in =
       (Protocol.error ~id ~code:"internal" (Printexc.to_string e), false, "internal")
   in
   Metrics.incr c_requests;
-  (* handler domains are long-lived but only the sampler domain's GC
-     counters are visible to it: fold this domain's growth into the
-     shared counters while the request is still the hot context *)
+  (* GC counters are per-domain and handler domains are long-lived: fold
+     this domain's growth into the shared counters while the request is
+     still the hot context *)
   Tqwm_obs.Alloc.flush_domain ();
   let bytes_out = Protocol.write_line fd response in
   let dt = Unix.gettimeofday () -. t0 in
@@ -583,26 +489,10 @@ let worker_loop t =
   in
   loop ()
 
-(* periodic Series feed; sleeps in short laps so [stop] is prompt *)
-let sampler_loop t =
-  let rec nap left =
-    if left > 0.0 && not (Atomic.get t.stopping) then begin
-      Unix.sleepf (Float.min 0.05 left);
-      nap (left -. 0.05)
-    end
-  in
-  while not (Atomic.get t.stopping) do
-    sample_now ~gc:true t;
-    nap t.sample_period
-  done
-
 let start ~tech ?graph ?(workers = 1) ?(epsilon = 0.0)
-    ?(max_sessions = 64) ?access_log ?(slow_threshold = 0.25)
-    ?(sample_period = 1.0) address =
+    ?(max_sessions = 64) ?access_log ?(slow_threshold = 0.25) address =
   if workers < 1 then invalid_arg "Server.start: workers must be >= 1";
   if max_sessions < 1 then invalid_arg "Server.start: max_sessions must be >= 1";
-  if not (Float.is_finite sample_period && sample_period > 0.0) then
-    invalid_arg "Server.start: sample_period must be finite and > 0";
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let model = Models.table tech in
   let cache = Stage_cache.create () in
@@ -644,23 +534,18 @@ let start ~tech ?graph ?(workers = 1) ?(epsilon = 0.0)
       stopping = Atomic.make false;
       open_conns = Atomic.make 0;
       started = Unix.gettimeofday ();
-      series = Series.create ();
-      sample_period;
       access_log = Option.map Log.open_file access_log;
       slow_threshold;
       session_counter = Atomic.make 0;
       request_counter = Atomic.make 0;
       workers;
       acceptor = None;
-      sampler = None;
       worker_domains = [];
       stopped = false;
     }
   in
-  (* an initial sample so [stats] has an anchor before the first tick *)
-  sample_now t;
+  Metrics.set g_start_time t.started;
   t.worker_domains <- List.init workers (fun _ -> Domain.spawn (fun () -> worker_loop t));
-  t.sampler <- Some (Domain.spawn (fun () -> sampler_loop t));
   t.acceptor <- Some (Domain.spawn (fun () -> accept_loop t));
   t
 
@@ -677,7 +562,6 @@ let stop t =
     Condition.broadcast t.qcond;
     Mutex.unlock t.qlock;
     (match t.acceptor with Some d -> Domain.join d | None -> ());
-    (match t.sampler with Some d -> Domain.join d | None -> ());
     List.iter Domain.join t.worker_domains;
     Option.iter Log.close t.access_log;
     (* connections accepted but never picked up *)

@@ -40,10 +40,6 @@
     - [health] — liveness summary: [ready], [uptime_s], [sessions] /
       [max_sessions], [workers], [tracing], [access_log]. Each session
       recomputes on the worker domain serving it.
-    - [stats] — [{"window_s": 60}] (optional): rates over the rolling
-      {!Tqwm_obs.Series} window — [qps], [errors_per_s], per-verb
-      request counts with p50/p99 latency estimates, session occupancy
-      and GC rates.
     - [trace] — snapshot of the in-memory trace buffer as a Chrome
       trace document (empty unless the daemon runs with tracing
       enabled).
@@ -77,11 +73,13 @@
     [server.slow_requests] counters, [server.sessions] (live
     connections), [server.queue_depth]
     (accepted, not yet picked up by a worker) and
-    [server.uptime_seconds] gauges, and per-verb
-    [server.latency_ms.<verb>] histograms. A sampler domain snapshots
-    the registry into the rolling window every [sample_period] seconds;
-    the same registry renders to Prometheus text format via
-    {!Tqwm_obs.Prometheus}. *)
+    [server.start_time_seconds] (Unix time of {!start}) gauges, and
+    per-verb [server.latency_ms.<verb>] histograms. The registry has two
+    read-outs: the [metrics] verb and the Prometheus text format of
+    {!Tqwm_obs.Prometheus}. Rates and quantiles are the reader's job —
+    [rate()] and [histogram_quantile()] over the scrape, or the
+    difference of two [metrics] snapshots — and uptime is the read time
+    minus [server.start_time_seconds]. *)
 
 type t
 
@@ -93,7 +91,6 @@ val start :
   ?max_sessions:int ->
   ?access_log:string ->
   ?slow_threshold:float ->
-  ?sample_period:float ->
   Protocol.address ->
   t
 (** Bind, warm the baseline and start serving. [graph] is the shared
@@ -105,10 +102,10 @@ val start :
     connections are answered with a [server_full] error and closed.
     [access_log] appends one JSONL record per request to the given path
     (created if missing); [slow_threshold] (seconds, default 0.25) is
-    the latency at which a request counts as slow; [sample_period]
-    (seconds, default 1) is the rolling-window sampling interval behind
-    the [stats] verb. Ignores [SIGPIPE] process-wide (hung-up clients
-    must read as [EPIPE], not kill the daemon).
+    the latency at which a request counts as slow. Spawns the acceptor
+    and [workers] worker domains, nothing else. Ignores [SIGPIPE]
+    process-wide (hung-up clients must read as [EPIPE], not kill the
+    daemon).
     @raise Unix.Unix_error when binding fails (address in use, ...). *)
 
 val address : t -> string

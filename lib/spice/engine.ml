@@ -24,8 +24,3 @@ let run ~model ?(config = Transient.default_config) (scenario : Scenario.t) =
   in
   let slew = Measure.slew ~vdd output scenario.Scenario.output_edge in
   { scenario; result; output; delay; slew; runtime_seconds }
-
-let node_waveforms report =
-  let stage = report.scenario.Scenario.stage in
-  Stage.internal_nodes stage
-  |> List.map (fun n -> (Stage.node_name stage n, Transient.node_waveform report.result n))

@@ -18,6 +18,3 @@ val run :
   ?config:Transient.config ->
   Scenario.t ->
   report
-
-val node_waveforms : report -> (string * Waveform.t) list
-(** All internal node waveforms keyed by node name. *)

@@ -70,12 +70,7 @@ let required graph analysis ~clock_period =
      endpoint and must settle by [clock_period]; every other stage
      inherits the tightest budget of its fanouts (each of which is
      processed first — reverse topological order) *)
-  let endpoints =
-    Array.of_seq
-      (Seq.filter
-         (fun id -> Array.length frozen.Timing_graph.fanout.(id) = 0)
-         (Seq.init n Fun.id))
-  in
+  let endpoints = Timing_graph.endpoints frozen in
   let req = Array.make n clock_period in
   for i = Array.length frozen.Timing_graph.order - 1 downto 0 do
     let id = frozen.Timing_graph.order.(i) in

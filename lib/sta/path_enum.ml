@@ -6,13 +6,6 @@ type path = {
   slack : float;
 }
 
-let endpoints (frozen : Timing_graph.frozen) =
-  let n = Array.length frozen.Timing_graph.scenarios in
-  Array.of_seq
-    (Seq.filter
-       (fun id -> Array.length frozen.Timing_graph.fanout.(id) = 0)
-       (Seq.init n Fun.id))
-
 (* A partial path, grown backward from an endpoint. [est] is an exact
    bound on the arrival of any completion: the forward pass already
    maximized arrivals over every prefix, so [arrival_out front] is the
@@ -81,7 +74,7 @@ let k_worst ?clock_period ~k graph (analysis : Arrival.analysis) =
                key = [ id ];
              }
              acc)
-         Frontier.empty (endpoints frozen))
+         Frontier.empty (Timing_graph.endpoints frozen))
   in
   let found = ref [] in
   let nfound = ref 0 in

@@ -31,10 +31,6 @@ type path = {
   slack : float;  (** [clock_period - arrival] *)
 }
 
-val endpoints : Timing_graph.frozen -> Timing_graph.stage_id array
-(** Stages with no fanout, ids ascending — the sink set required-time
-    propagation starts from and path enumeration ends at. *)
-
 val k_worst :
   ?clock_period:float ->
   k:int ->

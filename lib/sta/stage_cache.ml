@@ -199,12 +199,3 @@ let hit_rate t =
   let s = stats t in
   let total = s.hits + s.misses in
   if total = 0 then 0.0 else float_of_int s.hits /. float_of_int total
-
-let clear t =
-  Mutex.protect t.lock (fun () ->
-      Hashtbl.reset t.table;
-      Hashtbl.reset t.uses;
-      (* any domain waiting on an in-flight slot re-claims and solves *)
-      Condition.broadcast t.cond);
-  Atomic.set t.hits 0;
-  Atomic.set t.misses 0

@@ -57,9 +57,7 @@ val fork : ?copy_uses:bool -> t -> t
     fork starts from a snapshot of the parent's per-key request counts
     instead, as if it had submitted the parent's work itself — the mode
     for forking a session whose baseline analysis already ran, keeping
-    path-explain attribution identical to a from-scratch session.
-    {!clear} on any fork clears the shared table but only the calling
-    fork's own counts. *)
+    path-explain attribution identical to a from-scratch session. *)
 
 val slew_bucket : t -> float
 
@@ -132,5 +130,3 @@ val stats : t -> stats
 
 val hit_rate : t -> float
 (** [hits / (hits + misses)]; 0 when the cache is unused. *)
-
-val clear : t -> unit

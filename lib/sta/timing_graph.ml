@@ -260,6 +260,12 @@ let freeze t =
     t.rewired <- false;
     f
 
+let endpoints frozen =
+  Array.of_seq
+    (Seq.filter
+       (fun id -> Array.length frozen.fanout.(id) = 0)
+       (Seq.init (Array.length frozen.scenarios) Fun.id))
+
 let topological_order t = Array.to_list (freeze t).order
 
 let levels t = (freeze t).levels

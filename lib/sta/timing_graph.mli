@@ -109,6 +109,10 @@ val freeze : t -> frozen
     stage or edge change, plus one structure digest per scenario value
     not in the previous snapshot. *)
 
+val endpoints : frozen -> stage_id array
+(** Stages with no fanout, ids ascending — the sink set required-time
+    propagation starts from and path enumeration ends at. *)
+
 val topological_order : t -> stage_id list
 (** Primary-input stages first (the frozen [order]). *)
 

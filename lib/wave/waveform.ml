@@ -81,8 +81,6 @@ type quadratic = {
   ddvc : Vec.t;
 }
 
-let quadratic_length q = q.len
-
 (* value of piece [i] at absolute time [t]: v0 + dv*x + ddv/2*x^2 *)
 let[@inline] col_value q i t =
   let x = t -. q.t0c.{i} in

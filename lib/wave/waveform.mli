@@ -66,9 +66,6 @@ val of_columns :
 
 val quadratic_pieces : quadratic -> piece list
 
-val quadratic_length : quadratic -> int
-(** Number of pieces. *)
-
 (** {3 Packed-block form}
 
     One waveform as [5 * length] consecutive floats of a shared slab
@@ -77,7 +74,7 @@ val quadratic_length : quadratic -> int
     touching boxed structure. *)
 
 val packed_size : quadratic -> int
-(** Floats the packed form occupies: [5 * quadratic_length]. *)
+(** Floats the packed form occupies: five per piece. *)
 
 val blit_packed : quadratic -> Tqwm_num.Vec.t -> pos:int -> unit
 (** Copy the five columns into [dst] starting at [pos] in packed order. *)

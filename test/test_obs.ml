@@ -10,7 +10,6 @@ module Json = Tqwm_obs.Json
 module Log = Tqwm_obs.Log
 module Metrics = Tqwm_obs.Metrics
 module Prometheus = Tqwm_obs.Prometheus
-module Series = Tqwm_obs.Series
 module Trace = Tqwm_obs.Trace
 module Newton = Tqwm_num.Newton
 module Vec = Tqwm_num.Vec
@@ -483,124 +482,6 @@ let test_trace_context_crosses_domains () =
           (Json.member "request" args = Some (Json.String "s9.r9"))
       | events -> Alcotest.failf "expected 1 event, got %d" (List.length events))
 
-(* ---------- rolling series ---------- *)
-
-let sample ?(counters = []) ?(gauges = []) ?(histograms = []) t =
-  { Series.t; counters; gauges; histograms }
-
-let test_series_ring_eviction () =
-  let s = Series.create ~capacity:4 () in
-  Alcotest.(check int) "capacity" 4 (Series.capacity s);
-  for i = 1 to 6 do
-    Series.record s (sample ~counters:[ ("n", i) ] (float_of_int i))
-  done;
-  Alcotest.(check int) "oldest evicted" 4 (Series.length s);
-  (match Series.latest s with
-  | Some { Series.counters = [ ("n", 6) ]; _ } -> ()
-  | Some _ | None -> Alcotest.fail "latest is not the last recorded");
-  (* the window is anchored to the newest sample's timestamp *)
-  Alcotest.(check int) "window cuts by age" 3
-    (List.length (Series.window s ~seconds:2.0));
-  Alcotest.check_raises "zero capacity rejected"
-    (Invalid_argument "Series.create: capacity must be positive") (fun () ->
-      ignore (Series.create ~capacity:0 ()))
-
-let test_series_rates_skip_foreign_samples () =
-  (* instruments recorded by only one producer (the daemon's per-domain
-     GC statistics) must yield rates from that producer's samples alone;
-     interleaved samples lacking the key — recorded by other domains —
-     must neither break the rate nor drag it negative *)
-  let s = Series.create () in
-  Series.record s
-    (sample ~counters:[ ("requests", 10); ("gc", 100) ]
-       ~gauges:[ ("words", 1000.0) ] 0.0);
-  Series.record s (sample ~counters:[ ("requests", 30) ] 5.0);
-  Series.record s
-    (sample ~counters:[ ("requests", 50); ("gc", 140) ]
-       ~gauges:[ ("words", 1800.0) ] 10.0);
-  Series.record s (sample ~counters:[ ("requests", 60) ] 12.0);
-  Alcotest.(check (option (float 1e-9)))
-    "counter present everywhere uses the full window" (Some (50.0 /. 12.0))
-    (Series.counter_rate s ~seconds:60.0 "requests");
-  Alcotest.(check (option (float 1e-9)))
-    "sparse counter uses only the samples that carry it" (Some 4.0)
-    (Series.counter_rate s ~seconds:60.0 "gc");
-  Alcotest.(check (option (float 1e-9)))
-    "sparse gauge likewise" (Some 80.0)
-    (Series.gauge_rate s ~seconds:60.0 "words");
-  Alcotest.(check (option (float 1e-9)))
-    "absent instrument" None
-    (Series.counter_rate s ~seconds:60.0 "nonesuch");
-  (* fewer than two carrying samples: no rate *)
-  let s1 = Series.create () in
-  Series.record s1 (sample ~counters:[ ("gc", 5) ] 0.0);
-  Series.record s1 (sample 1.0);
-  Alcotest.(check (option (float 1e-9)))
-    "one carrying sample is not a rate" None
-    (Series.counter_rate s1 ~seconds:60.0 "gc")
-
-let test_series_histogram_delta () =
-  let bounds = [| 1.0; 2.0 |] in
-  let h counts sum = { Series.bounds; counts; sum } in
-  let s = Series.create () in
-  Series.record s (sample ~histograms:[ ("lat", h [| 1; 2; 0 |] 3.5) ] 0.0);
-  Series.record s (sample 0.5);
-  Series.record s (sample ~histograms:[ ("lat", h [| 4; 2; 1 |] 9.0) ] 1.0);
-  match Series.histogram_delta s ~seconds:60.0 "lat" with
-  | None -> Alcotest.fail "no delta"
-  | Some d ->
-    Alcotest.(check (array int)) "bucket-wise difference" [| 3; 0; 1 |]
-      d.Series.counts;
-    Alcotest.(check (float 1e-9)) "sum difference" 5.5 d.Series.sum
-
-let test_series_quantile () =
-  let bounds = [| 1.0; 2.0; 5.0 |] in
-  let q counts p = Series.quantile ~bounds ~counts p in
-  Alcotest.(check (option (float 1e-9)))
-    "all-zero counts" None
-    (q [| 0; 0; 0; 0 |] 0.5);
-  (* 10 observations all in (1, 2]: the median interpolates inside that
-     bucket — half way from bound 1.0 to bound 2.0 *)
-  Alcotest.(check (option (float 1e-9)))
-    "interpolates within the bucket" (Some 1.5)
-    (q [| 0; 10; 0; 0 |] 0.5);
-  (* the rank-1.0 clamp: a single observation reports its bucket's bound *)
-  Alcotest.(check (option (float 1e-9)))
-    "single observation hits the bound" (Some 2.0)
-    (q [| 0; 1; 0; 0 |] 0.5);
-  (* q = 1.0 on a full first bucket lands exactly on the bound *)
-  Alcotest.(check (option (float 1e-9)))
-    "on-bound" (Some 1.0)
-    (q [| 4; 0; 0; 0 |] 1.0);
-  (* overflow observations clamp to the last finite bound *)
-  Alcotest.(check (option (float 1e-9)))
-    "overflow clamps" (Some 5.0)
-    (q [| 0; 0; 0; 3 |] 0.99);
-  Alcotest.check_raises "q out of range"
-    (Invalid_argument "Series.quantile: q outside [0,1]") (fun () ->
-      ignore (q [| 1; 0; 0; 0 |] 1.5));
-  Alcotest.check_raises "length mismatch"
-    (Invalid_argument "Series.quantile: counts/bounds length mismatch")
-    (fun () -> ignore (q [| 1; 0 |] 0.5))
-
-let test_series_capture_merges_extras () =
-  Metrics.reset ();
-  let c = Metrics.counter "test_obs.series_capture" in
-  Metrics.add c 3;
-  let s =
-    Series.capture
-      ~extra_counters:[ ("gc.minor_collections", 7) ]
-      ~extra_gauges:[ ("gc.minor_words", 123.0) ]
-      ~now:42.0 ()
-  in
-  Alcotest.(check (float 1e-9)) "stamped" 42.0 s.Series.t;
-  Alcotest.(check (option int)) "registry counter captured" (Some 3)
-    (List.assoc_opt "test_obs.series_capture" s.Series.counters);
-  Alcotest.(check (option int)) "extra counter merged" (Some 7)
-    (List.assoc_opt "gc.minor_collections" s.Series.counters);
-  Alcotest.(check (option (float 1e-9))) "extra gauge merged" (Some 123.0)
-    (List.assoc_opt "gc.minor_words" s.Series.gauges)
-
 (* ---------- Prometheus exposition ---------- *)
 
 let test_prometheus_sanitize () =
@@ -655,15 +536,17 @@ let test_prometheus_render_scalars () =
 
 (* A live daemon ([qwm_sim --serve --prom]) that has served a request,
    scraped over a raw socket: the payload carries this test's counter,
-   the daemon's request counter and the latency histograms' [+Inf]
-   buckets. *)
+   the daemon's request counter, its start time, the served verb's
+   latency observation and the latency histograms' [+Inf] buckets. *)
 let test_prometheus_scrape_http () =
   Metrics.reset ();
   let c = Metrics.counter "test_prom.scraped" in
   Metrics.incr c;
   let sock = Filename.temp_file "tqwm-test-prom" ".sock" in
   Sys.remove sock;
+  let before = Unix.gettimeofday () in
   let daemon = Server.start ~tech:Tech.cmosp35 (Server_protocol.Unix_sock sock) in
+  let after = Unix.gettimeofday () in
   Fun.protect ~finally:(fun () -> Server.stop daemon) @@ fun () ->
   let client = Server_client.connect (Server.address daemon) in
   Fun.protect ~finally:(fun () -> Server_client.close client) (fun () ->
@@ -707,17 +590,31 @@ let test_prometheus_scrape_http () =
       in
       Alcotest.(check bool) "payload carries the counter" true
         (contains "test_prom_scraped 1" body);
-      (match
-         List.find_map
-           (fun line ->
-             match String.split_on_char ' ' line with
-             | [ "server_requests"; n ] -> int_of_string_opt n
-             | _ -> None)
-           (String.split_on_char '\n' body)
-       with
-      | Some n when n >= 1 -> ()
-      | Some n -> Alcotest.failf "server_requests reads %d after a served request" n
-      | None -> Alcotest.fail "the scrape lacks the server_requests counter");
+      let sample name =
+        List.find_map
+          (fun line ->
+            match String.split_on_char ' ' line with
+            | [ n; v ] when n = name -> float_of_string_opt v
+            | _ -> None)
+          (String.split_on_char '\n' body)
+      in
+      let at_least_one name =
+        match sample name with
+        | Some n when n >= 1.0 -> ()
+        | Some n -> Alcotest.failf "%s reads %g after a served request" name n
+        | None -> Alcotest.failf "the scrape lacks %s" name
+      in
+      at_least_one "server_requests";
+      (* each served verb's latency is observed *)
+      at_least_one "server_latency_ms_health_count";
+      (* the exposition prints 12 significant digits: a Unix time in
+         seconds keeps two decimals *)
+      (match sample "server_start_time_seconds" with
+      | Some v when v >= before -. 0.01 && v <= after +. 0.01 -> ()
+      | Some v ->
+        Alcotest.failf "server_start_time_seconds %.3f outside [%.3f, %.3f]" v
+          before after
+      | None -> Alcotest.fail "the scrape lacks server_start_time_seconds");
       Alcotest.(check bool) "payload carries +Inf histogram buckets" true
         (contains "le=\"+Inf\"" body);
       Alcotest.(check bool) "404 elsewhere" true
@@ -1015,16 +912,6 @@ let () =
           Alcotest.test_case "context scoping" `Quick test_trace_context_scoping;
           Alcotest.test_case "context crosses domains" `Quick
             test_trace_context_crosses_domains;
-        ] );
-      ( "series",
-        [
-          Alcotest.test_case "ring eviction" `Quick test_series_ring_eviction;
-          Alcotest.test_case "rates skip foreign samples" `Quick
-            test_series_rates_skip_foreign_samples;
-          Alcotest.test_case "histogram delta" `Quick test_series_histogram_delta;
-          Alcotest.test_case "quantile estimation" `Quick test_series_quantile;
-          Alcotest.test_case "capture merges extras" `Quick
-            test_series_capture_merges_extras;
         ] );
       ( "prometheus",
         [

@@ -309,7 +309,7 @@ let test_session_cap () =
         (fun () ->
           ignore (Client.request c3 "load" [ ("graph", Json.String "chain 2") ])))
 
-(* ---------- observability: health / stats / trace / access log ---------- *)
+(* ---------- observability: health / trace / access log ---------- *)
 
 module Trace = Tqwm_obs.Trace
 
@@ -333,41 +333,6 @@ let test_health_verb () =
             (Schema.field "health" "tracing" h = Json.Bool false);
           Alcotest.(check bool) "no access log" true
             (Schema.field "health" "access_log" h = Json.Bool false)))
-
-let test_stats_verb () =
-  with_server (fun server ->
-      let c = Client.connect (Server.address server) in
-      Fun.protect
-        ~finally:(fun () -> Client.close c)
-        (fun () ->
-          ignore (Client.request c "load" [ ("graph", Json.String "chain 4") ]);
-          for _ = 1 to 3 do
-            ignore (Client.request c "report" [])
-          done;
-          let s = Client.stats ~window_s:60.0 c in
-          Alcotest.(check bool) "window echoed" true
-            (Schema.number "stats" "window_s" s = 60.0);
-          Alcotest.(check bool) "samples recorded" true
-            (Schema.number "stats" "samples" s >= 1.0);
-          Alcotest.(check bool) "qps positive after traffic" true
-            (Schema.number "stats" "qps" s > 0.0);
-          (let verbs = Schema.field "stats" "verbs" s in
-           let row = Schema.field "stats.verbs" "report" verbs in
-           Alcotest.(check bool) "report count" true
-             (Schema.number "report row" "count" row >= 3.0);
-           Alcotest.(check bool) "report p50" true
-             (Schema.number "report row" "p50_ms" row >= 0.0));
-          (match Json.member "gc" s with
-          | Some (Json.Obj _) -> ()
-          | _ -> Alcotest.fail "stats lacks a gc object");
-          (* a bogus window is a structured bad_request, not a hang-up *)
-          (try
-             ignore
-               (Client.request c "stats" [ ("window_s", Json.Float (-1.0)) ]);
-             Alcotest.fail "negative window must fail"
-           with Client.Server_error { code; _ } ->
-             Alcotest.(check string) "bad window" "bad_request" code);
-          ignore (Client.request c "report" [])))
 
 (* The tentpole property end to end: with tracing on, a served edit +
    report recomputation emits [sta.stage] solve spans on worker domains,
@@ -595,7 +560,6 @@ let () =
       ( "observability",
         [
           quick "health verb" test_health_verb;
-          quick "stats verb" test_stats_verb;
           quick "trace verb is request-scoped" test_trace_verb_request_scoped;
           quick "access log" test_access_log;
           quick "traced clients share the log" test_traced_clients_share_the_log;
