@@ -163,17 +163,6 @@ let figure7 () =
   let config = { (spice_config 1e-12) with Transient.record_currents = true } in
   let result = Transient.simulate ~model:golden ~config scenario in
   let stage = scenario.Scenario.stage in
-  let n_edges = Array.length stage.Stage.edges in
-  (* node k's discharge current = J_{k+1} - J_k (difference of neighbour
-     channel currents, paper Eq. (4)) *)
-  let node_current step node =
-    match result.Transient.currents with
-    | None -> 0.0
-    | Some cur ->
-      let j k = if k >= n_edges then 0.0 else cur.(step).(k) in
-      j node -. j (node - 1) |> fun x -> -.x
-  in
-  ignore node_current;
   let times = List.init 13 (fun i -> float_of_int i *. 25e-12) in
   Printf.printf "%7s" "t(ps)";
   Array.iteri (fun e _ -> Printf.printf "   I%d" (e + 1)) stage.Stage.edges;

@@ -81,8 +81,8 @@ let require_non_negative flag v =
     exit 2)
 
 (* --sta: propagate arrivals over a fan-out tree of the selected stage *)
-let run_sta ~tech ~depth ~fanout ~domains ~use_cache
-    ~report_timing ~report_slack ~k_paths ~clock_period_ps ~json_file scenario =
+let run_sta ~tech ~depth ~fanout ~domains ~report_timing ~report_slack ~k_paths
+    ~clock_period_ps ~json_file scenario =
   if fanout < 1 then (
     Printf.eprintf "qwm_sim: --fanout must be >= 1 (got %d)\n" fanout;
     exit 2);
@@ -94,9 +94,9 @@ let run_sta ~tech ~depth ~fanout ~domains ~use_cache
   let model = Models.table tech in
   let graph = Workloads.fanout_tree ~fanout ~depth scenario in
   ignore (Timing_graph.freeze graph);
-  let cache = if use_cache then Some (Stage_cache.create ()) else None in
+  let cache = Stage_cache.create () in
   let t0 = Unix.gettimeofday () in
-  let analysis = Parallel.propagate ~model ?cache ~domains graph in
+  let analysis = Parallel.propagate ~model ~cache ~domains graph in
   let elapsed = Unix.gettimeofday () -. t0 in
   Printf.printf
     "sta: %d copies of %s (fan-out %d, depth %d), %d domain%s: %.3f ms\n"
@@ -109,12 +109,10 @@ let run_sta ~tech ~depth ~fanout ~domains ~use_cache
     Printf.printf "worst arrival %.2f ps over a %d-stage critical path\n"
       (analysis.Tqwm_sta.Arrival.worst_arrival *. ps)
       (List.length analysis.Tqwm_sta.Arrival.critical_path);
-  (match cache with
-  | None -> ()
-  | Some c ->
-    let s = Stage_cache.stats c in
-    Printf.printf "cache: %d solves, %d hits (%.0f%% hit rate)\n"
-      s.Stage_cache.misses s.Stage_cache.hits (100.0 *. Stage_cache.hit_rate c));
+  let s = Stage_cache.stats cache in
+  Printf.printf "cache: %d solves, %d hits (%.0f%% hit rate)\n" s.Stage_cache.misses
+    s.Stage_cache.hits
+    (100.0 *. Stage_cache.hit_rate cache);
   if report_timing || report_slack then begin
     let clock_period =
       match clock_period_ps with
@@ -126,7 +124,7 @@ let run_sta ~tech ~depth ~fanout ~domains ~use_cache
     let explained =
       if report_timing || json_file <> None then
         List.map
-          (Path_enum.explain ~model ?cache graph analysis)
+          (Path_enum.explain ~model ~cache graph analysis)
           (Path_enum.k_worst ~clock_period ~k:k_paths graph analysis)
       else []
     in
@@ -224,7 +222,7 @@ let run_serve ~tech ~addr ~graph_spec ~domains ~epsilon_ps ~max_sessions ~prom
   0
 
 (* --incr: drive an incremental session from an edit/query script *)
-let run_incr ~tech ~domains ~use_cache ~scratch ~epsilon_ps ~json_file
+let run_incr ~tech ~domains ~scratch ~epsilon_ps ~json_file
     ~timing_json_file ~timing_k path =
   if timing_k < 1 then (
     Printf.eprintf "qwm_sim: --timing-k must be >= 1 (got %d)\n" timing_k;
@@ -233,8 +231,8 @@ let run_incr ~tech ~domains ~use_cache ~scratch ~epsilon_ps ~json_file
   let model = Models.table tech in
   let mode = if scratch then Tqwm_incr.Script.Scratch else Tqwm_incr.Script.Incremental in
   match
-    Tqwm_incr.Script.run_file ~tech ~model ~use_cache ~domains
-      ~epsilon:(epsilon_ps *. 1e-12) ~mode path
+    Tqwm_incr.Script.run_file ~tech ~model ~domains ~epsilon:(epsilon_ps *. 1e-12) ~mode
+      path
   with
   | exception Tqwm_incr.Script.Script_error { line; message } ->
     Printf.eprintf "%s:%d: %s\n" path line message;
@@ -268,17 +266,8 @@ let run_incr ~tech ~domains ~use_cache ~scratch ~epsilon_ps ~json_file
 
 (* --audit: golden-vs-QWM accuracy observatory over the workload catalog,
    with drift detection against the persisted AUDIT_accuracy.json ledger *)
-let run_audit ~tech ~domains ~baseline_file ~update_baseline ~tol_pct ~json_file =
+let run_audit ~tech ~domains ~baseline_file ~update_baseline ~json_file =
   let path = Option.value baseline_file ~default:"AUDIT_accuracy.json" in
-  let tol =
-    match tol_pct with
-    | None -> Audit_baseline.default_tolerances
-    | Some abs_pp when abs_pp >= 0.0 ->
-      { Audit_baseline.default_tolerances with Audit_baseline.abs_pp }
-    | Some bad ->
-      Printf.eprintf "qwm_sim: --tol-pct must be >= 0 (got %g)\n" bad;
-      exit 2
-  in
   let t0 = Unix.gettimeofday () in
   let audit = Audit.run ~domains tech in
   let elapsed = Unix.gettimeofday () -. t0 in
@@ -295,10 +284,10 @@ let run_audit ~tech ~domains ~baseline_file ~update_baseline ~tol_pct ~json_file
         path;
       None
     | Some baseline ->
-      let report = Drift.check ~tol ~baseline audit in
+      let report = Drift.check ~baseline audit in
       Printf.printf "audit: drift vs %s (tolerance %.2fpp + %.0f%%):\n" path
-        tol.Audit_baseline.abs_pp
-        (100.0 *. tol.Audit_baseline.rel);
+        Audit_baseline.band_abs_pp
+        (100.0 *. Audit_baseline.band_rel);
       Drift.pp Format.std_formatter report;
       Some report
     | exception Failure msg ->
@@ -360,10 +349,9 @@ let partition_netlist path =
     0
 
 let run_main circuit engine dt_ps waveform ramp_ps partition incr_script scratch
-    epsilon_ps sta_depth sta_fanout domains no_cache report_timing
-    report_slack k_paths clock_period_ps json_file audit baseline_file
-    update_baseline tol_pct serve graph_spec max_sessions timing_json_file
-    timing_k prom access_log slow_ms =
+    epsilon_ps sta_depth sta_fanout domains report_timing report_slack k_paths
+    clock_period_ps json_file audit baseline_file update_baseline serve graph_spec
+    max_sessions timing_json_file timing_k prom access_log slow_ms =
   match serve with
   | Some addr ->
     run_serve ~tech:Tech.cmosp35 ~addr ~graph_spec
@@ -373,7 +361,7 @@ let run_main circuit engine dt_ps waveform ramp_ps partition incr_script scratch
   if audit then
     run_audit ~tech:Tech.cmosp35
       ~domains:(Option.value domains ~default:1)
-      ~baseline_file ~update_baseline ~tol_pct ~json_file
+      ~baseline_file ~update_baseline ~json_file
   else
   match partition with
   | Some path -> partition_netlist path
@@ -382,8 +370,7 @@ let run_main circuit engine dt_ps waveform ramp_ps partition incr_script scratch
   | Some path ->
     run_incr ~tech:Tech.cmosp35
       ~domains:(Option.value domains ~default:1)
-      ~use_cache:(not no_cache) ~scratch ~epsilon_ps ~json_file
-      ~timing_json_file ~timing_k path
+      ~scratch ~epsilon_ps ~json_file ~timing_json_file ~timing_k path
   | None ->
   require_positive "--dt" dt_ps;
   Option.iter (require_positive "--ramp") ramp_ps;
@@ -405,8 +392,8 @@ let run_main circuit engine dt_ps waveform ramp_ps partition incr_script scratch
     match sta_depth with
     | Some depth ->
       let domains = Option.value domains ~default:(Parallel.default_domains ()) in
-      run_sta ~tech ~depth ~fanout:sta_fanout ~domains ~use_cache:(not no_cache)
-        ~report_timing ~report_slack ~k_paths ~clock_period_ps ~json_file scenario
+      run_sta ~tech ~depth ~fanout:sta_fanout ~domains ~report_timing ~report_slack
+        ~k_paths ~clock_period_ps ~json_file scenario
     | None ->
     Printf.printf "circuit %s: %d nodes, %d edges, window %.0f ps\n"
       scenario.Scenario.name scenario.Scenario.stage.Stage.num_nodes
@@ -432,24 +419,19 @@ let run_main circuit engine dt_ps waveform ramp_ps partition incr_script scratch
       1
 
 let main circuit engine dt_ps waveform ramp_ps partition incr_script scratch
-    epsilon_ps sta_depth sta_fanout domains no_cache report_timing
-    report_slack k_paths clock_period_ps json_file audit baseline_file
-    update_baseline tol_pct serve graph_spec max_sessions timing_json_file
-    timing_k trace_file trace_out metrics_file prom access_log slow_ms =
-  (* --trace-out is the serve-mode spelling; either flag records, the
-     daemon gets a bounded buffer so a long run cannot grow without
+    epsilon_ps sta_depth sta_fanout domains report_timing report_slack k_paths
+    clock_period_ps json_file audit baseline_file update_baseline serve graph_spec
+    max_sessions timing_json_file timing_k trace_file metrics_file prom access_log
+    slow_ms =
+  (* the daemon gets a bounded buffer so a long run cannot grow without
      limit *)
-  let trace_file =
-    match (trace_file, trace_out) with Some f, _ -> Some f | None, o -> o
-  in
   if trace_file <> None then
     if serve <> None then Trace.enable ~cap:262_144 () else Trace.enable ();
   let code =
     run_main circuit engine dt_ps waveform ramp_ps partition incr_script scratch
-      epsilon_ps sta_depth sta_fanout domains no_cache
-      report_timing report_slack k_paths clock_period_ps json_file audit
-      baseline_file update_baseline tol_pct serve graph_spec max_sessions
-      timing_json_file timing_k prom access_log slow_ms
+      epsilon_ps sta_depth sta_fanout domains report_timing report_slack k_paths
+      clock_period_ps json_file audit baseline_file update_baseline serve graph_spec
+      max_sessions timing_json_file timing_k prom access_log slow_ms
   in
   (match trace_file with
   | None -> ()
@@ -516,10 +498,6 @@ let domains =
   let doc = "Domains used by --sta propagation (default: the recommended domain count of this machine)." in
   Arg.(value & opt (some int) None & info [ "domains" ] ~docv:"N" ~doc)
 
-let no_cache =
-  let doc = "Disable stage-result memoization in --sta mode." in
-  Arg.(value & flag & info [ "no-cache" ] ~doc)
-
 let report_timing =
   let doc =
     "In --sta mode, enumerate the --k-paths worst paths and print each \
@@ -566,10 +544,6 @@ let update_baseline =
   let doc = "Append this audit run to the baseline ledger (date- and commit-stamped)." in
   Arg.(value & flag & info [ "update-baseline" ] ~doc)
 
-let tol_pct =
-  let doc = "Drift tolerance in absolute percentage points on every audited error metric (the 5% relative component is kept); metrics moving beyond it are classified improved/regressed." in
-  Arg.(value & opt (some float) None & info [ "tol-pct" ] ~docv:"X" ~doc)
-
 let serve =
   let doc =
     "Run as a timing daemon on $(docv) (unix:PATH or HOST:PORT; TCP port \
@@ -609,18 +583,8 @@ let timing_k =
   Arg.(value & opt int 1 & info [ "timing-k" ] ~docv:"N" ~doc)
 
 let trace_file =
-  let doc = "Record Chrome trace events (per-stage spans, per-domain workers, QWM regions) and write them to $(docv); load in chrome://tracing or ui.perfetto.dev." in
+  let doc = "Record Chrome trace events (per-stage spans, per-domain workers, QWM regions) and write them to $(docv); load in chrome://tracing or ui.perfetto.dev. In --serve mode the events are request-scoped (request and session ids on every span, merged across worker domains), the buffer is bounded, the live buffer is also served by the [trace] verb, and the file is written at shutdown." in
   Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
-
-let trace_out =
-  let doc =
-    "Synonym of --trace for --serve mode: record request-scoped Chrome \
-     trace events (request and session ids on every span, merged across \
-     worker domains) and write the single merged trace to $(docv) at \
-     shutdown. The live buffer is also available over the wire via the \
-     [trace] verb."
-  in
-  Arg.(value & opt (some string) None & info [ "trace-out" ] ~docv:"FILE" ~doc)
 
 let prom =
   let doc =
@@ -658,10 +622,9 @@ let cmd =
     Term.(
       const main $ circuit $ engine $ dt $ waveform $ ramp $ partition
       $ incr_script $ scratch $ epsilon_ps $ sta_depth $ sta_fanout $ domains
-      $ no_cache $ report_timing $ report_slack $ k_paths
-      $ clock_period_ps $ json_file $ audit $ baseline_file
-      $ update_baseline $ tol_pct $ serve $ graph_spec $ max_sessions
-      $ timing_json_file $ timing_k $ trace_file $ trace_out $ metrics_file
-      $ prom $ access_log $ slow_ms)
+      $ report_timing $ report_slack $ k_paths $ clock_period_ps $ json_file $ audit
+      $ baseline_file $ update_baseline $ serve $ graph_spec $ max_sessions
+      $ timing_json_file $ timing_k $ trace_file $ metrics_file $ prom $ access_log
+      $ slow_ms)
 
 let () = exit (Cmd.eval' cmd)

@@ -1,9 +1,8 @@
 module Json = Tqwm_obs.Json
 module Ledger = Tqwm_obs.Ledger
 
-type tolerances = { abs_pp : float; rel : float }
-
-let default_tolerances = { abs_pp = 0.25; rel = 0.05 }
+let band_abs_pp = 0.25
+let band_rel = 0.05
 
 type classification = Unchanged | Improved | Regressed
 
@@ -12,8 +11,8 @@ let classification_to_string = function
   | Improved -> "improved"
   | Regressed -> "regressed"
 
-let classify tol ~baseline ~current =
-  let margin = tol.abs_pp +. (tol.rel *. Float.abs baseline) in
+let classify ~baseline ~current =
+  let margin = band_abs_pp +. (band_rel *. Float.abs baseline) in
   if current -. baseline > margin then Regressed
   else if baseline -. current > margin then Improved
   else Unchanged
@@ -27,19 +26,19 @@ type delta = {
   classification : classification;
 }
 
-let delta tol ~metric ~workload ?stage ~baseline ~current () =
+let delta ~metric ~workload ?stage ~baseline ~current () =
   {
     metric;
     workload;
     stage;
     baseline;
     current;
-    classification = classify tol ~baseline ~current;
+    classification = classify ~baseline ~current;
   }
 
-let record_deltas tol (base : Audit.stage_record) (cur : Audit.stage_record) =
+let record_deltas (base : Audit.stage_record) (cur : Audit.stage_record) =
   let d metric baseline current =
-    delta tol ~metric ~workload:cur.Audit.workload ~stage:cur.Audit.stage
+    delta ~metric ~workload:cur.Audit.workload ~stage:cur.Audit.stage
       ~baseline ~current ()
   in
   let slew =
@@ -51,9 +50,9 @@ let record_deltas tol (base : Audit.stage_record) (cur : Audit.stage_record) =
   :: d "rms_pct_of_swing" base.Audit.rms_pct_of_swing cur.Audit.rms_pct_of_swing
   :: slew
 
-let summary_deltas tol (base : Audit.summary) (cur : Audit.summary) =
+let summary_deltas (base : Audit.summary) (cur : Audit.summary) =
   let d metric baseline current =
-    delta tol ~metric ~workload:cur.Audit.name ~baseline ~current ()
+    delta ~metric ~workload:cur.Audit.name ~baseline ~current ()
   in
   [
     d "avg_delay_error_pct" base.Audit.avg_delay_error_pct cur.Audit.avg_delay_error_pct;
@@ -61,7 +60,7 @@ let summary_deltas tol (base : Audit.summary) (cur : Audit.summary) =
     d "avg_rms_pct" base.Audit.avg_rms_pct cur.Audit.avg_rms_pct;
   ]
 
-let compare_audits ?(tol = default_tolerances) ~baseline current =
+let compare_audits ~baseline current =
   let base_records =
     List.concat_map
       (fun ((_ : Audit.summary), rs) ->
@@ -74,7 +73,7 @@ let compare_audits ?(tol = default_tolerances) ~baseline current =
         List.concat_map
           (fun (cur : Audit.stage_record) ->
             match List.assoc_opt (cur.Audit.workload, cur.Audit.stage) base_records with
-            | Some base -> record_deltas tol base cur
+            | Some base -> record_deltas base cur
             | None -> [])
           rs)
       current.Audit.workloads
@@ -86,12 +85,12 @@ let compare_audits ?(tol = default_tolerances) ~baseline current =
     List.concat_map
       (fun ((cur : Audit.summary), _) ->
         match List.assoc_opt cur.Audit.name base_summaries with
-        | Some base -> summary_deltas tol base cur
+        | Some base -> summary_deltas base cur
         | None -> [])
       current.Audit.workloads
   in
   stage_deltas @ workload_deltas
-  @ summary_deltas tol baseline.Audit.overall current.Audit.overall
+  @ summary_deltas baseline.Audit.overall current.Audit.overall
 
 let load path =
   Option.map Audit.of_json (Ledger.last path)

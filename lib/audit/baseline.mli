@@ -4,29 +4,28 @@
     [AUDIT_accuracy.json] ledger (see {!Tqwm_obs.Ledger}). Comparing a
     fresh audit against it classifies every error metric — per-stage
     delay error, waveform RMS and slew error, per-workload and overall
-    averages/maxima — as unchanged, improved or regressed under a
-    configurable absolute + relative tolerance. All compared metrics are
-    error metrics, so {e lower is better}: a value that moved up beyond
-    the tolerance regressed, one that moved down improved. *)
+    averages/maxima — as unchanged, improved or regressed under a fixed
+    band of 0.25 percentage points + 5 % of the baseline value: wide
+    enough to absorb float noise from re-characterized device tables,
+    tight enough that a real solver degradation (a lost half-point of
+    accuracy) trips it. All compared metrics are error metrics, so
+    {e lower is better}: a value that moved up beyond the band
+    regressed, one that moved down improved. *)
 
-type tolerances = {
-  abs_pp : float;
-      (** absolute slack, in percentage points of the error metric *)
-  rel : float;  (** relative slack, as a fraction of the baseline value *)
-}
+val band_abs_pp : float
+(** The drift band's absolute slack: 0.25 percentage points of the error
+    metric. *)
 
-val default_tolerances : tolerances
-(** 0.25 percentage points + 5 % of the baseline value — wide enough to
-    absorb float noise from re-characterized device tables, tight enough
-    that a real solver degradation (a lost half-point of accuracy)
-    trips it. *)
+val band_rel : float
+(** The drift band's relative slack: 0.05 of the baseline value. *)
 
 type classification = Unchanged | Improved | Regressed
 
 val classification_to_string : classification -> string
 
-val classify : tolerances -> baseline:float -> current:float -> classification
-(** A metric moved iff [|current - baseline| > abs_pp + rel * |baseline|];
+val classify : baseline:float -> current:float -> classification
+(** A metric moved iff
+    [|current - baseline| > band_abs_pp + band_rel * |baseline|];
     direction decides {!Improved} (down) vs {!Regressed} (up). *)
 
 type delta = {
@@ -38,7 +37,7 @@ type delta = {
   classification : classification;
 }
 
-val compare_audits : ?tol:tolerances -> baseline:Audit.t -> Audit.t -> delta list
+val compare_audits : baseline:Audit.t -> Audit.t -> delta list
 (** One {!delta} per comparable metric, pairing current stages and
     workloads with their baseline counterparts by name; entries present
     on only one side are skipped (see {!Drift.check}, which counts

@@ -17,8 +17,8 @@ type report = {
 
 let excursion (d : Baseline.delta) = d.Baseline.current -. d.Baseline.baseline
 
-let check ?tol ~baseline current =
-  let deltas = Baseline.compare_audits ?tol ~baseline current in
+let check ~baseline current =
+  let deltas = Baseline.compare_audits ~baseline current in
   let regressed =
     List.filter (fun d -> d.Baseline.classification = Baseline.Regressed) deltas
     |> List.sort (fun a b -> Float.compare (excursion b) (excursion a))

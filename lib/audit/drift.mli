@@ -17,7 +17,7 @@ type report = {
           omitted, worst family first *)
 }
 
-val check : ?tol:Baseline.tolerances -> baseline:Audit.t -> Audit.t -> report
+val check : baseline:Audit.t -> Audit.t -> report
 (** Compare and classify. Each call bumps the [audit.*] drift counters
     by this report's classification counts. *)
 

@@ -4,8 +4,6 @@ type waveform_model = Quadratic | Linear
 
 type t = {
   levels : float list;
-  max_iterations : int;
-  current_tolerance : float;
   linear_solver : linear_solver;
   waveform_model : waveform_model;
   reduce_wires : bool;
@@ -14,8 +12,6 @@ type t = {
 let default =
   {
     levels = [ 0.85; 0.72; 0.6; 0.5; 0.4; 0.3; 0.2; 0.12; 0.06 ];
-    max_iterations = 60;
-    current_tolerance = 5e-9;
     linear_solver = Bordered;
     waveform_model = Quadratic;
     reduce_wires = true;

@@ -22,8 +22,6 @@ type t = {
       (** output-ladder matching points (fractions of VDD, descending) used
           after the last transistor has turned on; each contributes one
           quadratic region *)
-  max_iterations : int;  (** per-region Newton cap *)
-  current_tolerance : float;  (** residual tolerance on current matches, A *)
   linear_solver : linear_solver;
   waveform_model : waveform_model;
   reduce_wires : bool;

@@ -346,6 +346,12 @@ type state = {
 (* residual tolerance on a region's end condition, V *)
 let voltage_tolerance = 1e-6
 
+(* residual tolerance on a region's current matches, A *)
+let current_match_tolerance = 5e-9
+
+(* per-region Newton cap *)
+let max_iterations = 60
+
 (* the line search's first step: the full Newton step *)
 let line_search_step = 1.0
 
@@ -634,10 +640,10 @@ let solve_linear p m ~f =
     Sherman_morrison.solve_tridiag_into ~n:(m + 1) ~lower:ws.sm_lower ~diag:ws.sm_diag
       ~upper:ws.sm_upper ~u ~v ~cp:ws.cp ~dp:ws.dp ~y:ws.y ~z:ws.z ~b:f ~x:ws.dx
 
-let converged p (f : Vec.t) m =
+let converged (f : Vec.t) m =
   let ok = ref (Float.abs f.{m} <= voltage_tolerance) in
   for k = 0 to m - 1 do
-    if Float.abs f.{k} > p.cfg.Config.current_tolerance then ok := false
+    if Float.abs f.{k} > current_match_tolerance then ok := false
   done;
   !ok
 
@@ -670,10 +676,10 @@ type region_solution = {
 
 (* Scale-free residual magnitude: current matches in units of the current
    tolerance, the end condition in units of the voltage tolerance. *)
-let merit p (f : Vec.t) m =
+let merit (f : Vec.t) m =
   let acc = ref (Float.abs f.{m} /. voltage_tolerance) in
   for k = 0 to m - 1 do
-    acc := Float.max !acc (Float.abs f.{k} /. p.cfg.Config.current_tolerance)
+    acc := Float.max !acc (Float.abs f.{k} /. current_match_tolerance)
   done;
   !acc
 
@@ -686,12 +692,11 @@ let merit p (f : Vec.t) m =
 let solve_region_from ?cap p st target (alpha : Vec.t) delta0 =
   let ws = p.ws in
   let m = st.active in
-  let cfg = p.cfg in
-  let max_iterations = Option.value cap ~default:cfg.Config.max_iterations in
+  let max_iterations = Option.value cap ~default:max_iterations in
   let newton0 = st.n_newton in
   let delta = ref (Float.max delta0 1e-15) in
   let finish ok =
-    { alpha; delta = !delta; ok; iters = st.n_newton - newton0; merit = merit p ws.f m }
+    { alpha; delta = !delta; ok; iters = st.n_newton - newton0; merit = merit ws.f m }
   in
   let apply_step step =
     let dx = ws.dx and trial_alpha = ws.trial_alpha in
@@ -708,7 +713,7 @@ let solve_region_from ?cap p st target (alpha : Vec.t) delta0 =
      [ws.v_end]/[ws.i_end] that candidate's projection *)
   let rec iterate n =
     st.n_newton <- st.n_newton + 1;
-    if converged p ws.f m then finish true
+    if converged ws.f m then finish true
     else if n >= max_iterations then finish false
     else begin
       region_jacobian p st target alpha !delta;
@@ -716,13 +721,13 @@ let solve_region_from ?cap p st target (alpha : Vec.t) delta0 =
       | exception _ -> finish false
       | () ->
         st.n_solves <- st.n_solves + 1;
-        let m0 = merit p ws.f m in
+        let m0 = merit ws.f m in
         (* the trial region length, or nan when no step down to 1/1024
            lowers the merit *)
         let rec backtrack step tries =
           let trial_delta = apply_step step in
           region_residual p st target ws.trial_alpha trial_delta ~f:ws.f_trial;
-          let mt = merit p ws.f_trial m in
+          let mt = merit ws.f_trial m in
           if mt < m0 then trial_delta
           else if tries = 0 then Float.nan
           else begin
@@ -742,7 +747,7 @@ let solve_region_from ?cap p st target (alpha : Vec.t) delta0 =
     end
   in
   region_residual p st target alpha !delta ~f:ws.f;
-  if Float.is_nan (merit p ws.f m) then finish false else iterate 0
+  if Float.is_nan (merit ws.f m) then finish false else iterate 0
 
 (* A region is warm when its start needs no estimate: the previous
    region committed curvatures for the same active set, or the linear
@@ -947,7 +952,6 @@ let plausible p st sol =
 let solve_fixed p st delta =
   let ws = p.ws in
   let m = st.active in
-  let cfg = p.cfg in
   let alpha = ws.alpha_a in
   let newton0 = st.n_newton in
   if is_linear p then
@@ -973,7 +977,7 @@ let solve_fixed p st delta =
   let fixed_merit (f : Vec.t) =
     let acc = ref 0.0 in
     for r = 0 to m - 1 do
-      acc := Float.max !acc (Float.abs f.{r} /. cfg.Config.current_tolerance)
+      acc := Float.max !acc (Float.abs f.{r} /. current_match_tolerance)
     done;
     !acc
   in
@@ -981,7 +985,7 @@ let solve_fixed p st delta =
      [ws.v_end]/[ws.i_end] the candidate's projection *)
   let rec iterate n =
     st.n_newton <- st.n_newton + 1;
-    if fixed_merit ws.f <= 1.0 || n >= cfg.Config.max_iterations then ()
+    if fixed_merit ws.f <= 1.0 || n >= max_iterations then ()
     else begin
       region_jacobian p st (Level { node = m; value = 0.0 }) alpha delta;
       match
@@ -1177,7 +1181,7 @@ let trace_region p st target sol start (s0 : stats) =
 let rec advance p st target depth =
   let newton0 = st.n_newton in
   let before = if Trace.enabled () then Some (stats_of p st) else None in
-  let cap = p.cfg.Config.max_iterations / 4 in
+  let cap = max_iterations / 4 in
   let sol, start =
     if warm p st then begin
       let first = solve_region ~cap p st target in

@@ -8,7 +8,6 @@ val golden : ?miller_factor:float -> Tech.t -> Device_model.t
 val table :
   ?miller_factor:float ->
   ?grid_step:float ->
-  ?vd_samples:int ->
   Tech.t ->
   Device_model.t
 (** Characterizes both polarities; ~0.1 s of one-time work at the default

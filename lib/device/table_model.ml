@@ -36,10 +36,12 @@ let sample_range ~lo ~hi ~count f =
       let x = lo +. ((hi -. lo) *. float_of_int i /. float_of_int (count - 1)) in
       (x, f x))
 
-let characterize ?(grid_step = 0.1) ?(vd_samples = 9) (tech : Tech.t) ~polarity
-    ~source ~threshold =
+(* sample points per region fit: the triode quadratic and the
+   saturation line *)
+let samples_per_fit = 9
+
+let characterize ?(grid_step = 0.1) (tech : Tech.t) ~polarity ~source ~threshold =
   if grid_step <= 0.0 then invalid_arg "Table_model.characterize: grid_step <= 0";
-  if vd_samples < 3 then invalid_arg "Table_model.characterize: vd_samples < 3";
   let count = int_of_float (Float.ceil (tech.vdd /. grid_step)) + 1 in
   let vg_axis = Interp.axis ~start:0.0 ~stop:tech.vdd ~count in
   let vs_axis = vg_axis in
@@ -51,11 +53,15 @@ let characterize ?(grid_step = 0.1) ?(vd_samples = 9) (tech : Tech.t) ~polarity
     else begin
       let current x = source ~vg:g ~vs:s ~vd:(s +. x) in
       let triode_end = Float.min vdsat headroom in
-      let triode_pts = sample_range ~lo:0.0 ~hi:triode_end ~count:vd_samples current in
+      let triode_pts =
+        sample_range ~lo:0.0 ~hi:triode_end ~count:samples_per_fit current
+      in
       let t0, t1, t2 = Polyfit.quadratic triode_pts in
       let s1, s2 =
         if vdsat < headroom -. 1e-9 then
-          let sat_pts = sample_range ~lo:vdsat ~hi:headroom ~count:vd_samples current in
+          let sat_pts =
+            sample_range ~lo:vdsat ~hi:headroom ~count:samples_per_fit current
+          in
           Polyfit.linear sat_pts |> fun (intercept, slope) -> (slope, intercept)
         else begin
           (* no saturation headroom on the grid: continue with the triode tangent *)
@@ -74,7 +80,7 @@ let characterize ?(grid_step = 0.1) ?(vd_samples = 9) (tech : Tech.t) ~polarity
   let vth_by_vs = Tqwm_num.Vec.init count (fun j -> fits.(0).(j).vth) in
   { tech; polarity; vg_axis; vs_axis; fits; vth_by_vs }
 
-let of_analytic ?grid_step ?vd_samples (tech : Tech.t) polarity =
+let of_analytic ?grid_step (tech : Tech.t) polarity =
   let w = reference_w and l = reference_l tech in
   let source =
     match polarity with
@@ -86,7 +92,7 @@ let of_analytic ?grid_step ?vd_samples (tech : Tech.t) polarity =
           ~vs:(tech.vdd -. vs)
   in
   let threshold ~vs = Mosfet.threshold tech polarity ~vsb:vs in
-  characterize ?grid_step ?vd_samples tech ~polarity ~source ~threshold
+  characterize ?grid_step tech ~polarity ~source ~threshold
 
 (* Bilinear interpolation between the four neighbouring grid fits; each
    corner's polynomial is evaluated at the query's own vd (paper §V-A). *)

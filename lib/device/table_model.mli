@@ -28,7 +28,6 @@ type t
 
 val characterize :
   ?grid_step:float ->
-  ?vd_samples:int ->
   Tech.t ->
   polarity:Mosfet.polarity ->
   source:(vg:float -> vs:float -> vd:float -> float) ->
@@ -37,10 +36,9 @@ val characterize :
 (** [characterize tech ~polarity ~source ~threshold] sweeps [source] (the
     golden simulator, in normalized pull-down coordinates, at reference
     geometry W = 1 um, L = l_min) over Vg, Vs in [0, VDD] with [grid_step]
-    (default 0.1 V, the paper's setting) and [vd_samples] points per fit
-    region (default 9). *)
+    (default 0.1 V, the paper's setting) and 9 points per fit region. *)
 
-val of_analytic : ?grid_step:float -> ?vd_samples:int -> Tech.t -> Mosfet.polarity -> t
+val of_analytic : ?grid_step:float -> Tech.t -> Mosfet.polarity -> t
 (** Characterize directly from the analytic {!Mosfet} model, mirroring the
     paper's characterization from Hspice/BSIM3. *)
 

@@ -100,7 +100,7 @@ module Interp = struct
   type t = {
     tech : Tqwm_device.Tech.t;
     model : Tqwm_device.Device_model.t;
-    cache : Stage_cache.t option;
+    cache : Stage_cache.t;
     domains : int;
     epsilon : float;
     mode : mode;
@@ -114,13 +114,9 @@ module Interp = struct
     mutable fed : int;  (** lines fed so far, for default line numbering *)
   }
 
-  let create ~tech ~model ?cache ?(use_cache = true) ?(domains = 1) ?(epsilon = 0.0)
-      ?(mode = Incremental) ?(out = Format.std_formatter) ?session () =
-    let cache =
-      match cache with
-      | Some _ as c -> c
-      | None -> if use_cache then Some (Stage_cache.create ()) else None
-    in
+  let create ~tech ~model ?cache ?(domains = 1) ?(epsilon = 0.0) ?(mode = Incremental)
+      ?(out = Format.std_formatter) ?session () =
+    let cache = match cache with Some c -> c | None -> Stage_cache.create () in
     {
       tech;
       model;
@@ -145,7 +141,7 @@ module Interp = struct
     | Some s -> s
     | None ->
       let s =
-        Session.create ~model:t.model ?cache:t.cache ~domains:t.domains
+        Session.create ~model:t.model ~cache:t.cache ~domains:t.domains
           ~epsilon:t.epsilon (Timing_graph.create ())
       in
       t.session <- Some s;
@@ -180,7 +176,7 @@ module Interp = struct
       in
       t.session <-
         Some
-          (Session.create ~model:t.model ?cache:t.cache ~domains:t.domains
+          (Session.create ~model:t.model ~cache:t.cache ~domains:t.domains
              ~epsilon:t.epsilon graph);
       Format.fprintf out "graph: %d stages, %d connections@."
         (Timing_graph.num_stages graph)
@@ -367,9 +363,9 @@ end
 
 type outcome = { session : Session.t; clock_period : float option; json : Json.t }
 
-let run ~tech ~model ?use_cache ?(domains = 1) ?(epsilon = 0.0)
-    ?(mode = Incremental) ?(out = Format.std_formatter) text =
-  let interp = Interp.create ~tech ~model ?use_cache ~domains ~epsilon ~mode ~out () in
+let run ~tech ~model ?(domains = 1) ?(epsilon = 0.0) ?(mode = Incremental)
+    ?(out = Format.std_formatter) text =
+  let interp = Interp.create ~tech ~model ~domains ~epsilon ~mode ~out () in
   let lines = String.split_on_char '\n' text in
   List.iteri (fun idx raw -> Interp.feed interp ~line:(idx + 1) raw) lines;
   let json =
@@ -386,9 +382,9 @@ let run ~tech ~model ?use_cache ?(domains = 1) ?(epsilon = 0.0)
     json;
   }
 
-let run_file ~tech ~model ?use_cache ?domains ?epsilon ?mode ?out path =
+let run_file ~tech ~model ?domains ?epsilon ?mode ?out path =
   let ic = open_in path in
   let n = in_channel_length ic in
   let text = really_input_string ic n in
   close_in ic;
-  run ~tech ~model ?use_cache ?domains ?epsilon ?mode ?out text
+  run ~tech ~model ?domains ?epsilon ?mode ?out text

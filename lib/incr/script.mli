@@ -87,7 +87,6 @@ module Interp : sig
     tech:Tqwm_device.Tech.t ->
     model:Tqwm_device.Device_model.t ->
     ?cache:Tqwm_sta.Stage_cache.t ->
-    ?use_cache:bool ->
     ?domains:int ->
     ?epsilon:float ->
     ?mode:mode ->
@@ -97,7 +96,7 @@ module Interp : sig
     t
   (** [cache] overrides the cache the interpreter's session is created
       with (a server passes a {!Tqwm_sta.Stage_cache.fork} of its shared
-      cache); otherwise [use_cache] (default true) creates a fresh one.
+      cache); otherwise the interpreter creates a fresh one.
       [session] seeds the interpreter with an existing session — e.g. a
       {!Session.fork} of a server's baseline — in which case [graph] is
       rejected as a non-first command and edits apply to the fork.
@@ -130,15 +129,14 @@ end
 val run :
   tech:Tqwm_device.Tech.t ->
   model:Tqwm_device.Device_model.t ->
-  ?use_cache:bool ->
   ?domains:int ->
   ?epsilon:float ->
   ?mode:mode ->
   ?out:Format.formatter ->
   string ->
   outcome
-(** Interpret a script given as text. [use_cache] (default true) shares
-    one {!Tqwm_sta.Stage_cache} across the whole run; [domains]
+(** Interpret a script given as text, sharing one
+    {!Tqwm_sta.Stage_cache} across the whole run; [domains]
     (default 1) and [epsilon] (seconds, default 0) are passed to
     {!Session.create}; progress lines go to [out] (default stdout).
     @raise Script_error on the first failing line; when the closing
@@ -147,7 +145,6 @@ val run :
 val run_file :
   tech:Tqwm_device.Tech.t ->
   model:Tqwm_device.Device_model.t ->
-  ?use_cache:bool ->
   ?domains:int ->
   ?epsilon:float ->
   ?mode:mode ->

@@ -24,8 +24,6 @@ type stats = {
 type t = {
   graph : Timing_graph.t;
   model : Tqwm_device.Device_model.t;
-  config : Tqwm_core.Config.t;
-  default_slew : float;
   cache : Stage_cache.t option;
   domains : int;
   epsilon : float;
@@ -55,17 +53,13 @@ let sync t =
     t.clean <- None
   end
 
-let create ~model ?(config = Tqwm_core.Config.default) ?(default_slew = 20e-12) ?cache
-    ?(domains = 1) ?(epsilon = 0.0) graph =
-  if default_slew <= 0.0 then invalid_arg "Session.create: default_slew <= 0";
+let create ~model ?cache ?(domains = 1) ?(epsilon = 0.0) graph =
   if not (Float.is_finite epsilon) || epsilon < 0.0 then
     invalid_arg "Session.create: epsilon must be finite and >= 0";
   let t =
     {
       graph;
       model;
-      config;
-      default_slew;
       cache;
       domains = max domains 1;
       epsilon;
@@ -93,7 +87,7 @@ let create ~model ?(config = Tqwm_core.Config.default) ?(default_slew = 20e-12) 
    parent's, so a clean parent's provenance (cache_uses in path
    attributions) reads in the fork as if the fork had run the baseline
    analysis itself. *)
-let fork ?cache ?epsilon t =
+let fork ?cache t =
   let cache =
     match cache with
     | Some _ as c -> c
@@ -103,11 +97,6 @@ let fork ?cache ?epsilon t =
     t with
     graph = Timing_graph.copy t.graph;
     cache;
-    epsilon =
-      (match epsilon with
-      | Some e when Float.is_finite e && e >= 0.0 -> e
-      | Some _ -> invalid_arg "Session.fork: epsilon must be finite and >= 0"
-      | None -> t.epsilon);
     pi = Array.copy t.pi;
     arena = Timing_arena.copy t.arena;
     dirty = Array.copy t.dirty;
@@ -211,8 +200,8 @@ let recompute t =
     let t0 = Trace.now () in
     let reeval = ref 0 and cutoff = ref 0 in
     let eval id =
-      Arrival.evaluate_stage ~model:t.model ~config:t.config
-        ~default_slew:t.default_slew ?cache:t.cache ~pi:t.pi frozen t.arena id
+      Arrival.evaluate_stage ~model:t.model ~config:Tqwm_core.Config.default
+        ~default_slew:Arrival.default_slew ?cache:t.cache ~pi:t.pi frozen t.arena id
     in
     let dirty_fanout id =
       Array.iter
@@ -277,18 +266,10 @@ let analysis t =
     t.clean <- Some a;
     a
 
-let scratch_analysis ?cache t =
+let scratch_analysis t =
   sync t;
-  let cache =
-    match cache with
-    | Some _ as c -> c
-    | None ->
-      Option.map
-        (fun c -> Stage_cache.create ~slew_bucket:(Stage_cache.slew_bucket c) ())
-        t.cache
-  in
-  Arrival.propagate ~model:t.model ~config:t.config ~default_slew:t.default_slew
-    ?cache ~pi:t.pi t.graph
+  let cache = Option.map (fun _ -> Stage_cache.create ()) t.cache in
+  Arrival.propagate ~model:t.model ?cache ~pi:t.pi t.graph
 
 let stats t =
   {
@@ -308,8 +289,7 @@ let required t ~clock_period =
 let k_worst ?clock_period t ~k = Path_enum.k_worst ?clock_period ~k t.graph (analysis t)
 
 let explain t path =
-  Path_enum.explain ~model:t.model ~config:t.config ~default_slew:t.default_slew
-    ?cache:t.cache ~pi:t.pi t.graph (analysis t) path
+  Path_enum.explain ~model:t.model ?cache:t.cache ~pi:t.pi t.graph (analysis t) path
 
 type path_query = { stages : Timing_graph.stage_id list; arrival : float }
 

@@ -33,8 +33,6 @@ type t
 
 val create :
   model:Tqwm_device.Device_model.t ->
-  ?config:Tqwm_core.Config.t ->
-  ?default_slew:float ->
   ?cache:Tqwm_sta.Stage_cache.t ->
   ?domains:int ->
   ?epsilon:float ->
@@ -45,12 +43,13 @@ val create :
     full propagation through the incremental path. [epsilon] (seconds,
     default [0.] = exact) is the early-cutoff tolerance on
     [arrival_out] and [slew]; [domains] (default 1) is the team size
-    each dirty level is evaluated with; [cache], [config] and
-    [default_slew] are as in {!Tqwm_sta.Arrival.propagate}.
-    @raise Invalid_argument when [default_slew <= 0] or [epsilon] is
-    negative or not finite. *)
+    each dirty level is evaluated with; [cache] is as in
+    {!Tqwm_sta.Arrival.propagate}, whose default slew and solver
+    configuration the session uses.
+    @raise Invalid_argument when [epsilon] is negative or not
+    finite. *)
 
-val fork : ?cache:Tqwm_sta.Stage_cache.t -> ?epsilon:float -> t -> t
+val fork : ?cache:Tqwm_sta.Stage_cache.t -> t -> t
 (** Snapshot fork: a fully isolated what-if session starting exactly
     where this one stands — same graph (copied copy-on-write through
     {!Timing_graph.copy}), same computed timings (a
@@ -60,10 +59,9 @@ val fork : ?cache:Tqwm_sta.Stage_cache.t -> ?epsilon:float -> t -> t
     stay shared until a side mutates. [cache] defaults to
     [Stage_cache.fork ~copy_uses:true] of this session's cache (shared
     solve table, provenance as if the fork ran the baseline itself);
-    [epsilon] and the domain count default to the parent's. Lifetime
-    {!stats} restart at zero. This is the per-client overlay the timing
-    server hands each connection over one shared baseline.
-    @raise Invalid_argument when [epsilon] is negative or not finite. *)
+    [epsilon] and the domain count are the parent's. Lifetime {!stats}
+    restart at zero. This is the per-client overlay the timing server
+    hands each connection over one shared baseline. *)
 
 val graph : t -> Timing_graph.t
 
@@ -92,13 +90,12 @@ val recompute : t -> int
 val analysis : t -> Arrival.analysis
 (** Current analysis, recomputing first if dirty. Memoized while clean. *)
 
-val scratch_analysis : ?cache:Tqwm_sta.Stage_cache.t -> t -> Arrival.analysis
+val scratch_analysis : t -> Arrival.analysis
 (** From-scratch {!Tqwm_sta.Arrival.propagate} over the session's
     current graph and primary-input overrides — the oracle incremental
-    results are checked against. Uses [cache] if given; otherwise a
-    fresh cache with the session cache's slew bucket (no cache if the
-    session has none), so slew quantization matches the incremental
-    path and the comparison is bit-exact. *)
+    results are checked against. It runs through a fresh cache when the
+    session has one and without a cache otherwise, so slew quantization
+    matches the incremental path and the comparison is bit-exact. *)
 
 type stats = {
   edits : int;  (** edits applied over the session's lifetime *)
@@ -125,8 +122,8 @@ val k_worst :
     first if dirty). *)
 
 val explain : t -> Tqwm_sta.Path_enum.path -> Tqwm_sta.Path_enum.explained
-(** {!Tqwm_sta.Path_enum.explain} with the session's own model, config,
-    slew default, cache and retimings — stage attributions are read-only
+(** {!Tqwm_sta.Path_enum.explain} with the session's own model, cache
+    and retimings — stage attributions are read-only
     replays of the solves the session actually performed. *)
 
 (** {2 What-if path queries} *)

@@ -11,49 +11,28 @@ type problem = {
   solve_linearized : Vec.t -> Vec.t -> Vec.t;
 }
 
-type config = {
-  max_iterations : int;
-  residual_tolerance : float;
-  step_tolerance : float;
-  damping : float;
-  max_step : float option;
-}
+(* stop when |F|_inf falls below *)
+let residual_tolerance = 1e-9
 
-let default_config =
-  {
-    max_iterations = 60;
-    residual_tolerance = 1e-9;
-    step_tolerance = 1e-12;
-    damping = 1.0;
-    max_step = None;
-  }
+(* stop when |dx|_inf falls below *)
+let step_tolerance = 1e-12
 
-let clamp_step max_step dx =
-  match max_step with
-  | None -> dx
-  | Some limit ->
-    let mag = Vec.norm_inf dx in
-    if mag > limit && mag > 0.0 then Vec.scale (limit /. mag) dx else dx
-
-let solve ?(config = default_config) problem x0 =
+let solve ?(max_iterations = 60) problem x0 =
   let rec loop x iter =
     let f = problem.residual x in
     let fnorm = Vec.norm_inf f in
-    if fnorm <= config.residual_tolerance then
+    if fnorm <= residual_tolerance then
       { x; iterations = iter; residual_norm = fnorm; converged = true; stalled = false }
-    else if iter >= config.max_iterations then
+    else if iter >= max_iterations then
       { x; iterations = iter; residual_norm = fnorm; converged = false; stalled = false }
     else
       match problem.solve_linearized x f with
       | exception _ ->
         { x; iterations = iter; residual_norm = fnorm; converged = false; stalled = false }
       | dx ->
-        let dx = clamp_step config.max_step dx in
         let step_norm = Vec.norm_inf dx in
-        let x' =
-          Vec.init (Vec.dim x) (fun i -> x.{i} -. (config.damping *. dx.{i}))
-        in
-        if step_norm <= config.step_tolerance then
+        let x' = Vec.init (Vec.dim x) (fun i -> x.{i} -. dx.{i}) in
+        if step_norm <= step_tolerance then
           (* the iteration can no longer move: accept at a deliberately
              loosened tolerance, but flag the stall so callers (and
              telemetry) can tell this apart from a clean convergence *)
@@ -63,7 +42,7 @@ let solve ?(config = default_config) problem x0 =
             x = x';
             iterations = iter + 1;
             residual_norm = fnorm';
-            converged = fnorm' <= config.residual_tolerance *. 10.0;
+            converged = fnorm' <= residual_tolerance *. 10.0;
             stalled = true;
           }
         else loop x' (iter + 1)

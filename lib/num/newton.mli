@@ -1,8 +1,10 @@
-(** Damped Newton–Raphson for small nonlinear systems F(x) = 0.
+(** Newton–Raphson for small nonlinear systems F(x) = 0, taking full
+    steps.
 
-    The linear step is delegated to a caller-supplied solver so the same
-    driver serves the dense-LU SPICE engine and the bordered-tridiagonal
-    QWM engine. *)
+    The linear step is delegated to a caller-supplied solver; the
+    reference transient engine passes its dense-LU or successive-chord
+    solve. The QWM engine has its own region Newton in
+    [Tqwm_core.Qwm_solver]. *)
 
 type outcome = {
   x : Vec.t;  (** final iterate *)
@@ -11,11 +13,11 @@ type outcome = {
   converged : bool;
   stalled : bool;
       (** The step-stall exit was taken: a Newton update fell below
-          [step_tolerance] before the residual reached
-          [residual_tolerance]. A stalled outcome reports
-          [converged = true] only under a deliberately loosened
-          acceptance of [residual_tolerance *. 10.0] — callers that care
-          about full-tolerance convergence must check this flag. *)
+          1e-12 (inf-norm) before |F|_inf reached the 1e-9 residual
+          tolerance. A stalled outcome reports [converged = true] only
+          under a deliberately loosened acceptance of 1e-8 — callers
+          that care about full-tolerance convergence must check this
+          flag. *)
 }
 
 type problem = {
@@ -25,18 +27,8 @@ type problem = {
           [J(x) dx = f]; may raise to signal a singular Jacobian. *)
 }
 
-type config = {
-  max_iterations : int;
-  residual_tolerance : float;  (** stop when |F|_inf falls below *)
-  step_tolerance : float;  (** stop when |dx|_inf falls below *)
-  damping : float;  (** fraction of the Newton step taken, in (0, 1] *)
-  max_step : float option;  (** clamp |dx|_inf per iteration if given *)
-}
-
-val default_config : config
-(** 60 iterations, residual 1e-9, step 1e-12, full steps, no clamp. *)
-
-val solve : ?config:config -> problem -> Vec.t -> outcome
-(** [solve problem x0] iterates from [x0]. Linear-solver exceptions are
-    caught and reported as [converged = false] at the last healthy
-    iterate. *)
+val solve : ?max_iterations:int -> problem -> Vec.t -> outcome
+(** [solve problem x0] iterates from [x0] until |F|_inf <= 1e-9, the
+    step stalls, or [max_iterations] (default 60) iterations have run.
+    Linear-solver exceptions are caught and reported as
+    [converged = false] at the last healthy iterate. *)

@@ -4,9 +4,12 @@
 
 let scrapes = Metrics.counter "prom.scrapes"
 
+(* Finite non-integers print with the JSON documents' round-tripping
+   digits, so a Unix time in seconds keeps its fraction. *)
 let fmt_float v =
   if Float.is_integer v && Float.abs v < 1e15 then
     Printf.sprintf "%.0f" v
+  else if Float.is_finite v then Json.to_string (Json.Float v)
   else Printf.sprintf "%.12g" v
 
 (* Metric names must match [a-zA-Z_:][a-zA-Z0-9_:]*; the registry uses
@@ -93,7 +96,7 @@ let read_head fd =
   go ();
   Buffer.contents buf
 
-let handle_conn render fd =
+let handle_conn fd =
   Fun.protect
     ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
     (fun () ->
@@ -128,18 +131,18 @@ let handle_conn render fd =
    closing the listening fd does not wake a blocked sibling accept, so
    [stop] relies on the acceptor noticing [stopping] between polls
    (same scheme as Tqwm_server.Server). *)
-let accept_loop t render =
+let accept_loop t =
   while not (Atomic.get t.stopping) do
     match Unix.select [ t.fd ] [] [] 0.05 with
     | [], _, _ -> ()
     | _ :: _, _, _ -> (
         match Unix.accept ~cloexec:true t.fd with
-        | fd, _ -> handle_conn render fd
+        | fd, _ -> handle_conn fd
         | exception Unix.Unix_error _ -> ())
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
   done
 
-let serve ?(render = render) addr =
+let serve addr =
   let domain =
     match addr with
     | Unix.ADDR_UNIX _ -> Unix.PF_UNIX
@@ -156,7 +159,7 @@ let serve ?(render = render) addr =
   Unix.listen fd 16;
   let bound = Unix.getsockname fd in
   let t = { fd; bound; stopping = Atomic.make false; acceptor = None } in
-  t.acceptor <- Some (Domain.spawn (fun () -> accept_loop t render));
+  t.acceptor <- Some (Domain.spawn (fun () -> accept_loop t));
   t
 
 let bound t = t.bound

@@ -5,7 +5,9 @@
     (the registry's per-bucket counts summed left to right) closed by
     the mandatory [+Inf] bucket plus [_sum]/[_count]. Dotted registry
     names are sanitized to Prometheus' charset ([server.requests] →
-    [server_requests]).
+    [server_requests]). An integral value below 1e15 prints without a
+    fraction; any other finite value prints with the digits
+    {!Json.to_string} gives it, which read back as the same float.
 
     [serve] starts a deliberately tiny HTTP/1.1 listener on its own
     domain that answers [GET /metrics] (and [GET /]) with a fresh
@@ -21,7 +23,7 @@ val sanitize : string -> string
 
 type server
 
-val serve : ?render:(unit -> string) -> Unix.sockaddr -> server
+val serve : Unix.sockaddr -> server
 (** Bind the address (TCP or Unix-domain; an existing socket file is
     replaced, port 0 picks an ephemeral port — see {!bound}) and serve
     scrapes on a dedicated acceptor domain until {!stop}.

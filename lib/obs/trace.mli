@@ -1,16 +1,15 @@
 (** Timed spans and instant events in Chrome trace-event form.
 
-    Instrumented code emits through a process-global sink. The default
-    sink is null: [enabled] is a single mutable-bool load, [with_span]
-    calls its thunk directly and no clock is read, so instrumented hot
-    paths cost nothing when tracing is off. With the memory sink
-    enabled, events accumulate in per-domain sharded buffers (each
-    emitting domain locks only its own shard, so concurrent emission
-    from worker domains never contends on a global mutex) and
-    [write_file] merges the shards into one time-sorted JSON document
-    loadable by [chrome://tracing] or {{:https://ui.perfetto.dev}
-    Perfetto}. The stderr sink prints each event as a JSON line
-    immediately.
+    Instrumented code emits through a process-global sink, which is
+    either null or an in-memory buffer. The default sink is null:
+    [enabled] is a single mutable-bool load, [with_span] calls its thunk
+    directly and no clock is read, so instrumented hot paths cost
+    nothing when tracing is off. Once {!enable} installs the memory
+    sink, events accumulate in per-domain sharded buffers (each emitting
+    domain locks only its own shard, so concurrent emission from worker
+    domains never contends on a global mutex) and [write_file] merges
+    the shards into one time-sorted JSON document loadable by
+    [chrome://tracing] or {{:https://ui.perfetto.dev} Perfetto}.
 
     Domain safety: emission, export, [clear], and sink swaps may race
     freely across domains. Export snapshots each shard under its lock,
@@ -73,6 +72,6 @@ val with_span : ?args:(string * Json.t) list -> name:string -> cat:string -> (un
 
 val to_json : unit -> Json.t
 (** [{"traceEvents": [...], ...}] — all shards merged and sorted by
-    timestamp (empty for non-memory sinks). *)
+    timestamp (no events while tracing is disabled). *)
 
 val write_file : string -> unit

@@ -23,8 +23,6 @@ let g_sessions = Metrics.gauge "server.sessions"
 let g_queue_depth = Metrics.gauge "server.queue_depth"
 let g_start_time = Metrics.gauge "server.start_time_seconds"
 
-let set_sessions n = Metrics.set g_sessions (float_of_int n)
-
 (* Lower edge extends to 2 µs: introspection verbs (health, document,
    metrics) answer in single-digit microseconds on a warm server, and
    with 50 µs as the first bound every one of them landed in bucket 0 —
@@ -75,6 +73,10 @@ type t = {
   mutable worker_domains : unit Domain.t list;
   mutable stopped : bool;
 }
+
+(* the live-connection count, queued ones included: set from
+   [open_conns] wherever that changes *)
+let set_sessions t = Metrics.set g_sessions (float_of_int (Atomic.get t.open_conns))
 
 (* ---- per-connection session ---- *)
 
@@ -365,11 +367,10 @@ let handle_request t conn fd req ~bytes_in =
 
 let serve_connection t fd =
   Metrics.incr c_connections;
-  set_sessions (Atomic.get t.open_conns);
   let finally () =
     (try Unix.close fd with Unix.Unix_error _ -> ());
     Atomic.decr t.open_conns;
-    set_sessions (Atomic.get t.open_conns)
+    set_sessions t
   in
   Fun.protect ~finally @@ fun () ->
   let sid =
@@ -475,7 +476,10 @@ and accept_ready t =
          with Unix.Unix_error _ -> ());
         try Unix.close fd with Unix.Unix_error _ -> ()
       end
-      else enqueue t fd;
+      else begin
+        set_sessions t;
+        enqueue t fd
+      end;
       accept_loop t
     end
 
@@ -574,6 +578,7 @@ let stop t =
     Queue.clear t.queue;
     Metrics.set g_queue_depth 0.0;
     Mutex.unlock t.qlock;
+    set_sessions t;
     match t.bound with
     | Unix.ADDR_UNIX path -> ( try Unix.unlink path with Unix.Unix_error _ -> ())
     | Unix.ADDR_INET _ -> ()

@@ -70,8 +70,9 @@
 
     All instruments live in the process-global registry:
     [server.requests] / [server.errors] / [server.connections] /
-    [server.slow_requests] counters, [server.sessions] (live
-    connections), [server.queue_depth]
+    [server.slow_requests] counters, [server.sessions] (accepted and
+    not yet torn down, queued ones included — [health]'s [sessions]),
+    [server.queue_depth]
     (accepted, not yet picked up by a worker) and
     [server.start_time_seconds] (Unix time of {!start}) gauges, and
     per-verb [server.latency_ms.<verb>] histograms. The registry has two

@@ -1,4 +1,4 @@
-(** Nodal-analysis stamping shared by the DC and transient solvers.
+(** Nodal-analysis stamping for the transient solver.
 
     Unknowns are the internal nodes of a stage; supply and ground are
     pinned to the scenario's initial values. *)

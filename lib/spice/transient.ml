@@ -33,7 +33,6 @@ type config = {
   integration : integration;
   step_control : step_control;
   max_iterations : int;
-  tolerance : float;
   voltage_dependent_caps : bool;
   record_currents : bool;
 }
@@ -45,7 +44,6 @@ let default_config =
     integration = Backward_euler;
     step_control = Fixed;
     max_iterations = 50;
-    tolerance = 1e-9;
     voltage_dependent_caps = false;
     record_currents = false;
   }
@@ -156,14 +154,7 @@ let implicit_step ctx ~config ~caps ~chord ~t_prev ~dt x_prev =
     | Some factor -> fun _ f -> Lu.solve_factored factor f
     | None -> fun xv f -> Lu.solve (jacobian xv) f
   in
-  let newton_config =
-    {
-      Tqwm_num.Newton.default_config with
-      max_iterations = config.max_iterations;
-      residual_tolerance = config.tolerance;
-    }
-  in
-  Tqwm_num.Newton.solve ~config:newton_config
+  Tqwm_num.Newton.solve ~max_iterations:config.max_iterations
     { Tqwm_num.Newton.residual; solve_linearized }
     x_prev
 

@@ -25,8 +25,9 @@ type config = {
   solver : solver;
   integration : integration;
   step_control : step_control;
-  max_iterations : int;  (** per-step nonlinear iteration cap *)
-  tolerance : float;  (** per-step residual tolerance, amps *)
+  max_iterations : int;
+      (** per-step nonlinear iteration cap; each step's residual
+          tolerance is {!Tqwm_num.Newton}'s fixed 1e-9 A *)
   voltage_dependent_caps : bool;
       (** re-evaluate junction capacitances at each step's starting
           voltages instead of freezing them at the initial bias *)

@@ -34,6 +34,8 @@ type analysis = {
 
 type pi_timing = { pi_arrival : float; pi_slew : float }
 
+let default_slew = 20e-12
+
 (* reshape a switching source as a ramp with the driver's slew, keeping
    its logical direction; constant sources are left alone *)
 let ramp_of ~slew source =
@@ -142,7 +144,9 @@ let shaped_inputs ~find ~default_slew ?cache ?pi (frozen : Timing_graph.frozen) 
         (p.pi_arrival, None, None, scenario.Scenario.sources)
       | Some p ->
         let slew =
-          match cache with None -> p.pi_slew | Some c -> Stage_cache.bucket_slew c p.pi_slew
+          match cache with
+          | None -> p.pi_slew
+          | Some _ -> Stage_cache.bucket_slew p.pi_slew
         in
         ( p.pi_arrival,
           Some slew,
@@ -153,7 +157,7 @@ let shaped_inputs ~find ~default_slew ?cache ?pi (frozen : Timing_graph.frozen) 
       (* bucket before shaping the ramp so the cached solve and the
          waveform actually used agree exactly *)
       let slew =
-        match cache with None -> slew | Some c -> Stage_cache.bucket_slew c slew
+        match cache with None -> slew | Some _ -> Stage_cache.bucket_slew slew
       in
       let reshape (name, source) =
         if String.equal name c.Timing_graph.input then (name, ramp_of ~slew source)
@@ -286,9 +290,9 @@ let analysis_of_arena arena =
     in
     { timings; critical_path = walk sink []; worst_arrival = sink.arrival_out }
 
-let propagate_arena ~model ?(config = Tqwm_core.Config.default)
-    ?(default_slew = 20e-12) ?cache ?pi graph =
+let propagate_arena ~model ?(default_slew = default_slew) ?cache ?pi graph =
   if default_slew <= 0.0 then invalid_arg "Arrival.propagate: default_slew <= 0";
+  let config = Tqwm_core.Config.default in
   let frozen = Timing_graph.freeze graph in
   let arena = Timing_arena.create (Array.length frozen.Timing_graph.scenarios) in
   Array.iter
@@ -296,5 +300,5 @@ let propagate_arena ~model ?(config = Tqwm_core.Config.default)
     frozen.Timing_graph.order;
   (analysis_of_arena arena, arena)
 
-let propagate ~model ?config ?default_slew ?cache ?pi graph =
-  fst (propagate_arena ~model ?config ?default_slew ?cache ?pi graph)
+let propagate ~model ?default_slew ?cache ?pi graph =
+  fst (propagate_arena ~model ?default_slew ?cache ?pi graph)

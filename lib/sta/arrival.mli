@@ -40,9 +40,13 @@ type pi_timing = {
     Overrides are indexed by stage id; entries for stages that have
     fanin are ignored — a driver always wins. *)
 
+val default_slew : float
+(** 20 ps: the transition time that shapes a stage's switching input
+    when its driver reports no slew. Every propagation engine defaults
+    to it. *)
+
 val propagate :
   model:Tqwm_device.Device_model.t ->
-  ?config:Tqwm_core.Config.t ->
   ?default_slew:float ->
   ?cache:Stage_cache.t ->
   ?pi:pi_timing option array ->
@@ -51,17 +55,16 @@ val propagate :
 (** @raise Analysis_failure when a stage's output never crosses 50 % or
     no path of it conducts within its window.
     @raise Invalid_argument when [default_slew <= 0] (a non-positive
-    slew would shape degenerate ramps — the same positivity contract as
-    {!Stage_cache.create}).
-    [default_slew] (default 20 ps) shapes inputs whose driver reports no
-    slew. When [cache] is given, per-stage QWM solves are memoized and
-    driving slews (including {!pi_timing} slews) are quantized to the
-    cache's bucket (see {!Stage_cache.bucket_slew}), so repeated gates
-    are solved once. [pi] retimes primary-input stages. *)
+    slew would shape degenerate ramps).
+    [default_slew] (default {!default_slew}) shapes inputs whose driver
+    reports no slew. Stages are solved under {!Tqwm_core.Config.default}.
+    When [cache] is given, per-stage QWM solves are memoized and
+    driving slews (including {!pi_timing} slews) are quantized to 1 ps
+    (see {!Stage_cache.bucket_slew}), so repeated gates are solved
+    once. [pi] retimes primary-input stages. *)
 
 val propagate_arena :
   model:Tqwm_device.Device_model.t ->
-  ?config:Tqwm_core.Config.t ->
   ?default_slew:float ->
   ?cache:Stage_cache.t ->
   ?pi:pi_timing option array ->

@@ -13,8 +13,7 @@ let default_slews = [| 5e-12; 20e-12; 50e-12; 120e-12 |]
 
 let default_loads = [| 2e-15; 5e-15; 10e-15; 25e-15; 60e-15 |]
 
-let characterize ~model ?(config = Tqwm_core.Config.default)
-    ?(slews = default_slews) ?(loads = default_loads) make =
+let characterize ~model ?(slews = default_slews) ?(loads = default_loads) make =
   let ns = Array.length slews and nl = Array.length loads in
   if ns < 2 || nl < 2 then invalid_arg "Characterize: need at least 2x2 grid";
   let delay = Mat.create ns nl and output_slew = Mat.create ns nl in
@@ -23,7 +22,7 @@ let characterize ~model ?(config = Tqwm_core.Config.default)
       let scenario =
         Scenario.with_ramp_input ~rise_time:slews.(i) (make ~load:loads.(j))
       in
-      let report = Tqwm_core.Qwm.run ~model ~config scenario in
+      let report = Tqwm_core.Qwm.run ~model scenario in
       (* stage delay is referenced to the ramp's own 50% crossing *)
       (match report.Tqwm_core.Qwm.delay with
       | Some d -> Mat.set delay i j (Float.max (d -. (slews.(i) /. 2.0)) 0.0)

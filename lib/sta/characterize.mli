@@ -22,7 +22,6 @@ val default_loads : float array
 
 val characterize :
   model:Tqwm_device.Device_model.t ->
-  ?config:Tqwm_core.Config.t ->
   ?slews:float array ->
   ?loads:float array ->
   (load:float -> Tqwm_circuit.Scenario.t) ->

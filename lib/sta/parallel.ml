@@ -135,15 +135,15 @@ let run ~domains ~f levels =
     match s.failed with Some e -> raise e | None -> ()
   end
 
-let propagate_arena ~model ?(config = Tqwm_core.Config.default)
-    ?(default_slew = 20e-12) ?cache ?pi ?domains graph =
+let propagate_arena ~model ?(default_slew = Arrival.default_slew) ?cache ?pi ?domains
+    graph =
   if default_slew <= 0.0 then invalid_arg "Parallel.propagate: default_slew <= 0";
   let domains =
     match domains with Some d -> max d 1 | None -> default_domains ()
   in
-  if domains = 1 then
-    Arrival.propagate_arena ~model ~config ~default_slew ?cache ?pi graph
+  if domains = 1 then Arrival.propagate_arena ~model ~default_slew ?cache ?pi graph
   else begin
+    let config = Tqwm_core.Config.default in
     let frozen = Timing_graph.freeze graph in
     let n = Array.length frozen.Timing_graph.scenarios in
     Metrics.incr c_propagations;
@@ -157,5 +157,5 @@ let propagate_arena ~model ?(config = Tqwm_core.Config.default)
         (Arrival.analysis_of_arena arena, arena))
   end
 
-let propagate ~model ?config ?default_slew ?cache ?pi ?domains graph =
-  fst (propagate_arena ~model ?config ?default_slew ?cache ?pi ?domains graph)
+let propagate ~model ?default_slew ?cache ?pi ?domains graph =
+  fst (propagate_arena ~model ?default_slew ?cache ?pi ?domains graph)

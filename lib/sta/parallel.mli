@@ -42,7 +42,6 @@ val run : domains:int -> f:(int -> unit) -> int array array -> unit
 
 val propagate :
   model:Tqwm_device.Device_model.t ->
-  ?config:Tqwm_core.Config.t ->
   ?default_slew:float ->
   ?cache:Stage_cache.t ->
   ?pi:Arrival.pi_timing option array ->
@@ -58,7 +57,6 @@ val propagate :
 
 val propagate_arena :
   model:Tqwm_device.Device_model.t ->
-  ?config:Tqwm_core.Config.t ->
   ?default_slew:float ->
   ?cache:Stage_cache.t ->
   ?pi:Arrival.pi_timing option array ->

@@ -127,8 +127,8 @@ type stage_attribution = {
 
 type explained = { path : path; through : stage_attribution list }
 
-let explain ~model ?(config = Tqwm_core.Config.default) ?(default_slew = 20e-12)
-    ?cache ?pi graph (analysis : Arrival.analysis) path =
+let explain ~model ?(default_slew = Arrival.default_slew) ?cache ?pi graph
+    (analysis : Arrival.analysis) path =
   let frozen = Timing_graph.freeze graph in
   let n = Array.length analysis.Arrival.timings in
   if n <> Array.length frozen.Timing_graph.scenarios then
@@ -140,6 +140,7 @@ let explain ~model ?(config = Tqwm_core.Config.default) ?(default_slew = 20e-12)
     path.stages;
   (* replay against the completed analysis: every fanin is timed *)
   let timings = Array.map Option.some analysis.Arrival.timings in
+  let config = Tqwm_core.Config.default in
   let through =
     List.map
       (fun id ->

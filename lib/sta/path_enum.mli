@@ -66,7 +66,6 @@ type explained = {
 
 val explain :
   model:Tqwm_device.Device_model.t ->
-  ?config:Tqwm_core.Config.t ->
   ?default_slew:float ->
   ?cache:Stage_cache.t ->
   ?pi:Arrival.pi_timing option array ->
@@ -76,7 +75,7 @@ val explain :
   explained
 (** Attribute a path stage by stage: delay/slew from the analysis, QWM
     region and Newton counts from the solve that produced them, and
-    cache provenance. Pass the very [model]/[config]/[default_slew]/
+    cache provenance. Pass the very [model]/[default_slew]/
     [cache]/[pi] the analysis ran with: each stage is then a read-only
     {!Stage_cache.peek} replay ({!Arrival.replay_stage}) and costs no
     new solves. *)

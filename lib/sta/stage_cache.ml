@@ -17,7 +17,6 @@ type stats = { hits : int; misses : int; entries : int }
 type slot = Ready of Qwm.report | In_flight
 
 type t = {
-  slew_bucket : float;
   table : (string, slot) Hashtbl.t;
   (* per-key request counts: how many [run] calls asked for each key,
      hits and misses alike. The total per key is a property of the work
@@ -30,11 +29,8 @@ type t = {
   misses : int Atomic.t;
 }
 
-let create ?(slew_bucket = 1e-12) () =
-  if (not (Float.is_finite slew_bucket)) || slew_bucket <= 0.0 then
-    invalid_arg "Stage_cache.create: slew_bucket must be finite and > 0";
+let create () =
   {
-    slew_bucket;
     table = Hashtbl.create 256;
     uses = Hashtbl.create 256;
     lock = Mutex.create ();
@@ -55,7 +51,6 @@ let fork ?(copy_uses = false) t =
   let uses = if copy_uses then Hashtbl.copy t.uses else Hashtbl.create 256 in
   Mutex.unlock t.lock;
   {
-    slew_bucket = t.slew_bucket;
     table = t.table;
     uses;
     lock = t.lock;
@@ -64,11 +59,11 @@ let fork ?(copy_uses = false) t =
     misses = Atomic.make 0;
   }
 
-let slew_bucket t = t.slew_bucket
+(* the slew quantum: well below the QWM-vs-reference model error *)
+let bucket = 1e-12
 
-let bucket_slew t s =
-  if s <= 0.0 then s
-  else Float.max t.slew_bucket (Float.round (s /. t.slew_bucket) *. t.slew_bucket)
+let bucket_slew s =
+  if s <= 0.0 then s else Float.max bucket (Float.round (s /. bucket) *. bucket)
 
 (* A scenario is pure data (stage arrays, source shapes, floats), as is a
    config, so marshalling yields a canonical byte string. The key is

@@ -43,11 +43,9 @@ type stats = {
   entries : int;
 }
 
-val create : ?slew_bucket:float -> unit -> t
-(** [slew_bucket] (default 1 ps) quantizes input slews before they are
-    used as cache keys — see {!bucket_slew}.
-    @raise Invalid_argument unless [slew_bucket] is finite and
-    positive. *)
+val create : unit -> t
+(** An empty cache. Input slews are quantized to 1 ps before they
+    become part of a key — see {!bucket_slew}. *)
 
 val fork : ?copy_uses:bool -> t -> t
 (** A new cache handle sharing this cache's solve table — and its
@@ -59,15 +57,14 @@ val fork : ?copy_uses:bool -> t -> t
     for forking a session whose baseline analysis already ran, keeping
     path-explain attribution identical to a from-scratch session. *)
 
-val slew_bucket : t -> float
-
-val bucket_slew : t -> float -> float
-(** Round a positive slew to the nearest bucket multiple (at least one
-    bucket); non-positive slews pass through. Arrival propagation buckets
-    the driving slew {e before} shaping a stage's input ramp, so the
-    cached solve and the waveform actually used agree exactly and results
-    are deterministic regardless of hit order. The default 1 ps bucket
-    perturbs delays well below the QWM-vs-reference model error. *)
+val bucket_slew : float -> float
+(** Round a positive slew to the nearest multiple of 1 ps (at least
+    1 ps); non-positive slews pass through. Arrival propagation through
+    a cache buckets the driving slew {e before} shaping a stage's input
+    ramp, so the cached solve and the waveform actually used agree
+    exactly and results are deterministic regardless of hit order. The
+    1 ps bucket perturbs delays well below the QWM-vs-reference model
+    error. *)
 
 val structure : Tqwm_circuit.Scenario.t -> string
 (** Digest of the scenario without its input sources (initial biases

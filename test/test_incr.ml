@@ -354,11 +354,6 @@ let test_query_paths () =
 (* ---------- construction / validation ---------- *)
 
 let test_create_validation () =
-  Alcotest.check_raises "default_slew <= 0"
-    (Invalid_argument "Session.create: default_slew <= 0") (fun () ->
-      ignore
-        (Session.create ~model:(Lazy.force table) ~default_slew:0.0
-           (Workloads.diamond tech)));
   Alcotest.check_raises "negative epsilon"
     (Invalid_argument "Session.create: epsilon must be finite and >= 0") (fun () ->
       ignore (session ~epsilon:(-1e-12) (Workloads.diamond tech)));

@@ -6,8 +6,12 @@ module Rc = Rc_tree
 
 let tech = Tqwm_device.Tech.cmosp35
 
+(* [eps] is relative to [expected], so values in farads or seconds are
+   checked as tightly as values near 1; an expected 0 takes [eps] as an
+   absolute bound *)
 let check_close ?(eps = 1e-9) msg expected actual =
-  if Float.abs (expected -. actual) > eps *. (1.0 +. Float.abs expected) then
+  let bound = if expected = 0.0 then eps else eps *. Float.abs expected in
+  if Float.abs (expected -. actual) > bound then
     Alcotest.failf "%s: expected %.12g, got %.12g" msg expected actual
 
 (* ---------- RC trees ---------- *)

@@ -350,8 +350,7 @@ let test_newton_failure_reported () =
     }
   in
   let out =
-    Newton.solve ~config:{ Newton.default_config with max_iterations = 25 } problem
-      (Vec.of_list [ 3.0 ])
+    Newton.solve ~max_iterations:25 problem (Vec.of_list [ 3.0 ])
   in
   Alcotest.(check bool) "not converged" false out.Newton.converged
 

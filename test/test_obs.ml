@@ -607,14 +607,17 @@ let test_prometheus_scrape_http () =
       at_least_one "server_requests";
       (* each served verb's latency is observed *)
       at_least_one "server_latency_ms_health_count";
-      (* the exposition prints 12 significant digits: a Unix time in
-         seconds keeps two decimals *)
-      (match sample "server_start_time_seconds" with
-      | Some v when v >= before -. 0.01 && v <= after +. 0.01 -> ()
-      | Some v ->
-        Alcotest.failf "server_start_time_seconds %.3f outside [%.3f, %.3f]" v
-          before after
-      | None -> Alcotest.fail "the scrape lacks server_start_time_seconds");
+      (* the gauge holds the start time, and the exposition reads back
+         as that very float, fraction of a second included *)
+      let start = Metrics.find_gauge "server.start_time_seconds" in
+      (match (sample "server_start_time_seconds", start) with
+      | Some v, Some s when v = s && s >= before && s <= after -> ()
+      | Some v, Some s ->
+        Alcotest.failf
+          "server_start_time_seconds scraped %.17g, gauge %.17g, start in [%.17g, %.17g]"
+          v s before after
+      | None, _ -> Alcotest.fail "the scrape lacks server_start_time_seconds"
+      | Some _, None -> Alcotest.fail "server.start_time_seconds is not registered");
       Alcotest.(check bool) "payload carries +Inf histogram buckets" true
         (contains "le=\"+Inf\"" body);
       Alcotest.(check bool) "404 elsewhere" true

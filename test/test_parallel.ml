@@ -201,25 +201,14 @@ let test_worker_spans_cover_stages () =
       "stage_cache.misses" ]
 
 let test_cache_bucketing () =
-  (* a NaN or infinite bucket would turn every bucketed slew into NaN *)
-  List.iter
-    (fun (what, slew_bucket) ->
-      Alcotest.check_raises what
-        (Invalid_argument "Stage_cache.create: slew_bucket must be finite and > 0")
-        (fun () -> ignore (Stage_cache.create ~slew_bucket ())))
-    [
-      ("zero bucket rejected", 0.0);
-      ("negative bucket rejected", -1e-12);
-      ("NaN bucket rejected", Float.nan);
-      ("infinite bucket rejected", Float.infinity);
-    ];
-  let cache = Stage_cache.create ~slew_bucket:2e-12 () in
-  Alcotest.(check (float 1e-18)) "rounds to bucket" 42e-12
-    (Stage_cache.bucket_slew cache 41.3e-12);
-  Alcotest.(check (float 1e-18)) "never below one bucket" 2e-12
-    (Stage_cache.bucket_slew cache 0.4e-12);
+  Alcotest.(check (float 1e-18)) "rounds down to the nearest bucket" 41e-12
+    (Stage_cache.bucket_slew 41.3e-12);
+  Alcotest.(check (float 1e-18)) "rounds up to the nearest bucket" 42e-12
+    (Stage_cache.bucket_slew 41.6e-12);
+  Alcotest.(check (float 1e-18)) "never below one bucket" 1e-12
+    (Stage_cache.bucket_slew 0.4e-12);
   Alcotest.(check (float 0.0)) "non-positive passes through" 0.0
-    (Stage_cache.bucket_slew cache 0.0);
+    (Stage_cache.bucket_slew 0.0);
   let model = Lazy.force table in
   let config = Tqwm_core.Config.default in
   let a = Stage_cache.fingerprint ~model ~config (Scenario.nand_falling ~n:2 tech) in
@@ -250,8 +239,8 @@ let test_fast_key_agrees () =
             (Stage_cache.structure frozen.Timing_graph.scenarios.(id))
             frozen.Timing_graph.structure.(id);
           let _, report, shaped =
-            Arrival.replay_stage ~model ~config ~default_slew:20e-12 ~cache frozen
-              timings id
+            Arrival.replay_stage ~model ~config ~default_slew:Arrival.default_slew ~cache
+              frozen timings id
           in
           (match Stage_cache.peek cache ~model ~config shaped with
           | Some r when r == report -> ()

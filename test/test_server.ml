@@ -312,6 +312,42 @@ let test_session_cap () =
 (* ---------- observability: health / trace / access log ---------- *)
 
 module Trace = Tqwm_obs.Trace
+module Metrics = Tqwm_obs.Metrics
+
+(* [server.sessions] counts a connection from its admission, as
+   [health]'s [sessions] does: with the one worker busy serving the
+   first client, the second client waits in the queue and is counted. *)
+let test_sessions_gauge_counts_queued () =
+  let sessions () = Metrics.find_gauge "server.sessions" in
+  let wait_for expected =
+    let rec loop tries =
+      match sessions () with
+      | Some v when v = expected -> ()
+      | got when tries = 0 ->
+        Alcotest.failf "server.sessions reads %s, expected %g"
+          (match got with Some v -> Printf.sprintf "%g" v | None -> "nothing")
+          expected
+      | Some _ | None ->
+        Unix.sleepf 0.02;
+        loop (tries - 1)
+    in
+    loop 250
+  in
+  with_server ~workers:1 (fun server ->
+      let addr = Server.address server in
+      let served = Client.connect addr in
+      let queued = ref None in
+      (* closing both lets the worker, and so [Server.stop], finish even
+         when a check fails *)
+      Fun.protect
+        ~finally:(fun () ->
+          Client.close served;
+          Option.iter Client.close !queued)
+        (fun () ->
+          ignore (Client.health served);
+          queued := Some (Client.connect addr);
+          wait_for 2.0);
+      wait_for 0.0)
 
 let test_health_verb () =
   with_server ~workers:2 (fun server ->
@@ -560,6 +596,7 @@ let () =
       ( "observability",
         [
           quick "health verb" test_health_verb;
+          quick "sessions gauge counts queued" test_sessions_gauge_counts_queued;
           quick "trace verb is request-scoped" test_trace_verb_request_scoped;
           quick "access log" test_access_log;
           quick "traced clients share the log" test_traced_clients_share_the_log;

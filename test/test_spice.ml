@@ -5,7 +5,6 @@ open Tqwm_device
 open Tqwm_circuit
 module Transient = Tqwm_spice.Transient
 module Engine = Tqwm_spice.Engine
-module Dc = Tqwm_spice.Dc
 module Waveform = Tqwm_wave.Waveform
 
 let tech = Tech.cmosp35
@@ -189,24 +188,6 @@ let test_adaptive_times_monotone () =
   Alcotest.(check bool) "covers the window" true
     (last >= scenario.Scenario.t_end -. 1e-15)
 
-let test_dc_nand_all_on () =
-  let scenario = Scenario.nand_falling ~n:3 tech in
-  let dc = Dc.solve ~model:golden scenario in
-  Alcotest.(check bool) "converged" true dc.Dc.converged;
-  (* with all NMOS on and PMOS off, every internal node settles to 0 *)
-  List.iter
-    (fun node ->
-      check_close ~eps:1e-3 "node discharged" 0.0 dc.Dc.voltages.(node))
-    (Stage.internal_nodes scenario.Scenario.stage)
-
-let test_dc_inverter_input_low () =
-  (* input low at time 0-: output held at vdd by the PMOS *)
-  let scenario = Scenario.inverter_falling tech in
-  let dc = Dc.solve ~model:golden ~time:(-1.0) scenario in
-  Alcotest.(check bool) "converged" true dc.Dc.converged;
-  check_close ~eps:1e-3 "output at vdd" tech.Tech.vdd
-    dc.Dc.voltages.(scenario.Scenario.output)
-
 let test_simulate_validation () =
   let scenario = Scenario.inverter_falling tech in
   let simulate dt () =
@@ -249,11 +230,6 @@ let () =
           slow "matches fixed" test_adaptive_matches_fixed;
           quick "tolerance controls steps" test_adaptive_tolerance_controls_steps;
           quick "times monotone" test_adaptive_times_monotone;
-        ] );
-      ( "dc",
-        [
-          quick "nand all on" test_dc_nand_all_on;
-          quick "inverter input low" test_dc_inverter_input_low;
         ] );
       ("validation", [ quick "simulate" test_simulate_validation ]);
     ]
