@@ -4,6 +4,7 @@ module Parallel = Tqwm_sta.Parallel
 module Path_enum = Tqwm_sta.Path_enum
 module Stage_cache = Tqwm_sta.Stage_cache
 module Timing_arena = Tqwm_sta.Timing_arena
+module Fill = Tqwm_sta.Fill
 module Metrics = Tqwm_obs.Metrics
 module Trace = Tqwm_obs.Trace
 module Json = Tqwm_obs.Json
@@ -45,7 +46,7 @@ let sync t =
   let n = Timing_graph.num_stages t.graph in
   let old = Array.length t.dirty in
   if n > old then begin
-    let grow a fill = Array.init n (fun i -> if i < old then a.(i) else fill) in
+    let grow a fill = Fill.init fill n (fun i -> if i < old then a.(i) else fill) in
     t.pi <- grow t.pi None;
     Timing_arena.resize t.arena n;
     t.dirty <- grow t.dirty true;
@@ -214,7 +215,10 @@ let recompute t =
           Array.of_seq (Seq.filter (fun id -> t.dirty.(id)) (Array.to_seq level))
         in
         if Array.length dirty_ids > 0 then begin
-          let previous = Array.map (Timing_arena.timing t.arena) dirty_ids in
+          let previous =
+            Fill.init None (Array.length dirty_ids) (fun k ->
+                Timing_arena.timing t.arena dirty_ids.(k))
+          in
           (try Parallel.run ~domains:t.domains ~f:eval [| dirty_ids |]
            with e ->
              Array.iter dirty_fanout dirty_ids;

@@ -93,11 +93,97 @@ let float_repr x =
       if float_of_string s12 = x then s12 else s17
   end
 
+(* 10^0 .. 10^22, every one an exact double *)
+let pow10 =
+  [| 1e0; 1e1; 1e2; 1e3; 1e4; 1e5; 1e6; 1e7; 1e8; 1e9; 1e10; 1e11; 1e12; 1e13; 1e14;
+     1e15; 1e16; 1e17; 1e18; 1e19; 1e20; 1e21; 1e22 |]
+
+let ipow10 = Array.init 18 (fun p -> int_of_float pow10.(p))
+
+(* [ax >= 10^j] exactly, for [-22 <= j <= 22]. Below 0 the product
+   [ax * 10^-j] is compared with 1 through its exact residual. *)
+let at_least_pow10 ax j =
+  if j >= 0 then ax >= pow10.(j)
+  else
+    let p = pow10.(-j) in
+    let hi = ax *. p in
+    hi > 1.0 || (hi = 1.0 && Float.fma ax p (-1.0) >= 0.0)
+
+(* [floor (log10 ax)] for a positive normal [ax] in (1e-7, 1e17): the
+   binary exponent [e] puts it at [floor (e log10 2)] or one more *)
+let decimal_exponent ax =
+  let e = Int64.to_int (Int64.shift_right_logical (Int64.bits_of_float ax) 52) - 1023 in
+  let k = (e * 78913) asr 18 in
+  if at_least_pow10 ax (k + 1) then k + 1 else k
+
+let rec trailing_zeros n = if n mod 10 = 0 then 1 + trailing_zeros (n / 10) else 0
+
+(* The [w] digits of [n], with a '.' after the first [point] of them. *)
+let rec add_digits_point buf n w point =
+  if w > 1 then add_digits_point buf (n / 10) (w - 1) point;
+  if w = point + 1 then Buffer.add_char buf '.';
+  Buffer.add_char buf (Char.unsafe_chr (Char.code '0' + (n mod 10)))
+
+(* [float_repr x] into [buf], without C's printf for the common case: a
+   finite [x] with [k = floor (log10 |x|)] in [-6, 16]. There
+   [|x| * 10^(16-k)] lies in [10^16, 10^17), and [10^(16-k)] is an exact
+   double, so the product is exactly [hi + lo] (the [fma] residual) with
+   [hi] an integer; rounding it half to even gives the 17 significant
+   digits [d] that glibc's [%.17g] prints, laid out the way [%g] lays
+   them out. A value whose digits 13-17 are within 100 of [00000] or
+   [99999] may have a [%.12g] form that reads back (see [float_repr]),
+   and goes through [float_repr]; so do subnormals, values outside the
+   range and non-finite ones. *)
+let add_float buf x =
+  let ax = Float.abs x in
+  if x = 0.0 then Buffer.add_string buf (if Float.sign_bit x then "-0" else "0")
+  else if not (ax > 1e-7 && ax < 1e17) then Buffer.add_string buf (float_repr x)
+  else begin
+    let k = decimal_exponent ax in
+    if k < -6 then Buffer.add_string buf (float_repr x)
+    else begin
+      let scale = pow10.(16 - k) in
+      let hi = ax *. scale in
+      let lo = Float.fma ax scale (-.hi) in
+      let floor_lo = Float.floor lo in
+      let d = int_of_float hi + int_of_float floor_lo in
+      let frac = lo -. floor_lo in
+      let d = if frac > 0.5 || (frac = 0.5 && d land 1 = 1) then d + 1 else d in
+      let carry = d = ipow10.(17) in
+      let d = if carry then ipow10.(16) else d in
+      let k = if carry then k + 1 else k in
+      let fixed = k >= -4 && k < 17 in
+      let nd = 17 - trailing_zeros d in
+      let shown = if fixed && k >= nd then k + 1 else nd in
+      let tail = d mod 100_000 in
+      if shown > 12 && (tail <= 100 || tail >= 99_900) then
+        Buffer.add_string buf (float_repr x)
+      else begin
+        if x < 0.0 then Buffer.add_char buf '-';
+        let digits = d / ipow10.(17 - nd) in
+        if not fixed then begin
+          add_digits_point buf digits nd 1;
+          Buffer.add_string buf (if k < 0 then "e-0" else "e+");
+          add_digits buf (abs k)
+        end
+        else if k < 0 then begin
+          Buffer.add_string buf "0.";
+          for _ = 2 to -k do
+            Buffer.add_char buf '0'
+          done;
+          add_digits buf digits
+        end
+        else if k >= nd then add_digits buf (d / ipow10.(16 - k))
+        else add_digits_point buf digits nd (k + 1)
+      end
+    end
+  end
+
 let rec to_buffer buf = function
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
   | Int i -> add_int buf i
-  | Float x -> Buffer.add_string buf (float_repr x)
+  | Float x -> add_float buf x
   | String s -> escape buf s
   | List xs ->
     Buffer.add_char buf '[';
@@ -184,8 +270,8 @@ let hex4 s i =
 let rec run_end s i =
   if i < String.length s && s.[i] <> '"' && s.[i] <> '\\' then run_end s (i + 1) else i
 
-let parse_string c =
-  expect c '"';
+(* The rest of a string that holds an escape, from the cursor on. *)
+let parse_escaped c =
   let buf = Buffer.create 16 in
   let rec loop () =
     let stop = run_end c.src c.pos in
@@ -230,6 +316,17 @@ let parse_string c =
   loop ();
   Buffer.contents buf
 
+let parse_string c =
+  expect c '"';
+  let start = c.pos in
+  let stop = run_end c.src start in
+  if stop < String.length c.src && c.src.[stop] = '"' then begin
+    (* nothing escaped: the string is the run itself *)
+    c.pos <- stop + 1;
+    String.sub c.src start (stop - start)
+  end
+  else parse_escaped c
+
 let is_digit ch = ch >= '0' && ch <= '9'
 
 let rec digits_end s i = if i < String.length s && is_digit s.[i] then digits_end s (i + 1) else i
@@ -263,14 +360,14 @@ let parse_number c =
   done;
   let s = String.sub c.src start (c.pos - start) in
   let bad () = fail c (Printf.sprintf "bad number %S" s) in
+  let float () =
+    match float_of_string_opt s with
+    | Some x when Float.is_finite x -> Float x
+    | Some _ | None -> bad ()
+  in
   if not (valid_number s) then bad ()
-  else
-    match int_of_string_opt s with
-    | Some i -> Int i
-    | None ->
-      (match float_of_string_opt s with
-      | Some x when Float.is_finite x -> Float x
-      | Some _ | None -> bad ())
+  else if String.exists (function '.' | 'e' | 'E' -> true | _ -> false) s then float ()
+  else match int_of_string_opt s with Some i -> Int i | None -> float ()
 
 let rec parse_value c =
   skip_ws c;

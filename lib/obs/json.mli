@@ -18,7 +18,10 @@ val to_string : t -> string
     [Printf.sprintf "%.12g"] when that string reads back to the same
     float, and as [Printf.sprintf "%.17g"] otherwise; non-finite floats
     are emitted as [null] so the output is always valid JSON. Reports
-    are compared byte for byte, so this format is part of the contract. *)
+    are compared byte for byte, so this format is part of the contract.
+    Zeros and values of magnitude 1e-6 to 1e17 get their 17 digits from
+    exact OCaml arithmetic, and C's printf only when [%.12g] might read
+    back; other values always go through printf. *)
 
 val to_buffer : Buffer.t -> t -> unit
 

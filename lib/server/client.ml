@@ -22,17 +22,7 @@ let connect spec =
      raise e);
   { fd; reader = Protocol.reader fd; next_id = 0; closed = false }
 
-let send_line t line =
-  let b = Bytes.unsafe_of_string (line ^ "\n") in
-  let len = Bytes.length b in
-  let rec loop off =
-    if off < len then begin
-      match Unix.write t.fd b off (len - off) with
-      | n -> loop (off + n)
-      | exception Unix.Unix_error (EINTR, _, _) -> loop off
-    end
-  in
-  loop 0
+let send_line t line = Protocol.write_all t.fd (Bytes.unsafe_of_string (line ^ "\n"))
 
 let recv_response t =
   match Protocol.read_frame t.reader with

@@ -50,55 +50,79 @@ let string_of_sockaddr = function
 
 (* ---- buffered line reader ---- *)
 
-type reader = { fd : Unix.file_descr; buf : Buffer.t; chunk : Bytes.t }
+(* Input waits in [buf.[start .. stop - 1]]; bytes before [scan] hold no
+   newline. Reads go straight into [buf] behind [stop], and a frame is
+   cut out of it in place. *)
+type reader = {
+  fd : Unix.file_descr;
+  mutable buf : Bytes.t;
+  mutable start : int;
+  mutable stop : int;
+  mutable scan : int;
+}
 
-let reader fd = { fd; buf = Buffer.create 4096; chunk = Bytes.create 65536 }
+let read_size = 65536
+
+let reader fd = { fd; buf = Bytes.create read_size; start = 0; stop = 0; scan = 0 }
 
 type frame = Line of string | Oversized | Eof
 
+(* Read once into [buf] behind [stop], first making room for
+   [read_size] bytes; 0 at end of input. *)
 let rec refill r =
-  match Unix.read r.fd r.chunk 0 (Bytes.length r.chunk) with
-  | 0 -> 0
-  | n -> n
+  if Bytes.length r.buf - r.stop < read_size then begin
+    let pending = r.stop - r.start in
+    let buf =
+      if pending + read_size <= Bytes.length r.buf then r.buf
+      else Bytes.create (max (pending + read_size) (2 * Bytes.length r.buf))
+    in
+    Bytes.blit r.buf r.start buf 0 pending;
+    r.buf <- buf;
+    r.scan <- r.scan - r.start;
+    r.start <- 0;
+    r.stop <- pending
+  end;
+  match Unix.read r.fd r.buf r.stop read_size with
+  | n ->
+    r.stop <- r.stop + n;
+    n
   | exception Unix.Unix_error (EINTR, _, _) -> refill r
   | exception Unix.Unix_error ((ECONNRESET | EPIPE), _, _) -> 0
+
+let rec newline_in b i stop =
+  if i >= stop then -1 else if Bytes.unsafe_get b i = '\n' then i else newline_in b (i + 1) stop
 
 (* the line is gone; eat bytes until its newline so the next frame starts
    clean *)
 let rec drain r =
+  r.start <- 0;
+  r.stop <- 0;
+  r.scan <- 0;
   match refill r with
   | 0 -> Eof
-  | n -> (
-    match Bytes.index_from_opt r.chunk 0 '\n' with
-    | Some i when i < n ->
-      Buffer.add_subbytes r.buf r.chunk (i + 1) (n - i - 1);
-      Oversized
-    | Some _ | None -> drain r)
+  | _ -> (
+    match newline_in r.buf 0 r.stop with
+    | -1 -> drain r
+    | i ->
+      r.start <- i + 1;
+      r.scan <- i + 1;
+      Oversized)
 
 let rec read_frame r =
-  let s = Buffer.contents r.buf in
-  match String.index_opt s '\n' with
-  | Some i ->
-    let line = String.sub s 0 i in
-    Buffer.clear r.buf;
-    Buffer.add_substring r.buf s (i + 1) (String.length s - i - 1);
-    if i > max_line_bytes then Oversized else Line line
-  | None ->
-    if Buffer.length r.buf > max_line_bytes then begin
-      Buffer.clear r.buf;
-      drain r
-    end
-    else begin
-      match refill r with
-      | 0 -> Eof
-      | n ->
-        Buffer.add_subbytes r.buf r.chunk 0 n;
-        read_frame r
-    end
+  match newline_in r.buf r.scan r.stop with
+  | -1 ->
+    r.scan <- r.stop;
+    if r.stop - r.start > max_line_bytes then drain r
+    else if refill r = 0 then Eof
+    else read_frame r
+  | i ->
+    let start = r.start in
+    r.start <- i + 1;
+    r.scan <- i + 1;
+    if i - start > max_line_bytes then Oversized else Line (Bytes.sub_string r.buf start (i - start))
 
-let write_line fd json =
-  let s = Json.to_string json ^ "\n" in
-  let b = Bytes.unsafe_of_string s in
+(* Write all of [b], retrying when a signal interrupts. *)
+let write_all fd b =
   let len = Bytes.length b in
   let rec loop off =
     if off < len then begin
@@ -107,8 +131,15 @@ let write_line fd json =
       | exception Unix.Unix_error (EINTR, _, _) -> loop off
     end
   in
-  loop 0;
-  len
+  loop 0
+
+let write_line fd json =
+  let buf = Buffer.create 256 in
+  Json.to_buffer buf json;
+  Buffer.add_char buf '\n';
+  let frame = Buffer.to_bytes buf in
+  write_all fd frame;
+  Bytes.length frame
 
 (* ---- requests and responses ---- *)
 

@@ -51,6 +51,9 @@ val read_frame : reader -> frame
 (** Blocks for the next frame. Connection-reset errors read as {!Eof};
     other [Unix.Unix_error]s propagate. *)
 
+val write_all : Unix.file_descr -> Bytes.t -> unit
+(** Write every byte, retrying when a signal interrupts the write. *)
+
 val write_line : Unix.file_descr -> Json.t -> int
 (** One compact JSON line, newline-terminated, fully written; returns
     the number of bytes put on the wire (newline included), which the

@@ -265,9 +265,13 @@ let replay_stage ~model ~config ~default_slew ?cache ?pi
   in
   (timing_of_solve ~arrival_in ~input_slew ~critical_fanin scenario id report, report, scenario)
 
+(* fills the timing array before the stored records go in (see {!Fill}) *)
+let untimed =
+  { id = -1; arrival_in = 0.0; delay = 0.0; slew = 0.0; arrival_out = 0.0; critical_fanin = None }
+
 let analysis_of_arena arena =
   let timings =
-    Array.init (Timing_arena.length arena) (fun id ->
+    Fill.init untimed (Timing_arena.length arena) (fun id ->
         match Timing_arena.timing arena id with
         | Some t -> t
         | None -> raise (Analysis_failure "stage never timed"))

@@ -139,7 +139,7 @@ let explain ~model ?(default_slew = Arrival.default_slew) ?cache ?pi graph
         invalid_arg (Printf.sprintf "Path_enum.explain: stage %d not in graph" id))
     path.stages;
   (* replay against the completed analysis: every fanin is timed *)
-  let timings = Array.map Option.some analysis.Arrival.timings in
+  let timings = Fill.init None n (fun id -> Some analysis.Arrival.timings.(id)) in
   let config = Tqwm_core.Config.default in
   let through =
     List.map

@@ -2,6 +2,11 @@ open Tqwm_circuit
 
 let ps x = x *. 1e12
 
+(* [Json.List] of [f i a.(i)], built as a list directly: [Array.map] into
+   an array of more than 256 elements would force a minor collection
+   (see {!Fill}). *)
+let json_array f a = Tqwm_obs.Json.List (List.init (Array.length a) (fun i -> f i a.(i)))
+
 let print fmt graph analysis =
   Format.fprintf fmt "%-16s %12s %12s %12s %12s@\n" "stage" "arrival_in" "delay" "slew"
     "arrival_out";
@@ -111,7 +116,7 @@ let to_json graph analysis =
     [
       ("schema", Json.String "tqwm-sta-report/1");
       ( "stages",
-        Json.List (Array.to_list (Array.map stage_json analysis.Arrival.timings)) );
+        json_array (fun _ t -> stage_json t) analysis.Arrival.timings );
       ( "critical_path",
         Json.List
           (List.map
@@ -191,10 +196,8 @@ let timing_to_json graph (analysis : Arrival.analysis)
       ("worst_slack_ps", Json.Float (ps required.Arrival.req_worst_slack));
       ("worst_arrival_ps", Json.Float (ps analysis.Arrival.worst_arrival));
       ( "endpoints",
-        Json.List
-          (Array.to_list (Array.map endpoint_json required.Arrival.endpoints)) );
+        json_array (fun _ id -> endpoint_json id) required.Arrival.endpoints );
       ( "stages",
-        Json.List
-          (Array.to_list (Array.mapi stage_json analysis.Arrival.timings)) );
+        json_array stage_json analysis.Arrival.timings );
       ("paths", Json.List (List.mapi path_json paths));
     ]

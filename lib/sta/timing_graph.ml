@@ -12,7 +12,9 @@ type frozen = {
 }
 
 type t = {
-  mutable stages : Tqwm_circuit.Scenario.t option array;  (** backing store, length >= count *)
+  mutable stages : Tqwm_circuit.Scenario.t array;
+      (** backing store, length >= count; the slots past [count] hold
+          copies of older entries *)
   mutable count : int;
   (* per-stage adjacency, newest edge first; kept incrementally so fan
      queries and cycle checks never scan the whole edge set *)
@@ -64,7 +66,7 @@ let copy t =
     rewired = t.rewired;
   }
 
-let ensure_capacity t =
+let ensure_capacity t scenario =
   let cap = Array.length t.stages in
   if t.count >= cap then begin
     let cap' = max 8 (2 * cap) in
@@ -73,15 +75,17 @@ let ensure_capacity t =
       Array.blit a 0 a' 0 cap;
       a'
     in
-    t.stages <- grow t.stages None;
+    (* doubled by appending to itself: [Array.make] from a young
+       [scenario] would force a minor collection (see {!Fill}) *)
+    t.stages <- (if cap = 0 then Array.make cap' scenario else Array.append t.stages t.stages);
     t.fanin_rev <- grow t.fanin_rev [];
     t.fanout_rev <- grow t.fanout_rev []
   end
 
 let add_stage t scenario =
-  ensure_capacity t;
+  ensure_capacity t scenario;
   let id = t.count in
-  t.stages.(id) <- Some scenario;
+  t.stages.(id) <- scenario;
   t.count <- id + 1;
   rewire t;
   id
@@ -92,7 +96,7 @@ let num_connections t = t.num_connections
 
 let scenario t id =
   if id < 0 || id >= t.count then invalid_arg "Timing_graph.scenario: unknown stage";
-  Option.get t.stages.(id)
+  t.stages.(id)
 
 let fanin t id = if id < 0 || id >= t.count then [] else List.rev t.fanin_rev.(id)
 
@@ -153,21 +157,8 @@ let set_scenario t id scenario' =
           (Printf.sprintf
              "Timing_graph.set_scenario: replacement lacks connected input %S" e.input))
     t.fanin_rev.(id);
-  t.stages.(id) <- Some scenario';
+  t.stages.(id) <- scenario';
   invalidate t
-
-(* [Array.init n f] for an array first filled with [empty], which must
-   be an immediate or long-lived value. An array of more than 256
-   elements is allocated in the major heap, and the runtime runs a minor
-   collection before filling one from a young initial value, which is
-   what [Array.init] passes when [f 0] allocates. With several domains
-   that collection stops all of them. *)
-let init_from empty n f =
-  let a = Array.make n empty in
-  for i = 0 to n - 1 do
-    a.(i) <- f i
-  done;
-  a
 
 (* One structure digest per stage. A stage whose scenario value is the
    one [prev] held at the same id keeps its digest: scenarios are never
@@ -187,7 +178,7 @@ let structure_digests ~(prev : frozen option) scenarios =
       Hashtbl.replace seen h ((sc, d) :: bucket);
       d
   in
-  init_from "" (Array.length scenarios) (fun i ->
+  Fill.init "" (Array.length scenarios) (fun i ->
       let sc = scenarios.(i) in
       match prev with
       | Some p when i < Array.length p.scenarios && p.scenarios.(i) == sc ->
@@ -200,8 +191,8 @@ let structure_digests ~(prev : frozen option) scenarios =
    the schedule deterministic. *)
 let schedule t =
   let n = t.count in
-  let fanin = init_from [||] n (fun i -> Array.of_list (List.rev t.fanin_rev.(i))) in
-  let fanout = init_from [||] n (fun i -> Array.of_list (List.rev t.fanout_rev.(i))) in
+  let fanin = Fill.init [||] n (fun i -> Array.of_list (List.rev t.fanin_rev.(i))) in
+  let fanout = Fill.init [||] n (fun i -> Array.of_list (List.rev t.fanout_rev.(i))) in
   let indegree = Array.init n (fun i -> Array.length fanin.(i)) in
   let wave = ref [] in
   for i = n - 1 downto 0 do
@@ -235,9 +226,7 @@ let freeze t =
   match t.snapshot with
   | Some f when not t.stale -> f
   | prev ->
-    (* [Array.init] forces a minor collection here only when stage 0
-       itself was just replaced *)
-    let scenarios = Array.init t.count (fun i -> Option.get t.stages.(i)) in
+    let scenarios = Array.sub t.stages 0 t.count in
     let f =
       match prev with
       | Some p when not t.rewired ->

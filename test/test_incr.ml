@@ -8,6 +8,9 @@ open Tqwm_device
 open Tqwm_circuit
 module Timing_graph = Tqwm_sta.Timing_graph
 module Arrival = Tqwm_sta.Arrival
+module Parallel = Tqwm_sta.Parallel
+module Path_enum = Tqwm_sta.Path_enum
+module Report = Tqwm_sta.Report
 module Stage_cache = Tqwm_sta.Stage_cache
 module Workloads = Tqwm_sta.Workloads
 module Metrics = Tqwm_obs.Metrics
@@ -437,6 +440,53 @@ let test_zero_arrival_slacks_agree () =
     Alcotest.(check (float 0.0)) "path slack = endpoint slack" (slack endpoint) (slack path)
   | _ -> Alcotest.fail "expected one endpoint and one path"
 
+(* Nothing on a cache-hot run or on a daemon request may force a minor
+   collection (see [Tqwm_sta.Fill]). The test-local minor heap holds far
+   more than one run allocates, so after an emptying collection the
+   count must not move at all. *)
+let test_no_forced_minor_collection () =
+  let model = Lazy.force table in
+  let graph = Workloads.decoder_tree ~fanout:4 ~depth:4 tech in
+  let cache = Stage_cache.create () in
+  let run () =
+    let analysis, _ = Parallel.propagate_arena ~model ~cache ~domains:1 graph in
+    let clock_period = analysis.Arrival.worst_arrival in
+    let required = Arrival.required graph analysis ~clock_period in
+    let paths = Path_enum.k_worst ~clock_period ~k:10 graph analysis in
+    let explained = List.map (Path_enum.explain ~model ~cache graph analysis) paths in
+    ignore (Json.to_string (Report.timing_to_json graph analysis required explained));
+    analysis
+  in
+  let session =
+    session ~cache:(Stage_cache.create ()) (Workloads.decoder_tree ~fanout:4 ~depth:4 tech)
+  in
+  (* one timing request of the daemon, after resizing a device of the
+     root stage: the re-freeze copies a fresh scenario 0 *)
+  let request scale =
+    ignore (Session.apply session (Edit.Resize_device { stage = 0; edge = 0; scale }));
+    ignore (Session.analysis session);
+    ignore (Json.to_string (Script.timing_json ~k:3 session))
+  in
+  let gc = Gc.get () in
+  Gc.set { gc with Gc.minor_heap_size = 4 lsl 20 };
+  Fun.protect ~finally:(fun () -> Gc.set gc) @@ fun () ->
+  (* the warm-up fills both caches: the measured request scales back to
+     a size the session has solved *)
+  let analysis = run () in
+  request 2.0;
+  request 0.5;
+  let no_collection what f =
+    Gc.full_major ();
+    let before = (Gc.quick_stat ()).Gc.minor_collections in
+    f ();
+    Alcotest.(check int) (what ^ ": minor collections") 0
+      ((Gc.quick_stat ()).Gc.minor_collections - before)
+  in
+  no_collection "cache-hot run" (fun () -> ignore (run ()));
+  no_collection "Report.to_json" (fun () ->
+      ignore (Json.to_string (Report.to_json graph analysis)));
+  no_collection "session edit and timing document" (fun () -> request 2.0)
+
 let () =
   let quick name f = Alcotest.test_case name `Quick f in
   Alcotest.run "tqwm_incr"
@@ -466,4 +516,6 @@ let () =
           quick "roundtrip" test_script_roundtrip;
           quick "zero-arrival slacks agree" test_zero_arrival_slacks_agree;
         ] );
+      ( "report path",
+        [ quick "no forced minor collection" test_no_forced_minor_collection ] );
     ]

@@ -159,6 +159,27 @@ let gen_json_float =
         map (fun n -> float_of_int n *. 1e-12 *. 1e12) (int_range 0 1_000_000);
       ]
   in
+  (* the edges of the printer's exact 17-digit path, either sign *)
+  let signed g = map2 (fun neg x -> if neg then -.x else x) bool g in
+  let ulps_from x = map (step_ulps x) (int_range (-3) 3) in
+  (* m * 2^-j: some of these sit exactly halfway at the 17th digit *)
+  let ties =
+    map2 (fun m j -> Float.ldexp (float_of_int m) (-j)) (int_range 1 4095) (int_range 0 80)
+  in
+  (* 0-3 ulps from 10^k, where the decimal exponent steps *)
+  let near_pow10 =
+    bind (int_range (-8) 18) (fun k -> ulps_from (float_of_string (Printf.sprintf "1e%d" k)))
+  in
+  (* integers of 13-17 digits, some ending in zeros: [%g] prints every
+     integer digit, so 3729376725510 is [3.72937672551e+12] *)
+  let integers =
+    bind (int_range 13 17) (fun digits ->
+        let pow k = int_of_float (10.0 ** float_of_int k) in
+        map2
+          (fun m zeros -> float_of_int (m / pow zeros * pow zeros))
+          (int_range (pow (digits - 1)) (pow digits - 1))
+          (int_range 0 8))
+  in
   frequency
     [
       (4, any_bits);
@@ -166,6 +187,10 @@ let gen_json_float =
       (1, oneofl [ 0.0; -0.0; Float.min_float; -.Float.min_float ]);
       (4, near_decimal);
       (3, picoseconds);
+      (2, signed ties);
+      (2, signed near_pow10);
+      (2, signed integers);
+      (1, signed (bind (oneofl [ 1e-6; 1e17 ]) ulps_from));
     ]
 
 let prop_float_matches_reference =
