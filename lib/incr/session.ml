@@ -176,6 +176,23 @@ let add_stage t scenario =
   | Some id -> id
   | None -> assert false
 
+(* The dirty stages of [level], in its order: counted, then filled. *)
+let dirty_in t level =
+  let count = ref 0 in
+  for k = 0 to Array.length level - 1 do
+    if t.dirty.(level.(k)) then incr count
+  done;
+  let ids = Array.make !count 0 in
+  let next = ref 0 in
+  for k = 0 to Array.length level - 1 do
+    let id = level.(k) in
+    if t.dirty.(id) then begin
+      ids.(!next) <- id;
+      incr next
+    end
+  done;
+  ids
+
 (* Re-propagate only dirty stages, level by level over the frozen
    schedule. Fanins of a dirty stage are always either clean (their last
    timing still holds) or scheduled in an earlier level, so by the time a
@@ -211,9 +228,7 @@ let recompute t =
     in
     Array.iter
       (fun level ->
-        let dirty_ids =
-          Array.of_seq (Seq.filter (fun id -> t.dirty.(id)) (Array.to_seq level))
-        in
+        let dirty_ids = dirty_in t level in
         if Array.length dirty_ids > 0 then begin
           let previous =
             Fill.init None (Array.length dirty_ids) (fun k ->

@@ -102,7 +102,7 @@ let ipow10 = Array.init 18 (fun p -> int_of_float pow10.(p))
 
 (* [ax >= 10^j] exactly, for [-22 <= j <= 22]. Below 0 the product
    [ax * 10^-j] is compared with 1 through its exact residual. *)
-let at_least_pow10 ax j =
+let[@inline] at_least_pow10 ax j =
   if j >= 0 then ax >= pow10.(j)
   else
     let p = pow10.(-j) in
@@ -111,7 +111,7 @@ let at_least_pow10 ax j =
 
 (* [floor (log10 ax)] for a positive normal [ax] in (1e-7, 1e17): the
    binary exponent [e] puts it at [floor (e log10 2)] or one more *)
-let decimal_exponent ax =
+let[@inline] decimal_exponent ax =
   let e = Int64.to_int (Int64.shift_right_logical (Int64.bits_of_float ax) 52) - 1023 in
   let k = (e * 78913) asr 18 in
   if at_least_pow10 ax (k + 1) then k + 1 else k
@@ -221,11 +221,13 @@ let write_file path j =
 
 (* ---------- parsing (strict subset, enough to validate our output) ---------- *)
 
-type cursor = { src : string; mutable pos : int }
+(* The parser reads [src.[base .. stop - 1]]; error offsets count from
+   [base], so a slice fails with the message its text alone would. *)
+type cursor = { src : string; mutable pos : int; base : int; stop : int }
 
-let fail c msg = raise (Parse_error (Printf.sprintf "at offset %d: %s" c.pos msg))
+let fail c msg = raise (Parse_error (Printf.sprintf "at offset %d: %s" (c.pos - c.base) msg))
 
-let at_end c = c.pos >= String.length c.src
+let at_end c = c.pos >= c.stop
 
 (* The char under the cursor; only call it when [not (at_end c)]. *)
 let peek c = c.src.[c.pos]
@@ -247,7 +249,8 @@ let expect c ch =
 
 let literal c word value =
   let n = String.length word in
-  if c.pos + n <= String.length c.src && String.sub c.src c.pos n = word then begin
+  let rec same i = i = n || (c.src.[c.pos + i] = word.[i] && same (i + 1)) in
+  if c.pos + n <= c.stop && same 0 then begin
     c.pos <- c.pos + n;
     value
   end
@@ -267,14 +270,14 @@ let hex4 s i =
   else (d0 lsl 12) lor (d1 lsl 8) lor (d2 lsl 4) lor d3
 
 (* End of the run of plain string chars starting at [i]. *)
-let rec run_end s i =
-  if i < String.length s && s.[i] <> '"' && s.[i] <> '\\' then run_end s (i + 1) else i
+let rec run_end c i =
+  if i < c.stop && c.src.[i] <> '"' && c.src.[i] <> '\\' then run_end c (i + 1) else i
 
 (* The rest of a string that holds an escape, from the cursor on. *)
 let parse_escaped c =
   let buf = Buffer.create 16 in
   let rec loop () =
-    let stop = run_end c.src c.pos in
+    let stop = run_end c c.pos in
     Buffer.add_substring buf c.src c.pos (stop - c.pos);
     c.pos <- stop;
     if at_end c then fail c "unterminated string"
@@ -294,7 +297,7 @@ let parse_escaped c =
       | 'r' -> Buffer.add_char buf '\r'
       | 't' -> Buffer.add_char buf '\t'
       | 'u' ->
-        if c.pos + 4 > String.length c.src then fail c "bad \\u escape";
+        if c.pos + 4 > c.stop then fail c "bad \\u escape";
         let code = hex4 c.src c.pos in
         if code < 0 then fail c "bad \\u escape";
         c.pos <- c.pos + 4;
@@ -316,39 +319,99 @@ let parse_escaped c =
   loop ();
   Buffer.contents buf
 
-let parse_string c =
+(* A string token; one with no escape is [copy src start len]. *)
+let parse_run c copy =
   expect c '"';
   let start = c.pos in
-  let stop = run_end c.src start in
-  if stop < String.length c.src && c.src.[stop] = '"' then begin
-    (* nothing escaped: the string is the run itself *)
+  let stop = run_end c start in
+  if stop < c.stop && c.src.[stop] = '"' then begin
     c.pos <- stop + 1;
-    String.sub c.src start (stop - start)
+    copy c.src start (stop - start)
   end
   else parse_escaped c
 
+let parse_string c = parse_run c String.sub
+
+(* Object keys repeat: a report spells its few keys thousands of times.
+   Each domain keeps the last key seen in each of [key_slots] hash
+   slots, and a key equal to its slot's shares that string. It is still
+   a copy, never the input's own bytes. *)
+let key_slots = 64
+
+let key_cache = Domain.DLS.new_key (fun () -> Array.make key_slots "")
+
+let rec same_bytes src start key i =
+  i >= String.length key
+  || (String.unsafe_get src (start + i) = String.unsafe_get key i
+     && same_bytes src start key (i + 1))
+
+let intern src start len =
+  let h = ref 0 in
+  for i = start to start + len - 1 do
+    h := (!h * 31) + Char.code (String.unsafe_get src i)
+  done;
+  let keys = Domain.DLS.get key_cache in
+  let slot = !h land (key_slots - 1) in
+  let cached = keys.(slot) in
+  if String.length cached = len && same_bytes src start cached 0 then cached
+  else begin
+    let key = String.sub src start len in
+    keys.(slot) <- key;
+    key
+  end
+
+let parse_key c = parse_run c intern
+
 let is_digit ch = ch >= '0' && ch <= '9'
 
-let rec digits_end s i = if i < String.length s && is_digit s.[i] then digits_end s (i + 1) else i
+let rec digits_end s i stop = if i < stop && is_digit s.[i] then digits_end s (i + 1) stop else i
 
-(* RFC 8259: [-? (0 | [1-9][0-9]* ) (. [0-9]+)? ([eE] [+-]? [0-9]+)?]. *)
-let valid_number s =
-  let n = String.length s in
-  let at i ch = i < n && s.[i] = ch in
-  (* one or more digits from [i]; past [n] (never valid) when there are none *)
-  let digits i =
-    let j = digits_end s i in
-    if j > i then j else n + 1
-  in
-  let i = if at 0 '-' then 1 else 0 in
-  let i = if at i '0' then i + 1 else digits i in
-  let i = if at i '.' then digits (i + 1) else i in
+let char_at s stop i ch = i < stop && s.[i] = ch
+
+(* The end of one or more digits from [i]; past [stop] (never valid)
+   when there are none. *)
+let some_digits s stop i =
+  let j = digits_end s i stop in
+  if j > i then j else stop + 1
+
+(* RFC 8259 over [s.[start .. stop - 1]]:
+   [-? (0 | [1-9][0-9]* ) (. [0-9]+)? ([eE] [+-]? [0-9]+)?]. No local
+   closures: this runs once per number. *)
+let valid_number s start stop =
+  let i = if char_at s stop start '-' then start + 1 else start in
+  let i = if char_at s stop i '0' then i + 1 else some_digits s stop i in
+  let i = if char_at s stop i '.' then some_digits s stop (i + 1) else i in
   let i =
-    if at i 'e' || at i 'E' then digits (if at (i + 1) '+' || at (i + 1) '-' then i + 2 else i + 1)
+    if char_at s stop i 'e' || char_at s stop i 'E' then
+      some_digits s stop
+        (if char_at s stop (i + 1) '+' || char_at s stop (i + 1) '-' then i + 2 else i + 1)
     else i
   in
-  i = n
+  i = stop
 
+let rec decimal s i stop acc =
+  if i >= stop then acc else decimal s (i + 1) stop ((acc * 10) + Char.code s.[i] - Char.code '0')
+
+(* [float_of_string] of [src.[start .. start + len - 1]]. A token of up
+   to [scratch_max] bytes is copied into this domain's scratch of its
+   length, which is read only during the call: no string per number. *)
+let scratch_max = 32
+
+let scratch = Domain.DLS.new_key (fun () -> Array.init (scratch_max + 1) Bytes.create)
+
+let float_token src start len =
+  if len > scratch_max then float_of_string (String.sub src start len)
+  else begin
+    let b = (Domain.DLS.get scratch).(len) in
+    Bytes.blit_string src start b 0 len;
+    float_of_string (Bytes.unsafe_to_string b)
+  end
+
+let bad_number c start =
+  fail c (Printf.sprintf "bad number %S" (String.sub c.src start (c.pos - start)))
+
+(* A valid token without [.], [e] or [E] is an [Int] when it fits one;
+   up to 18 digits always do, and are read in place. *)
 let parse_number c =
   let start = c.pos in
   let is_number_char = function
@@ -358,16 +421,48 @@ let parse_number c =
   while (not (at_end c)) && is_number_char (peek c) do
     advance c
   done;
-  let s = String.sub c.src start (c.pos - start) in
-  let bad () = fail c (Printf.sprintf "bad number %S" s) in
-  let float () =
-    match float_of_string_opt s with
-    | Some x when Float.is_finite x -> Float x
-    | Some _ | None -> bad ()
-  in
-  if not (valid_number s) then bad ()
-  else if String.exists (function '.' | 'e' | 'E' -> true | _ -> false) s then float ()
-  else match int_of_string_opt s with Some i -> Int i | None -> float ()
+  let stop = c.pos in
+  if not (valid_number c.src start stop) then bad_number c start
+  else begin
+    let neg = c.src.[start] = '-' in
+    let first = if neg then start + 1 else start in
+    let integer = digits_end c.src first stop = stop in
+    if integer && stop - first <= 18 then
+      let v = decimal c.src first stop 0 in
+      Int (if neg then -v else v)
+    else
+      match
+        if integer then int_of_string_opt (String.sub c.src start (stop - start)) else None
+      with
+      | Some i -> Int i
+      | None ->
+        let x = float_token c.src start (stop - start) in
+        if Float.is_finite x then Float x else bad_number c start
+  end
+
+(* A list is built in order by plain recursion, one stack frame per
+   element, and only a list longer than [direct_length] continues with
+   an accumulator that is reversed at the end: no garbage list for most
+   documents, and a stack that stays shallow for any frame. Neither way
+   writes into a cell already allocated. Built in place instead
+   ([tail_mod_cons]), a list that a minor collection interrupts gets
+   its later cells written into a promoted one, so the next collection
+   promotes the rest of the document through the remembered set even
+   when it is already dead. *)
+let direct_length = 4096
+
+(* After a member: [true] past a comma, [false] past [close]. *)
+let list_next c close msg =
+  skip_ws c;
+  if at_end c then fail c msg;
+  match peek c with
+  | ',' ->
+    advance c;
+    true
+  | ch when ch = close ->
+    advance c;
+    false
+  | _ -> fail c msg
 
 let rec parse_value c =
   skip_ws c;
@@ -381,26 +476,7 @@ let rec parse_value c =
       advance c;
       Obj []
     end
-    else begin
-      let rec fields acc =
-        skip_ws c;
-        let k = parse_string c in
-        skip_ws c;
-        expect c ':';
-        let v = parse_value c in
-        skip_ws c;
-        if at_end c then fail c "expected , or } in object";
-        match peek c with
-        | ',' ->
-          advance c;
-          fields ((k, v) :: acc)
-        | '}' ->
-          advance c;
-          List.rev ((k, v) :: acc)
-        | _ -> fail c "expected , or } in object"
-      in
-      Obj (fields [])
-    end
+    else Obj (fields c 1)
   | '[' ->
     advance c;
     skip_ws c;
@@ -408,34 +484,58 @@ let rec parse_value c =
       advance c;
       List []
     end
-    else begin
-      let rec elements acc =
-        let v = parse_value c in
-        skip_ws c;
-        if at_end c then fail c "expected , or ] in array";
-        match peek c with
-        | ',' ->
-          advance c;
-          elements (v :: acc)
-        | ']' ->
-          advance c;
-          List.rev (v :: acc)
-        | _ -> fail c "expected , or ] in array"
-      in
-      List (elements [])
-    end
+    else List (elements c 1)
   | 't' -> literal c "true" (Bool true)
   | 'f' -> literal c "false" (Bool false)
   | 'n' -> literal c "null" Null
   | '-' | '0' .. '9' -> parse_number c
   | ch -> fail c (Printf.sprintf "unexpected character %c" ch)
 
-let of_string s =
-  let c = { src = s; pos = 0 } in
+(* The fields from the cursor to the closing brace, the [n]th first. *)
+and fields c n =
+  let kv = field c in
+  match list_next c '}' "expected , or } in object" with
+  | false -> [ kv ]
+  | true when n < direct_length -> kv :: fields c (n + 1)
+  | true -> kv :: fields_rev c []
+
+and fields_rev c acc =
+  let kv = field c in
+  if list_next c '}' "expected , or } in object" then fields_rev c (kv :: acc)
+  else List.rev (kv :: acc)
+
+and field c =
+  skip_ws c;
+  let k = parse_key c in
+  skip_ws c;
+  expect c ':';
+  (k, parse_value c)
+
+and elements c n =
+  let v = parse_value c in
+  match list_next c ']' "expected , or ] in array" with
+  | false -> [ v ]
+  | true when n < direct_length -> v :: elements c (n + 1)
+  | true -> v :: elements_rev c []
+
+and elements_rev c acc =
+  let v = parse_value c in
+  if list_next c ']' "expected , or ] in array" then elements_rev c (v :: acc)
+  else List.rev (v :: acc)
+
+let parse src ~pos ~len =
+  let c = { src; pos; base = pos; stop = pos + len } in
   let v = parse_value c in
   skip_ws c;
-  if c.pos <> String.length s then fail c "trailing garbage";
+  if not (at_end c) then fail c "trailing garbage";
   v
+
+let of_string s = parse s ~pos:0 ~len:(String.length s)
+
+let of_bytes b ~pos ~len =
+  if pos < 0 || len < 0 || pos > Bytes.length b - len then invalid_arg "Json.of_bytes";
+  (* read only during the call, and every token is copied out *)
+  parse (Bytes.unsafe_to_string b) ~pos ~len
 
 (* ---------- accessors ---------- *)
 

@@ -37,6 +37,14 @@ val of_string : string -> t
     to infinity is rejected.
     @raise Parse_error on malformed input. *)
 
+val of_bytes : Bytes.t -> pos:int -> len:int -> t
+(** [of_bytes b ~pos ~len] parses [b]'s [len] bytes from [pos] as
+    {!of_string} parses them copied out: same value, and the same
+    {!Parse_error} message, its offset counted from [pos]. Every string
+    and number is copied, so the value shares no memory with [b], which
+    may be reused once the call returns; [b] must not change during it.
+    @raise Invalid_argument when the slice is not inside [b]. *)
+
 val member : string -> t -> t option
 (** [member key (Obj ...)] looks a field up; [None] on non-objects. *)
 

@@ -95,6 +95,27 @@ let observe h v =
   ignore (Atomic.fetch_and_add h.counts.(bucket_index h v) 1);
   atomic_add_float h.sum v
 
+(* The values are bucketed into a local tally first, so the shared cells
+   see one add per non-empty bucket and one sum update, and no float is
+   boxed per value. *)
+let observe_indexed h ~scale values ids =
+  let nbounds = Array.length h.bounds in
+  let tally = Array.make (nbounds + 1) 0 in
+  let sum = ref 0.0 in
+  for k = 0 to Array.length ids - 1 do
+    let v = scale *. values.(ids.(k)) in
+    let b = ref 0 in
+    while !b < nbounds && not (v <= h.bounds.(!b)) do
+      b := !b + 1
+    done;
+    tally.(!b) <- tally.(!b) + 1;
+    sum := !sum +. v
+  done;
+  for b = 0 to nbounds do
+    if tally.(b) > 0 then ignore (Atomic.fetch_and_add h.counts.(b) tally.(b))
+  done;
+  if Array.length ids > 0 then atomic_add_float h.sum !sum
+
 let histogram_counts h = Array.map Atomic.get h.counts
 
 let histogram_total h =

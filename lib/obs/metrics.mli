@@ -47,6 +47,13 @@ val value : counter -> int
 
 val observe : histogram -> float -> unit
 
+val observe_indexed : histogram -> scale:float -> float array -> int array -> unit
+(** [observe_indexed h ~scale values ids] observes [scale *. values.(id)]
+    for every [id] of [ids] as one update: each non-empty bucket gets one
+    atomic add and the sum one compare-and-set. The counts are those of
+    one {!observe} per value; the sum is accumulated in [ids] order
+    before it is added, so its last bits may differ from theirs. *)
+
 val histogram_counts : histogram -> int array
 (** Per-bucket counts, overflow bucket last. *)
 

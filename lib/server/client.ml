@@ -3,6 +3,7 @@ module Json = Tqwm_obs.Json
 type t = {
   fd : Unix.file_descr;
   reader : Protocol.reader;
+  writer : Protocol.writer;
   mutable next_id : int;
   mutable closed : bool;
 }
@@ -20,22 +21,22 @@ let connect spec =
    with e ->
      (try Unix.close fd with Unix.Unix_error _ -> ());
      raise e);
-  { fd; reader = Protocol.reader fd; next_id = 0; closed = false }
+  { fd; reader = Protocol.reader fd; writer = Protocol.writer fd; next_id = 0; closed = false }
 
-let send_line t line = Protocol.write_all t.fd (Bytes.unsafe_of_string (line ^ "\n"))
+let send_line t line = ignore (Protocol.write_raw t.writer line)
 
 let recv_response t =
   match Protocol.read_frame t.reader with
   | Protocol.Eof -> None
   | Protocol.Oversized -> raise (Protocol_failure "oversized response line")
-  | Protocol.Line line -> (
-    match Json.of_string line with
+  | Protocol.Line _ -> (
+    match Protocol.frame_json t.reader with
     | j -> Some j
     | exception Json.Parse_error m ->
       raise (Protocol_failure ("unparseable response: " ^ m)))
 
 let request_raw t json =
-  ignore (Protocol.write_line t.fd json);
+  ignore (Protocol.write_frame t.writer json);
   recv_response t
 
 let request t verb args =

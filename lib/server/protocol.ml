@@ -52,20 +52,24 @@ let string_of_sockaddr = function
 
 (* Input waits in [buf.[start .. stop - 1]]; bytes before [scan] hold no
    newline. Reads go straight into [buf] behind [stop], and a frame is
-   cut out of it in place. *)
+   parsed where it lies: the last [Line] is [buf.[line .. line +
+   line_len - 1]]. *)
 type reader = {
   fd : Unix.file_descr;
   mutable buf : Bytes.t;
   mutable start : int;
   mutable stop : int;
   mutable scan : int;
+  mutable line : int;
+  mutable line_len : int;
 }
 
 let read_size = 65536
 
-let reader fd = { fd; buf = Bytes.create read_size; start = 0; stop = 0; scan = 0 }
+let reader fd =
+  { fd; buf = Bytes.create read_size; start = 0; stop = 0; scan = 0; line = 0; line_len = 0 }
 
-type frame = Line of string | Oversized | Eof
+type frame = Line of int | Oversized | Eof
 
 (* Read once into [buf] behind [stop], first making room for
    [read_size] bytes; 0 at end of input. *)
@@ -119,34 +123,70 @@ let rec read_frame r =
     let start = r.start in
     r.start <- i + 1;
     r.scan <- i + 1;
-    if i - start > max_line_bytes then Oversized else Line (Bytes.sub_string r.buf start (i - start))
+    if i - start > max_line_bytes then Oversized
+    else begin
+      r.line <- start;
+      r.line_len <- i - start;
+      Line (i - start)
+    end
 
-(* Write all of [b], retrying when a signal interrupts. *)
-let write_all fd b =
-  let len = Bytes.length b in
+let frame_json r = Json.of_bytes r.buf ~pos:r.line ~len:r.line_len
+
+(* ---- frame writer ---- *)
+
+(* A frame is built in [frame], which is cleared and never re-created,
+   and leaves through [chunk], a grow-only copy area of at most
+   [write_size] bytes: no per-frame block, and no frame-sized copy. *)
+type writer = { wfd : Unix.file_descr; frame : Buffer.t; mutable chunk : Bytes.t }
+
+let write_size = 65536
+
+let writer fd = { wfd = fd; frame = Buffer.create 256; chunk = Bytes.empty }
+
+(* Write [b.[off .. off + len - 1]], retrying when a signal interrupts. *)
+let rec write_all fd b off len =
+  if len > 0 then
+    match Unix.write fd b off len with
+    | n -> write_all fd b (off + n) (len - n)
+    | exception Unix.Unix_error (EINTR, _, _) -> write_all fd b off len
+
+(* Terminate the frame in [w.frame] and write it a chunk at a time. *)
+let send w =
+  Buffer.add_char w.frame '\n';
+  let len = Buffer.length w.frame in
+  let want = min len write_size in
+  if Bytes.length w.chunk < want then
+    w.chunk <- Bytes.create (min write_size (max want (2 * Bytes.length w.chunk)));
   let rec loop off =
     if off < len then begin
-      match Unix.write fd b off (len - off) with
-      | n -> loop (off + n)
-      | exception Unix.Unix_error (EINTR, _, _) -> loop off
+      let n = min (len - off) (Bytes.length w.chunk) in
+      Buffer.blit w.frame off w.chunk 0 n;
+      write_all w.wfd w.chunk 0 n;
+      loop (off + n)
     end
   in
-  loop 0
+  loop 0;
+  len
 
-let write_line fd json =
-  let buf = Buffer.create 256 in
-  Json.to_buffer buf json;
-  Buffer.add_char buf '\n';
-  let frame = Buffer.to_bytes buf in
-  write_all fd frame;
-  Bytes.length frame
+let write_frame w json =
+  Buffer.clear w.frame;
+  Json.to_buffer w.frame json;
+  send w
+
+let write_raw w text =
+  Buffer.clear w.frame;
+  Buffer.add_string w.frame text;
+  send w
+
+let write_line fd json = write_frame (writer fd) json
 
 (* ---- requests and responses ---- *)
 
 type request = { id : Json.t; verb : string; body : Json.t }
 
-let request_of_line line =
-  match Json.of_string line with
+(* The request [parse] reads: must be a JSON object with a string [verb]. *)
+let request_of parse =
+  match parse () with
   | exception Json.Parse_error msg -> Error ("invalid JSON: " ^ msg)
   | Json.Obj _ as body -> (
     let id = Option.value (Json.member "id" body) ~default:Json.Null in
@@ -155,6 +195,10 @@ let request_of_line line =
     | Some _ -> Error "\"verb\" must be a non-empty string"
     | None -> Error "request object has no \"verb\" member")
   | _ -> Error "request must be a JSON object"
+
+let request_of_line line = request_of (fun () -> Json.of_string line)
+
+let request_of_frame r = request_of (fun () -> frame_json r)
 
 let arg req name = Json.member name req.body
 

@@ -41,7 +41,10 @@ val reader : Unix.file_descr -> reader
     the descriptor yourself. *)
 
 type frame =
-  | Line of string  (** one request line, newline stripped *)
+  | Line of int
+      (** one line of this many bytes, newline stripped; it stays in
+          the reader's buffer, for {!frame_json} or {!request_of_frame},
+          until the next {!read_frame} *)
   | Oversized
       (** a line exceeded {!max_line_bytes}; it was discarded through
           its terminating newline and the reader is re-synchronized *)
@@ -51,14 +54,36 @@ val read_frame : reader -> frame
 (** Blocks for the next frame. Connection-reset errors read as {!Eof};
     other [Unix.Unix_error]s propagate. *)
 
-val write_all : Unix.file_descr -> Bytes.t -> unit
-(** Write every byte, retrying when a signal interrupts the write. *)
+val frame_json : reader -> Json.t
+(** The last {!Line}, parsed where it lies in the reader's buffer
+    ({!Json.of_bytes}): the value and any {!Json.Parse_error} message are
+    those {!Json.of_string} gives for the line alone.
+    @raise Json.Parse_error on a malformed line. *)
 
-val write_line : Unix.file_descr -> Json.t -> int
+(** {2 Writing frames} *)
+
+type writer
+(** One connection's frame writer: a buffer that each frame is
+    serialized into, cleared and never re-created, and a copy area of
+    at most 64 KiB that the frame leaves through. *)
+
+val writer : Unix.file_descr -> writer
+(** A writer owning no resources beyond its buffers; close the
+    descriptor yourself. *)
+
+val write_frame : writer -> Json.t -> int
 (** One compact JSON line, newline-terminated, fully written; returns
     the number of bytes put on the wire (newline included), which the
     server's access log records as [bytes_out]. With [SIGPIPE] ignored,
     writing to a hung-up peer raises [Unix.Unix_error (EPIPE, _, _)]. *)
+
+val write_raw : writer -> string -> int
+(** [text] and a newline, as they are — for exercising a peer's
+    malformed-input handling. Returns the bytes written. *)
+
+val write_line : Unix.file_descr -> Json.t -> int
+(** {!write_frame} through a one-shot writer, for a descriptor that
+    gets a single frame (the acceptor's [server_full] reply). *)
 
 (** {2 Requests and responses} *)
 
@@ -70,6 +95,9 @@ type request = {
 
 val request_of_line : string -> (request, string) result
 (** Parse one line: must be a JSON object with a string [verb]. *)
+
+val request_of_frame : reader -> (request, string) result
+(** {!request_of_line} of the last {!Line}, parsed in place. *)
 
 val arg : request -> string -> Json.t option
 

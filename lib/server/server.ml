@@ -85,6 +85,7 @@ type conn = {
   mutable interp : Script.Interp.t option;
   outbuf : Buffer.t;
   fmt : Format.formatter;
+  writer : Protocol.writer;  (** every response frame of the connection *)
 }
 
 let take_output conn =
@@ -299,7 +300,7 @@ let access t ~t0 ~rid ~sid ~verb ~outcome ~bytes_in ~bytes_out ~latency_s =
         ("latency_us", Json.Float (latency_s *. 1e6));
       ]
 
-let handle_request t conn fd req ~bytes_in =
+let handle_request t conn req ~bytes_in =
   let id = req.Protocol.id in
   let t0 = Unix.gettimeofday () in
   (* request ids are only minted when something will record them, so the
@@ -345,7 +346,7 @@ let handle_request t conn fd req ~bytes_in =
      this domain's growth into the shared counters while the request is
      still the hot context *)
   Tqwm_obs.Alloc.flush_domain ();
-  let bytes_out = Protocol.write_line fd response in
+  let bytes_out = Protocol.write_frame conn.writer response in
   let dt = Unix.gettimeofday () -. t0 in
   (match List.assoc_opt req.Protocol.verb latency with
   | Some h -> Metrics.observe h (dt *. 1e3)
@@ -378,7 +379,13 @@ let serve_connection t fd =
   in
   let outbuf = Buffer.create 256 in
   let conn =
-    { sid; interp = None; outbuf; fmt = Format.formatter_of_buffer outbuf }
+    {
+      sid;
+      interp = None;
+      outbuf;
+      fmt = Format.formatter_of_buffer outbuf;
+      writer = Protocol.writer fd;
+    }
   in
   let reader = Protocol.reader fd in
   (* frames that never became requests still get an access-log line
@@ -389,7 +396,7 @@ let serve_connection t fd =
     let t0 = Unix.gettimeofday () in
     let rid = if t.access_log <> None then mint_rid t sid else "" in
     let bytes_out =
-      Protocol.write_line fd (Protocol.error ~id:Json.Null ~code message)
+      Protocol.write_frame conn.writer (Protocol.error ~id:Json.Null ~code message)
     in
     access t ~t0 ~rid ~sid ~verb:"-" ~outcome:code ~bytes_in ~bytes_out
       ~latency_s:(Unix.gettimeofday () -. t0)
@@ -401,15 +408,15 @@ let serve_connection t fd =
       reject ~code:"oversized_line" ~bytes_in:0
         (Printf.sprintf "request line exceeds %d bytes" Protocol.max_line_bytes);
       loop ()
-    | Protocol.Line "" -> loop ()
-    | Protocol.Line line -> (
-      let bytes_in = String.length line + 1 in
-      match Protocol.request_of_line line with
+    | Protocol.Line 0 -> loop ()
+    | Protocol.Line len -> (
+      let bytes_in = len + 1 in
+      match Protocol.request_of_frame reader with
       | Error message ->
         reject ~code:"parse_error" ~bytes_in message;
         loop ()
       | Ok req -> (
-        match handle_request t conn fd req ~bytes_in with
+        match handle_request t conn req ~bytes_in with
         | `Continue -> loop ()
         | `Close -> ()))
   in

@@ -65,44 +65,47 @@ let required graph analysis ~clock_period =
   if not (Float.is_finite clock_period) || clock_period <= 0.0 then
     invalid_arg "Arrival.required: clock_period must be finite and > 0";
   let frozen = Timing_graph.freeze graph in
-  let n = Array.length analysis.timings in
+  let timings = analysis.timings in
+  let n = Array.length timings in
   if n <> Array.length frozen.Timing_graph.scenarios then
     invalid_arg "Arrival.required: analysis does not match this graph";
   (* the sink set is explicit: a stage with no fanout is a timing
      endpoint and must settle by [clock_period]; every other stage
      inherits the tightest budget of its fanouts (each of which is
      processed first — reverse topological order) *)
-  let endpoints = Timing_graph.endpoints frozen in
+  let endpoints = frozen.Timing_graph.endpoints in
+  let order = frozen.Timing_graph.order and fanout = frozen.Timing_graph.fanout in
   let req = Array.make n clock_period in
-  for i = Array.length frozen.Timing_graph.order - 1 downto 0 do
-    let id = frozen.Timing_graph.order.(i) in
-    Array.iter
-      (fun (c : Timing_graph.connection) ->
-        let downstream = c.Timing_graph.to_stage in
-        let budget = req.(downstream) -. analysis.timings.(downstream).delay in
-        if budget < req.(id) then req.(id) <- budget)
-      frozen.Timing_graph.fanout.(id)
+  for i = n - 1 downto 0 do
+    let id = order.(i) in
+    let out = fanout.(id) in
+    for j = 0 to Array.length out - 1 do
+      let downstream = out.(j).Timing_graph.to_stage in
+      let budget = req.(downstream) -. timings.(downstream).delay in
+      if budget < req.(id) then req.(id) <- budget
+    done
   done;
-  let req_slack = Array.mapi (fun i r -> r -. analysis.timings.(i).arrival_out) req in
+  let req_slack = Array.make n 0.0 in
+  let worst = ref infinity in
+  for i = 0 to n - 1 do
+    let slack = req.(i) -. timings.(i).arrival_out in
+    req_slack.(i) <- slack;
+    worst := Float.min !worst slack
+  done;
   (* finite even on empty graphs: a design with nothing to time meets the
      clock with full margin rather than an infinite fold identity *)
-  let req_worst_slack =
-    if n = 0 then clock_period else Array.fold_left Float.min infinity req_slack
-  in
-  let wns =
-    if Array.length endpoints = 0 then clock_period
-    else
-      Array.fold_left (fun acc id -> Float.min acc req_slack.(id)) infinity endpoints
-  in
-  let tns =
-    Array.fold_left
-      (fun acc id -> if req_slack.(id) < 0.0 then acc +. req_slack.(id) else acc)
-      0.0 endpoints
-  in
+  let req_worst_slack = if n = 0 then clock_period else !worst in
+  let wns = ref infinity and tns = ref 0.0 in
+  for k = 0 to Array.length endpoints - 1 do
+    let slack = req_slack.(endpoints.(k)) in
+    wns := Float.min !wns slack;
+    if slack < 0.0 then tns := !tns +. slack
+  done;
+  let wns = if Array.length endpoints = 0 then clock_period else !wns and tns = !tns in
   let ps = 1e12 in
   Metrics.set g_wns (wns *. ps);
   Metrics.set g_tns (tns *. ps);
-  Array.iter (fun id -> Metrics.observe h_endpoint_slack (req_slack.(id) *. ps)) endpoints;
+  Metrics.observe_indexed h_endpoint_slack ~scale:ps req_slack endpoints;
   { clock_period; req; req_slack; endpoints; req_worst_slack; wns; tns }
 
 (* Shape one stage's input sources from its fanin timings: the critical

@@ -134,7 +134,9 @@ type required_report = {
           from [clock_period] at the endpoints) *)
   req_slack : float array;  (** [req - arrival_out]; negative = violation *)
   endpoints : Timing_graph.stage_id array;
-      (** the explicit sink set: stages with no fanout, ids ascending *)
+      (** the explicit sink set: stages with no fanout, ids ascending;
+          the frozen snapshot's own [endpoints] array, shared, not
+          copied *)
   req_worst_slack : float;  (** minimum slack over {e all} stages *)
   wns : float;
       (** worst (endpoint) slack — the design's single health number;
@@ -158,6 +160,7 @@ val required : Timing_graph.t -> analysis -> clock_period:float -> required_repo
     [clock_period]; upstream required times subtract the downstream
     stage delays along each fanout, taking the tightest budget.
     Also publishes the [sta.wns] / [sta.tns] gauges (picoseconds) and
-    the [sta.endpoint_slack_ps] histogram to {!Tqwm_obs.Metrics}.
+    the endpoint slacks to the [sta.endpoint_slack_ps] histogram, in one
+    batched update ({!Tqwm_obs.Metrics.observe_indexed}).
     @raise Invalid_argument when [clock_period] is non-positive or not
     finite, or when [analysis] has a different stage count than [graph]. *)

@@ -74,7 +74,7 @@ let k_worst ?clock_period ~k graph (analysis : Arrival.analysis) =
                key = [ id ];
              }
              acc)
-         Frontier.empty (Timing_graph.endpoints frozen))
+         Frontier.empty frozen.Timing_graph.endpoints)
   in
   let found = ref [] in
   let nfound = ref 0 in

@@ -8,6 +8,7 @@ type frozen = {
   fanout : connection array array;
   order : stage_id array;
   levels : stage_id array array;
+  endpoints : stage_id array;
   structure : string array;
 }
 
@@ -185,7 +186,24 @@ let structure_digests ~(prev : frozen option) scenarios =
         p.structure.(i)
       | Some _ | None -> digest sc)
 
-(* Indexed adjacency and the level schedule: Kahn's algorithm by waves,
+(* The sink set: stages with no fanout, ids ascending. *)
+let sinks fanout =
+  let n = Array.length fanout in
+  let count = ref 0 in
+  for i = 0 to n - 1 do
+    if Array.length fanout.(i) = 0 then incr count
+  done;
+  let ids = Array.make !count 0 in
+  let k = ref 0 in
+  for i = 0 to n - 1 do
+    if Array.length fanout.(i) = 0 then begin
+      ids.(!k) <- i;
+      incr k
+    end
+  done;
+  ids
+
+(* Indexed adjacency, the level schedule and the sink set: Kahn's algorithm by waves,
    each wave one topological level whose stages depend only on earlier
    waves and are mutually independent. Ids within a wave ascend, making
    the schedule deterministic. *)
@@ -220,7 +238,7 @@ let schedule t =
     (* unreachable as long as [connect] rejects cycles *)
     invalid_arg "Timing_graph.freeze: cycle detected";
   let levels = Array.of_list (List.rev !levels_rev) in
-  (fanin, fanout, Array.concat (Array.to_list levels), levels)
+  (fanin, fanout, Array.concat (Array.to_list levels), levels, sinks fanout)
 
 let freeze t =
   match t.snapshot with
@@ -230,17 +248,19 @@ let freeze t =
     let f =
       match prev with
       | Some p when not t.rewired ->
-        (* only scenarios were replaced since [p]: its adjacency and
-           schedule still hold, and snapshots are never mutated *)
+        (* only scenarios were replaced since [p]: its adjacency,
+           schedule and sinks still hold, and snapshots are never
+           mutated *)
         { p with scenarios; structure = structure_digests ~prev scenarios }
       | Some _ | None ->
-        let fanin, fanout, order, levels = schedule t in
+        let fanin, fanout, order, levels, endpoints = schedule t in
         {
           scenarios;
           fanin;
           fanout;
           order;
           levels;
+          endpoints;
           structure = structure_digests ~prev scenarios;
         }
     in
@@ -248,12 +268,6 @@ let freeze t =
     t.stale <- false;
     t.rewired <- false;
     f
-
-let endpoints frozen =
-  Array.of_seq
-    (Seq.filter
-       (fun id -> Array.length frozen.fanout.(id) = 0)
-       (Seq.init (Array.length frozen.scenarios) Fun.id))
 
 let topological_order t = Array.to_list (freeze t).order
 

@@ -50,6 +50,11 @@ type frozen = {
           are mutually independent — the unit of parallelism — and ids
           within a level ascend. [order] is the concatenation of the
           levels. *)
+  endpoints : stage_id array;
+      (** stages with no fanout, ids ascending: the sink set
+          required-time propagation starts from and path enumeration
+          ends at. Built with the schedule, once per stage or edge
+          change. *)
   structure : string array;
       (** [structure.(id)] is {!Stage_cache.structure}
           [scenarios.(id)] — pass it as [?structure] when keying a solve
@@ -108,10 +113,6 @@ val freeze : t -> frozen
     mutation. O(V) after scenario replacements alone, O(V + E) after a
     stage or edge change, plus one structure digest per scenario value
     not in the previous snapshot. *)
-
-val endpoints : frozen -> stage_id array
-(** Stages with no fanout, ids ascending — the sink set required-time
-    propagation starts from and path enumeration ends at. *)
 
 val topological_order : t -> stage_id list
 (** Primary-input stages first (the frozen [order]). *)

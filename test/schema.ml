@@ -147,7 +147,9 @@ let alloc_budget ctx j =
           let v = number ctx what ceilings in
           if not (v > 0.0) then fail ctx "%s ceiling %g is not positive" what v)
         [ "newton_iterations"; "device_calls" ])
-    (non_empty ctx "solver_work_per_region" (obj ctx "solver_work_per_region" j))
+    (non_empty ctx "solver_work_per_region" (obj ctx "solver_work_per_region" j));
+  let daemon = number ctx "daemon_words_per_round" j in
+  if not (daemon > 0.0) then fail ctx "daemon_words_per_round %g is not positive" daemon
 
 (* A ledger's records, each carrying the date and commit stamps
    [Ledger.append] writes, returned for the caller to check by schema. *)

@@ -30,6 +30,74 @@ let table = lazy (Models.table tech)
 
 (* ---------- JSON ---------- *)
 
+(* Malformed inputs and the exact [Parse_error] text each must raise. *)
+let rejection_table =
+  [
+    ("trailing garbage rejected", "at offset 2: trailing garbage", "{}x");
+    ("unterminated string", "at offset 4: unterminated string", "\"abc");
+    ("unterminated object", "at offset 6: expected , or } in object", "{\"a\":1");
+    (* RFC 8259 strictness *)
+    ("separator in \\u escape", "at offset 3: bad \\u escape", "\"\\u1_2f\"");
+    ("leading zero", "at offset 2: bad number \"01\"", "01");
+    ("trailing dot", "at offset 2: bad number \"1.\"", "1.");
+    ("overflowing exponent", "at offset 5: bad number \"1e999\"", "1e999");
+  ]
+
+(* What parsing gives: the value printed back, or the error text. *)
+let parse_outcome parse =
+  match parse () with
+  | v -> Ok (Json.to_string v)
+  | exception Json.Parse_error msg -> Error msg
+
+(* [text] inside bytes that would change the outcome if the parser read
+   past either end of the slice: the slice starts at a non-zero
+   position and is followed by a digit, a closing bracket and more. *)
+let in_slice text =
+  let b = Bytes.of_string ("[\"" ^ text ^ "7]}\"\n") in
+  Json.of_bytes b ~pos:2 ~len:(String.length text)
+
+let same_outcome what text =
+  let expected = parse_outcome (fun () -> Json.of_string text) in
+  let got = parse_outcome (fun () -> in_slice text) in
+  match (expected, got) with
+  | Ok e, Ok g -> Alcotest.(check string) (what ^ ": value") e g
+  | Error e, Error g -> Alcotest.(check string) (what ^ ": Parse_error text") e g
+  | Ok _, Error m -> Alcotest.failf "%s: the slice fails (%s), the text parses" what m
+  | Error m, Ok _ -> Alcotest.failf "%s: the slice parses, the text fails (%s)" what m
+
+let test_json_slices () =
+  List.iter (fun (name, _, input) -> same_outcome name input) rejection_table;
+  List.iter
+    (fun input -> same_outcome input input)
+    [
+      "[0,-0,10,-1.5e+3,2E-2,0.25]"; "\"a\\u00e9\\u002F\\n\\\"b\""; "{\"a\":[1,{\"b\":null}]}";
+      "123456789012345678"; "-1234567890123456789"; "12345678901234567890"; "tru"; "nul";
+      "\"\\u00"; "[1,2"; ""; "  "; "-"; "1e"; "[]"; "{}";
+    ];
+  let b = Bytes.of_string "[1]" in
+  List.iter
+    (fun (pos, len) ->
+      Alcotest.check_raises
+        (Printf.sprintf "slice %d+%d outside 3 bytes" pos len)
+        (Invalid_argument "Json.of_bytes")
+        (fun () -> ignore (Json.of_bytes b ~pos ~len)))
+    [ (-1, 2); (0, 4); (2, 2); (1, -1) ]
+
+(* A frame of [0,0,...] as long as a request line may be: past its
+   first few thousand elements the list is built with an accumulator,
+   so the stack stays shallow, on a worker domain as on the main one. *)
+let test_json_flat_array_on_a_domain () =
+  let n = (Tqwm_server.Protocol.max_line_bytes - 2) / 2 in
+  let text = "[ " ^ String.concat "," (List.init n (fun _ -> "0")) ^ "]" in
+  Alcotest.(check int) "frame length" Tqwm_server.Protocol.max_line_bytes (String.length text);
+  let length () =
+    match Json.of_bytes (Bytes.unsafe_of_string text) ~pos:0 ~len:(String.length text) with
+    | Json.List xs -> List.length xs
+    | _ -> -1
+  in
+  Alcotest.(check int) "elements, worker domain" n (Domain.join (Domain.spawn length));
+  Alcotest.(check int) "elements, main domain" n (length ())
+
 let test_json_roundtrip () =
   let doc =
     Json.Obj
@@ -54,14 +122,7 @@ let test_json_roundtrip () =
   let rejects name msg input =
     Alcotest.check_raises name (Json.Parse_error msg) (fun () -> ignore (Json.of_string input))
   in
-  rejects "trailing garbage rejected" "at offset 2: trailing garbage" "{}x";
-  rejects "unterminated string" "at offset 4: unterminated string" "\"abc";
-  rejects "unterminated object" "at offset 6: expected , or } in object" "{\"a\":1";
-  (* RFC 8259 strictness *)
-  rejects "separator in \\u escape" "at offset 3: bad \\u escape" "\"\\u1_2f\"";
-  rejects "leading zero" "at offset 2: bad number \"01\"" "01";
-  rejects "trailing dot" "at offset 2: bad number \"1.\"" "1.";
-  rejects "overflowing exponent" "at offset 5: bad number \"1e999\"" "1e999";
+  List.iter (fun (name, msg, input) -> rejects name msg input) rejection_table;
   Alcotest.(check bool)
     "valid numbers accepted" true
     (Json.of_string "[0,-0,10,-1.5e+3,2E-2,0.25]"
@@ -198,6 +259,18 @@ let prop_float_matches_reference =
     ~print:(Printf.sprintf "%h") gen_json_float (fun x ->
       String.equal (Json.to_string (Json.Float x)) (reference_float_repr x))
 
+(* Every printed float parses to the same value in place as alone. *)
+let prop_in_place_matches_of_string =
+  QCheck2.Test.make ~name:"json in-place parse matches of_string on printed floats"
+    ~count:1_000_000 ~print:(Printf.sprintf "%h") gen_json_float (fun x ->
+      let text = Json.to_string (Json.Float x) in
+      match Json.of_string text with
+      | v -> in_slice text = v
+      | exception Json.Parse_error msg -> (
+        match in_slice text with
+        | _ -> false
+        | exception Json.Parse_error msg' -> msg = msg'))
+
 let test_scalars_match_reference () =
   List.iter
     (fun j ->
@@ -223,7 +296,9 @@ let test_report_documents_match_reference () =
   List.iter
     (fun (name, graph) ->
       let doc = document graph in
-      Alcotest.(check string) name (reference_to_string doc) (Json.to_string doc))
+      let text = Json.to_string doc in
+      Alcotest.(check string) name (reference_to_string doc) text;
+      same_outcome (name ^ ", parsed in place") text)
     [
       ("decoder tree", Workloads.decoder_tree ~fanout:4 ~depth:4 tech);
       ("random stacks", Workloads.random_stacks ~width:4 ~depth:3 ~seed:7 tech);
@@ -905,9 +980,13 @@ let () =
       ( "json",
         [
           Alcotest.test_case "round-trip and errors" `Quick test_json_roundtrip;
+          Alcotest.test_case "slices parse as their text alone" `Quick test_json_slices;
+          Alcotest.test_case "max-size flat array on a worker domain" `Quick
+            test_json_flat_array_on_a_domain;
           Alcotest.test_case "scalars match the reference printer" `Quick
             test_scalars_match_reference;
           QCheck_alcotest.to_alcotest prop_float_matches_reference;
+          QCheck_alcotest.to_alcotest prop_in_place_matches_of_string;
           Alcotest.test_case "report documents match the reference printer" `Slow
             test_report_documents_match_reference;
         ] );

@@ -577,6 +577,200 @@ let test_traced_clients_share_the_log () =
         Alcotest.failf "%s: request %s has no server.request span" ctx rid)
     lines
 
+(* ---------- frames: parsed in place, written through one writer ---------- *)
+
+(* What parsing gives: the value printed back, or the error text. *)
+let parse_outcome parse =
+  match parse () with
+  | v -> Ok (Json.to_string v)
+  | exception Json.Parse_error msg -> Error msg
+
+let request_outcome = function
+  | Ok req -> Ok (Json.to_string req.Protocol.id ^ " " ^ req.Protocol.verb)
+  | Error msg -> Error msg
+
+(* Frames sent through one writer arrive in one reader's buffer, each
+   after the others, so all but the first are parsed at a non-zero
+   position; each must parse, and fail, as its line alone does. The
+   large frame leaves the writer in more than one 64 KiB chunk. *)
+let test_frames_in_place () =
+  let lines =
+    [
+      "{\"id\":1,\"verb\":\"health\"}"; "{}x"; "\"abc"; "{\"a\":1"; "\"\\u1_2f\""; "01"; "1.";
+      "1e999"; "[1,2"; "{\"verb\":\"\"}"; "{\"id\":[true,null],\"verb\":\"report\"}"; "7";
+    ]
+  in
+  let large = Json.List (List.init 20_000 (fun i -> Json.Float (float_of_int i *. 1.1e-12))) in
+  let large_line = Json.to_string large in
+  let sent_fd, read_fd = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let sender =
+    Domain.spawn (fun () ->
+        let w = Protocol.writer sent_fd in
+        let raw = List.map (Protocol.write_raw w) lines in
+        let framed = Protocol.write_frame w large in
+        let last = Protocol.write_raw w (List.hd lines) in
+        Unix.close sent_fd;
+        (raw, framed, last))
+  in
+  let r = Protocol.reader read_fd in
+  Fun.protect ~finally:(fun () -> Unix.close read_fd) @@ fun () ->
+  let next what line =
+    match Protocol.read_frame r with
+    | Protocol.Line len ->
+      Alcotest.(check int) (what ^ ": frame length") (String.length line) len;
+      Alcotest.(check (result string string))
+        (what ^ ": parsed in place")
+        (parse_outcome (fun () -> Json.of_string line))
+        (parse_outcome (fun () -> Protocol.frame_json r));
+      Alcotest.(check (result string string))
+        (what ^ ": as a request")
+        (request_outcome (Protocol.request_of_line line))
+        (request_outcome (Protocol.request_of_frame r))
+    | Protocol.Oversized -> Alcotest.failf "%s: oversized" what
+    | Protocol.Eof -> Alcotest.failf "%s: end of input" what
+  in
+  List.iter (fun line -> next (Printf.sprintf "%S" line) line) lines;
+  next "large frame" large_line;
+  next "after the large frame" (List.hd lines);
+  (match Protocol.read_frame r with
+  | Protocol.Eof -> ()
+  | Protocol.Line _ | Protocol.Oversized -> Alcotest.fail "a frame past the last one");
+  let raw, framed, last = Domain.join sender in
+  Alcotest.(check (list int)) "bytes written, newline included"
+    (List.map (fun l -> String.length l + 1) lines)
+    raw;
+  Alcotest.(check int) "large frame bytes" (String.length large_line + 1) framed;
+  Alcotest.(check bool) "large frame spans chunks" true (framed > 65536);
+  Alcotest.(check int) "last frame bytes" (String.length (List.hd lines) + 1) last
+
+(* ---------- allocation: what a warm connection costs ---------- *)
+
+module Workloads = Tqwm_sta.Workloads
+module Metrics_counters = Tqwm_obs.Metrics
+
+(* the eco-daemon benchmark's baseline: the 341-stage decoder tree *)
+let decoder_tree () = Workloads.decoder_tree ~fanout:4 ~depth:4 tech
+
+(* The committed ceilings, shape-checked before a test reads one. *)
+let alloc_budget =
+  lazy
+    (let doc =
+       Json.of_string (In_channel.with_open_bin "../ALLOC_budget.json" In_channel.input_all)
+     in
+     Schema.alloc_budget "ALLOC_budget.json" doc;
+     doc)
+
+(* A test-local 4M-word minor heap (restored afterwards), so that no
+   minor collection runs inside a measured window. *)
+let with_large_minor_heap f =
+  let gc = Gc.get () in
+  Gc.set { gc with Gc.minor_heap_size = 4 lsl 20 };
+  Fun.protect ~finally:(fun () -> Gc.set gc) f
+
+(* [f] must put nothing in the calling domain's major heap. The window
+   starts from empty minor heaps and a fresh major cycle, whose end
+   would empty them again, and no minor collection may run in it; so
+   nothing is promoted and every major word counted is a block
+   allocated there directly. [Gc.counters] reads the domain's count at
+   once ([Gc.quick_stat]'s only moves at major slices). *)
+let no_major_words what f =
+  Gc.full_major ();
+  let collections = (Gc.quick_stat ()).Gc.minor_collections in
+  let _, _, major = Gc.counters () in
+  f ();
+  let _, _, major' = Gc.counters () in
+  let collections = (Gc.quick_stat ()).Gc.minor_collections - collections in
+  let major = int_of_float (major' -. major) in
+  if major <> 0 || collections <> 0 then
+    Alcotest.failf "%s: %d major words, %d minor collections (expected none)" what major
+      collections
+
+(* the eco-daemon benchmark's k = 3 timing document, as a response *)
+let timing_response () =
+  let session = Tqwm_incr.Session.create ~model:(Lazy.force table) (decoder_tree ()) in
+  Protocol.ok ~id:(Json.Int 1) (Script.timing_json ~k:3 session)
+
+let test_warm_writer () =
+  let response = timing_response () in
+  let fd = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+  let w = Protocol.writer fd in
+  let bytes = Protocol.write_frame w response in
+  Alcotest.(check int) "bytes, newline included"
+    (String.length (Json.to_string response) + 1)
+    bytes;
+  with_large_minor_heap (fun () ->
+      no_major_words "warm writer, timing frame" (fun () ->
+          ignore (Protocol.write_frame w response)))
+
+let test_warm_client_timing () =
+  with_large_minor_heap @@ fun () ->
+  with_server ~graph:(decoder_tree ()) ~workers:1 (fun server ->
+      let c = Client.connect (Server.address server) in
+      Fun.protect
+        ~finally:(fun () -> Client.close c)
+        (fun () ->
+          ignore (Client.request c "load" []);
+          let timing () = ignore (Client.request c "timing" [ ("k", Json.Int 3) ]) in
+          timing ();
+          timing ();
+          no_major_words "warm client, timing k = 3" timing))
+
+(* The eco-daemon stream on its decoder tree, through an in-process
+   daemon: each round resizes one stage's enable transistor (1x <-> 2x),
+   then asks for the report and the slack; every 10th round also asks
+   for the k = 3 timing document. A round's words, the client's and the
+   worker's ([qwm.alloc.domains_minor_words], flushed per request), must
+   stay within ALLOC_budget.json's [daemon_words_per_round]. *)
+let test_eco_round_budget () =
+  let budget =
+    match Json.member "daemon_words_per_round" (Lazy.force alloc_budget) with
+    | Some (Json.Int x) -> float_of_int x
+    | Some (Json.Float x) -> x
+    | Some _ | None -> Alcotest.fail "ALLOC_budget.json has no daemon_words_per_round"
+  in
+  let graph = decoder_tree () in
+  let stages = Tqwm_sta.Timing_graph.num_stages graph in
+  let cell = (Tqwm_circuit.Scenario.decoder ~levels:2 tech).Tqwm_circuit.Scenario.stage in
+  let rec enable i =
+    if cell.Tqwm_circuit.Stage.edges.(i).Tqwm_circuit.Stage.gate = Some "en" then i
+    else enable (i + 1)
+  in
+  let edge = enable 0 in
+  let doubled = Array.make stages false in
+  with_server ~graph ~workers:1 (fun server ->
+      let c = Client.connect (Server.address server) in
+      Fun.protect
+        ~finally:(fun () -> Client.close c)
+        (fun () ->
+          ignore (Client.request c "load" []);
+          let rounds first n =
+            for r = first to first + n - 1 do
+              let stage = r * 37 mod stages in
+              let scale = if doubled.(stage) then "0.5" else "2" in
+              doubled.(stage) <- not doubled.(stage);
+              let line = Printf.sprintf "resize %d %d %s" stage edge scale in
+              ignore (Client.request c "edit" [ ("line", Json.String line) ]);
+              ignore (Client.request c "report" []);
+              ignore (Client.request c "slack" []);
+              if (r + 1) mod 10 = 0 then
+                ignore (Client.request c "timing" [ ("k", Json.Int 3) ])
+            done
+          in
+          let worker () =
+            Option.value (Metrics_counters.find_counter "qwm.alloc.domains_minor_words")
+              ~default:0
+          in
+          (* the warm-up fills the shared and the session's caches *)
+          rounds 0 40;
+          let n = 200 in
+          let w0 = worker () and c0 = Gc.minor_words () in
+          rounds 40 n;
+          let words = float_of_int (worker () - w0) +. (Gc.minor_words () -. c0) in
+          let per_round = words /. float_of_int n in
+          if per_round > budget then
+            Alcotest.failf "%.0f words per eco round exceed the budget of %g" per_round budget))
+
 let quick name f = Alcotest.test_case name `Quick f
 
 let () =
@@ -592,6 +786,7 @@ let () =
         [
           quick "protocol errors" test_protocol_robustness;
           quick "session cap" test_session_cap;
+          quick "frames parsed in place" test_frames_in_place;
         ] );
       ( "observability",
         [
@@ -600,5 +795,11 @@ let () =
           quick "trace verb is request-scoped" test_trace_verb_request_scoped;
           quick "access log" test_access_log;
           quick "traced clients share the log" test_traced_clients_share_the_log;
+        ] );
+      ( "allocation",
+        [
+          quick "warm writer, no major words" test_warm_writer;
+          quick "warm client timing, no major words" test_warm_client_timing;
+          quick "eco round within ALLOC_budget.json" test_eco_round_budget;
         ] );
     ]
