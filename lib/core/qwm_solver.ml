@@ -61,7 +61,9 @@ module Workspace = struct
     upper : Vec.t;  (* K; upper.(m-1) re-zeroed per use *)
     last_col : Vec.t;  (* K *)
     last_row : Vec.t;  (* K *)
-    (* SoA edge-current derivatives, replacing the arrays of tuples *)
+    (* SoA edge-current derivatives at the last residual's point (or
+       the estimator's step start), written by the same device calls as
+       the currents in [j] *)
     d_below : Vec.t;  (* K *)
     d_above : Vec.t;  (* K *)
     d_t : Vec.t;  (* K *)
@@ -107,8 +109,9 @@ module Workspace = struct
     mutable piece_dv : Vec.t;  (* piece_cap * piece_stride *)
     mutable piece_ddv : Vec.t;  (* piece_cap * piece_stride *)
     (* device-query scratch: one terminal-voltage record refilled per
-       query and one derivative out-buffer, so the model calls that fire
-       several times per Newton iteration never allocate *)
+       query and one current-and-derivatives out-buffer, so the model
+       calls that fire several times per Newton iteration never
+       allocate *)
     tvs : Device_model.terminal_voltages;
     dv : Device_model.derivs;
   }
@@ -369,10 +372,13 @@ let chain_length p = Array.length p.edges
 let real_of_norm p x =
   match p.rail with Chain.Pull_down -> x | Chain.Pull_up -> p.vdd -. x
 
-let gate_real p k t =
+(* The device helpers below run several times per Newton iteration and
+   are [@inline], so their float arguments and results stay unboxed. *)
+
+let[@inline] gate_real p k t =
   match p.gates.(k - 1) with Some s -> Source.value s t | None -> 0.0
 
-let gate_real_slope p k t =
+let[@inline] gate_real_slope p k t =
   match p.gates.(k - 1) with Some s -> Source.derivative s t | None -> 0.0
 
 let gate_norm p k t = real_of_norm p (gate_real p k t)
@@ -385,7 +391,7 @@ let gate_norm_slope p k t =
 (* terminal voltages of edge k for normalized below/above node voltages,
    refilled into the workspace scratch record (the model only reads it
    during the call, so one record serves every query) *)
-let terminal_voltages p k ~t ~vb ~va =
+let[@inline] terminal_voltages p k ~t ~vb ~va =
   let tv = p.ws.Workspace.tvs in
   (match p.rail with
   | Chain.Pull_down ->
@@ -399,14 +405,15 @@ let terminal_voltages p k ~t ~vb ~va =
   tv
 
 (* J'_k: normalized current flowing from node k to node k-1 *)
-let edge_current p k ~t ~vb ~va =
+let[@inline] edge_current p k ~t ~vb ~va =
   p.device_calls <- p.device_calls + 1;
   p.model.Device_model.iv p.edges.(k - 1).Chain.device (terminal_voltages p k ~t ~vb ~va)
 
-(* (dJ'_k/dv'_below, dJ'_k/dv'_above), left in [p.ws.dv] with the below
-   derivative in [dsrc] and the above derivative in [dsnk] (the record is
-   repurposed as the rail-mapped pair) *)
-let edge_current_derivs_into p k ~t ~vb ~va =
+(* J'_k and (dJ'_k/dv'_below, dJ'_k/dv'_above) from one device call, left
+   in [p.ws.dv]: the current in [cur], bit-for-bit [edge_current]'s, the
+   below derivative in [dsrc] and the above derivative in [dsnk] (the
+   record is repurposed as the rail-mapped pair) *)
+let[@inline] edge_current_derivs_into p k ~t ~vb ~va =
   let tv = terminal_voltages p k ~t ~vb ~va in
   let d = p.ws.Workspace.dv in
   p.device_calls <- p.device_calls + 1;
@@ -421,7 +428,7 @@ let edge_current_derivs_into p k ~t ~vb ~va =
     d.Device_model.dsnk <- -.d.Device_model.dsnk
 
 (* explicit time derivative of J'_k through a moving gate drive *)
-let edge_current_dt p k ~t ~vb ~va =
+let[@inline] edge_current_dt p k ~t ~vb ~va =
   let slope = gate_real_slope p k t in
   if slope = 0.0 then 0.0
   else begin
@@ -438,7 +445,7 @@ let edge_current_dt p k ~t ~vb ~va =
   end
 
 (* body-corrected threshold of edge k seen from its below node *)
-let threshold p k ~t ~vb =
+let[@inline] threshold p k ~t ~vb =
   let real_b = real_of_norm p vb in
   let tv = p.ws.Workspace.tvs in
   tv.Device_model.input <- gate_real p k t;
@@ -452,7 +459,7 @@ let threshold_slope p k ~t ~vb =
   (threshold p k ~t ~vb:(vb +. h) -. threshold p k ~t ~vb:(vb -. h)) /. (2.0 *. h)
 
 (* gate drive in excess of threshold; the transistor conducts when >= 0 *)
-let drive p k ~t ~vb = gate_norm p k t -. vb -. threshold p k ~t ~vb
+let[@inline] drive p k ~t ~vb = gate_norm p k t -. vb -. threshold p k ~t ~vb
 
 (* nodes connected to the front through wire edges activate together *)
 let rec extend_front p a =
@@ -494,21 +501,34 @@ let project p st (x : Vec.t) delta =
     else v_end.{k} <- st.v.{k}
   done
 
+(* Edge currents J'_1..J'_m at node voltages [v] (node k at index k),
+   one device call per edge, into [ws.j.(1..m)] with [ws.j.(m+1)] = 0,
+   and their voltage derivatives into [ws.d_below]/[ws.d_above]. *)
+let edge_currents_and_derivs p m ~t ~(v : Vec.t) =
+  let ws = p.ws in
+  let j = ws.j and dv = ws.dv in
+  let d_below = ws.d_below and d_above = ws.d_above in
+  (* j.(m+1) is 0: the edge above the front is an off transistor *)
+  j.{m + 1} <- 0.0;
+  for k = 1 to m do
+    edge_current_derivs_into p k ~t ~vb:v.{k - 1} ~va:v.{k};
+    j.{k} <- dv.Device_model.cur;
+    d_below.{k - 1} <- dv.Device_model.dsrc;
+    d_above.{k - 1} <- dv.Device_model.dsnk
+  done
+
 (* Residual of the region system at (alpha, delta), written into the first
    [m+1] slots of [f]. Also leaves [ws.v_end]/[ws.i_end] holding the
-   candidate's projection — [region_jacobian] relies on this. *)
+   candidate's projection and [ws.d_below]/[ws.d_above] its edge-current
+   derivatives — [region_jacobian] relies on both. *)
 let region_residual p st target alpha delta ~(f : Vec.t) =
   let ws = p.ws in
   let m = st.active in
   let calls0 = p.device_calls in
   let t' = st.t +. delta in
   project p st alpha delta;
+  edge_currents_and_derivs p m ~t:t' ~v:ws.v_end;
   let v_end = ws.v_end and i_end = ws.i_end and j = ws.j in
-  (* j.(m+1) is 0: the edge above the front is an off transistor *)
-  j.{m + 1} <- 0.0;
-  for k = 1 to m do
-    j.{k} <- edge_current p k ~t:t' ~vb:v_end.{k - 1} ~va:v_end.{k}
-  done;
   for k = 1 to m do
     f.{k - 1} <- i_end.{k} -. (j.{k + 1} -. j.{k})
   done;
@@ -524,9 +544,13 @@ let region_residual p st target alpha delta ~(f : Vec.t) =
    alpha_m) into [ws.last_row_m] and the corner into [ws.corner].
 
    Precondition: [ws.v_end]/[ws.i_end] already hold the projection of
-   (alpha, delta) — always true because the accepted candidate's residual
-   is the last one evaluated. This removes the duplicate [project] the
-   old code performed once per Newton iteration. *)
+   (alpha, delta) and [ws.d_below]/[ws.d_above] the edge-current
+   derivatives there — always true because the accepted candidate's
+   residual is the last one evaluated, and it evaluated each edge's
+   current and derivatives in one device call. So the Jacobian repeats
+   neither the projection nor a derivative query; its only device calls
+   are the threshold slope of a turn-on target and the explicit time
+   derivative of a moving gate. *)
 let region_jacobian p st target (alpha : Vec.t) delta =
   let ws = p.ws in
   let m = st.active in
@@ -553,9 +577,6 @@ let region_jacobian p st target (alpha : Vec.t) delta =
   let d_below = ws.d_below and d_above = ws.d_above and d_t = ws.d_t in
   for idx = 0 to m - 1 do
     let k = idx + 1 in
-    edge_current_derivs_into p k ~t:t' ~vb:v_end.{k - 1} ~va:v_end.{k};
-    d_below.{idx} <- ws.dv.Device_model.dsrc;
-    d_above.{idx} <- ws.dv.Device_model.dsnk;
     d_t.{idx} <- edge_current_dt p k ~t:t' ~vb:v_end.{k - 1} ~va:v_end.{k}
   done;
   for k = 1 to m do
@@ -674,12 +695,18 @@ type region_solution = {
   merit : float;
 }
 
+(* [Float.max]/[Float.min] for operands that are >= +0 or NaN, by
+   comparison alone: no sign-bit C calls, and a NaN operand still wins *)
+let[@inline] max_nonneg x y = if y > x || Float.is_nan y then y else x
+
+let[@inline] min_nonneg x y = if y < x || Float.is_nan y then y else x
+
 (* Scale-free residual magnitude: current matches in units of the current
    tolerance, the end condition in units of the voltage tolerance. *)
 let merit (f : Vec.t) m =
   let acc = ref (Float.abs f.{m} /. voltage_tolerance) in
   for k = 0 to m - 1 do
-    acc := Float.max !acc (Float.abs f.{k} /. current_match_tolerance)
+    acc := max_nonneg !acc (Float.abs f.{k} /. current_match_tolerance)
   done;
   !acc
 
@@ -710,7 +737,9 @@ let solve_region_from ?cap p st target (alpha : Vec.t) delta0 =
     else Float.max next 1e-16
   in
   (* invariant: [ws.f] holds the residual at (alpha, !delta), and
-     [ws.v_end]/[ws.i_end] that candidate's projection *)
+     [ws.v_end]/[ws.i_end] and [ws.d_below]/[ws.d_above] that candidate's
+     projection and edge-current derivatives (a line-search trial
+     overwrites them, and the trial accepted is the last one evaluated) *)
   let rec iterate n =
     st.n_newton <- st.n_newton + 1;
     if converged ws.f m then finish true
@@ -780,7 +809,8 @@ let estimator_max_steps = 200
 (* Linearly implicit Euler integration of the active nodes up to the
    target condition: the start of a cold region, and the retry when a warm
    start fails. Each step evaluates the node currents [i] and the edge
-   derivatives at the step start and solves the tridiagonal system
+   derivatives at the step start, one device call per edge, and solves
+   the tridiagonal system
    (C/dt - di/dv) dv = i. The step is the longest that moves no node and
    no moving gate by more than [estimator_step_v] and spans at most
    [estimator_step_window] of the remaining window; shrinking it
@@ -803,15 +833,21 @@ let estimate_region p st target =
   Vec.blit_n (m + 1) st.v v;
   let remaining = Float.max (p.t_end -. st.t) 1e-12 in
   let horizon = remaining *. 4.0 in
+  (* node currents [i] from the edge currents in [ws.j] *)
+  let node_currents () =
+    let j = ws.j in
+    for k = 1 to m do
+      i.{k - 1} <- j.{k + 1} -. j.{k}
+    done
+  in
+  (* the node currents alone, at the estimate's end point *)
   let currents t_rel =
     let j = ws.j in
     j.{m + 1} <- 0.0;
     for k = 1 to m do
       j.{k} <- edge_current p k ~t:(st.t +. t_rel) ~vb:v.{k - 1} ~va:v.{k}
     done;
-    for k = 1 to m do
-      i.{k - 1} <- j.{k + 1} -. j.{k}
-    done
+    node_currents ()
   in
   (* negative until the target is reached, with the watched node at [vw] *)
   let watched = match target with Turn_on _ -> m | Level { node; _ } -> node in
@@ -831,7 +867,7 @@ let estimate_region p st target =
     | () ->
       let worst = ref 0.0 in
       for r = 0 to m - 1 do
-        worst := Float.max !worst (Float.abs dx.{r})
+        worst := max_nonneg !worst (Float.abs dx.{r})
       done;
       !worst
   in
@@ -852,22 +888,18 @@ let estimate_region p st target =
         if u > estimator_step_v then begin
           let q = Float.abs i.{r} /. p.caps.(r) in
           let inv_r = (1.0 /. dt) +. (q *. ((1.0 /. estimator_step_v) -. (1.0 /. u))) in
-          inv := Float.max !inv inv_r
+          inv := max_nonneg !inv inv_r
         end
       done;
-      let linear_cut = dt *. Float.max 0.5 (estimator_step_v /. worst) in
-      fit (Float.min (0.95 /. !inv) linear_cut) (tries - 1)
+      let linear_cut = dt *. max_nonneg 0.5 (estimator_step_v /. worst) in
+      fit (min_nonneg (0.95 /. !inv) linear_cut) (tries - 1)
     end
   in
   let rec step t_rel gap0 n =
     if n = 0 || t_rel >= horizon then None
     else begin
-      currents t_rel;
-      for k = 1 to m do
-        edge_current_derivs_into p k ~t:(st.t +. t_rel) ~vb:v.{k - 1} ~va:v.{k};
-        d_below.{k - 1} <- ws.dv.Device_model.dsrc;
-        d_above.{k - 1} <- ws.dv.Device_model.dsnk
-      done;
+      edge_currents_and_derivs p m ~t:(st.t +. t_rel) ~v;
+      node_currents ();
       for r = 0 to m - 1 do
         lower.{r} <- (if r > 0 then d_below.{r} else 0.0);
         upper.{r} <- (if r < m - 1 then -.d_above.{r + 1} else 0.0)
@@ -963,11 +995,8 @@ let solve_fixed p st delta =
     let t' = st.t +. delta in
     let calls0 = p.device_calls in
     project p st a delta;
+    edge_currents_and_derivs p m ~t:t' ~v:ws.v_end;
     let j = ws.j in
-    j.{m + 1} <- 0.0;
-    for k = 1 to m do
-      j.{k} <- edge_current p k ~t:t' ~vb:ws.v_end.{k - 1} ~va:ws.v_end.{k}
-    done;
     for r = 0 to m - 1 do
       f.{r} <- ws.i_end.{r + 1} -. (j.{r + 2} -. j.{r + 1})
     done;
@@ -977,12 +1006,13 @@ let solve_fixed p st delta =
   let fixed_merit (f : Vec.t) =
     let acc = ref 0.0 in
     for r = 0 to m - 1 do
-      acc := Float.max !acc (Float.abs f.{r} /. current_match_tolerance)
+      acc := max_nonneg !acc (Float.abs f.{r} /. current_match_tolerance)
     done;
     !acc
   in
   (* invariant: [ws.f] holds the residual at [alpha], and
-     [ws.v_end]/[ws.i_end] the candidate's projection *)
+     [ws.v_end]/[ws.i_end] and [ws.d_below]/[ws.d_above] the candidate's
+     projection and edge-current derivatives *)
   let rec iterate n =
     st.n_newton <- st.n_newton + 1;
     if fixed_merit ws.f <= 1.0 || n >= max_iterations then ()
@@ -1272,12 +1302,11 @@ let finalize p st alloc0 =
   Metrics.observe h_regions_per_solve (float_of_int st.n_regions);
   (* allocation accounting for the solve loop proper (waveform assembly
      below is inherent output, not hot path) *)
-  let d = Alloc.since alloc0 in
-  Metrics.add c_alloc_minor (int_of_float d.Alloc.minor_words);
-  Metrics.add c_alloc_promoted (int_of_float d.Alloc.promoted_words);
+  let d = Alloc.words_since alloc0 in
+  Metrics.add c_alloc_minor (int_of_float d.Alloc.minor);
+  Metrics.add c_alloc_promoted (int_of_float d.Alloc.promoted);
   if st.n_regions > 0 then
-    Metrics.observe h_alloc_per_region
-      (d.Alloc.minor_words /. float_of_int st.n_regions);
+    Metrics.observe h_alloc_per_region (d.Alloc.minor /. float_of_int st.n_regions);
   let ws = p.ws in
   let k_total = chain_length p in
   let t_solved = Float.max st.t (p.t_end *. 1e-3) in
@@ -1355,7 +1384,7 @@ let finalize p st alloc0 =
 (* every other argument is labeled, so [?workspace] could only be erased
    by an unlabeled application that never happens; the mli fixes the type *)
 let[@warning "-16"] solve ?workspace ~model ~config ~scenario ~chain ~initial =
-  let alloc0 = Alloc.sample () in
+  let alloc0 = Alloc.words () in
   let k_total = Chain.length chain in
   if Array.length initial <> k_total then
     invalid_arg "Qwm_solver.solve: initial voltage count mismatch";

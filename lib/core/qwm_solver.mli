@@ -53,8 +53,12 @@ type stats = {
   estimator_misses : int;  (** estimator runs that returned no estimate *)
   device_calls_residual : int;
       (** device-model calls, by phase; the four phases partition every
-          call the solve made *)
+          call the solve made. A residual evaluates each edge's current
+          and its two derivatives in one call, which the Jacobian at that
+          point reuses. *)
   device_calls_jacobian : int;
+      (** threshold slopes of turn-on targets and explicit time
+          derivatives through moving gates *)
   device_calls_estimator : int;
   device_calls_other : int;
       (** turn-on searches, region starts and current refreshes *)

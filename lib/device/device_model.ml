@@ -8,9 +8,9 @@ type terminal_voltages = {
    plain float store and reading them into locals never boxes. One such
    record, owned by the caller and reused across calls, makes the
    derivative query allocation-free. *)
-type derivs = { mutable dsrc : float; mutable dsnk : float }
+type derivs = { mutable cur : float; mutable dsrc : float; mutable dsnk : float }
 
-let derivs () = { dsrc = 0.0; dsnk = 0.0 }
+let derivs () = { cur = 0.0; dsrc = 0.0; dsnk = 0.0 }
 
 type t = {
   name : string;
@@ -53,6 +53,7 @@ let analytic ?(miller_factor = 1.0) (tech : Tech.t) =
     | Device.Wire -> 0.0
   in
   let iv_derivatives_into (device : Device.t) tv (out : derivs) =
+    out.cur <- iv device tv;
     match device.kind with
     | Device.Nmos | Device.Pmos ->
       let dsrc, dsnk = finite_difference_derivatives iv device tv in

@@ -16,10 +16,11 @@ type terminal_voltages = {
     callers can refill one scratch record per query instead of allocating;
     model implementations only read the fields during the call. *)
 
-type derivs = { mutable dsrc : float; mutable dsnk : float }
-(** Out-buffer for {!t.iv_derivatives_into}: an all-float record, stored
-    flat, so a single caller-owned instance makes repeated derivative
-    queries allocation-free. *)
+type derivs = { mutable cur : float; mutable dsrc : float; mutable dsnk : float }
+(** Out-buffer for {!t.iv_derivatives_into}: the current and its two
+    terminal derivatives at one terminal-voltage configuration. An
+    all-float record, stored flat, so a single caller-owned instance
+    makes repeated queries allocation-free. *)
 
 val derivs : unit -> derivs
 (** A fresh zeroed out-buffer. *)
@@ -29,8 +30,10 @@ type t = {
   iv : Device.t -> terminal_voltages -> float;
       (** current src -> snk; positive when conducting "downhill" *)
   iv_derivatives_into : Device.t -> terminal_voltages -> derivs -> unit;
-      (** [dI/dVsrc] and [dI/dVsnk], written into a caller-owned
-          {!derivs}; no per-call allocation for the table model. *)
+      (** the current, bit-for-bit what [iv] returns, with [dI/dVsrc]
+          and [dI/dVsnk], written into a caller-owned {!derivs}: a
+          caller that needs all three makes one call. No per-call
+          allocation for the table model. *)
   threshold : Device.t -> terminal_voltages -> float;
       (** turn-on threshold (positive magnitude, body-corrected): an NMOS
           conducts when [input - snk > threshold], a PMOS when

@@ -118,10 +118,14 @@ let interp_corners t ~vg ~vs ~vd eval =
    at the query's own channel drop: the quadratic below [vdsat], the line
    above it. *)
 
-(* [Interp.locate_index], verbatim *)
+(* [Interp.locate_index] without its [Float.floor], a libm call:
+   truncation differs from the floor only on negative non-integral
+   inputs, and there both land below 0 or on it, where the clamp puts
+   them on 0. NaN and values past the int range convert alike with or
+   without the floor. *)
 let[@inline] locate_index_x (ax : Interp.axis) x =
   let raw = (x -. ax.Interp.start) /. ax.Interp.step in
-  let i = int_of_float (Float.floor raw) in
+  let i = int_of_float raw in
   if i < 0 then 0 else if i > ax.Interp.count - 2 then ax.Interp.count - 2 else i
 
 let lookup t ~vg ~vs ~vd =
@@ -157,12 +161,14 @@ let lookup t ~vg ~vs ~vd =
 
 let lookup_dvd t ~vg ~vs ~vd = interp_corners t ~vg ~vs ~vd fit_eval_deriv
 
-(* Both fast derivatives in one corner pass (paper §V-A: "I/V queries ...
-   dIds/dVd and dIds/dVs can be computed very fast"). dI/dVd interpolates
-   the fitted-polynomial slopes; dI/dVs differentiates the interpolation
-   weights (the corners' own [vds] arguments do not depend on the query's
-   source voltage). The raw table-frame dI/dVd lands in [out.dsrc] and
-   dI/dVs in [out.dsnk] (scratch semantics — the caller maps them onto
+(* The current and both fast derivatives in one corner pass (paper §V-A:
+   "I/V queries ... dIds/dVd and dIds/dVs can be computed very fast").
+   The current is [lookup]'s interpolation of the same corners, term for
+   term; dI/dVd interpolates the fitted-polynomial slopes; dI/dVs
+   differentiates the interpolation weights (the corners' own [vds]
+   arguments do not depend on the query's source voltage). The raw
+   table-frame current lands in [out.cur], dI/dVd in [out.dsrc] and dI/dVs
+   in [out.dsnk] (scratch semantics — the caller maps them onto
    terminals). *)
 let lookup_derivs_into t ~vg ~vs ~vd (out : Device_model.derivs) =
   let gax = t.vg_axis and sax = t.vs_axis in
@@ -198,6 +204,7 @@ let lookup_derivs_into t ~vg ~vs ~vd (out : Device_model.derivs) =
   and w10 = tx *. (1.0 -. ty)
   and w01 = (1.0 -. tx) *. ty
   and w11 = tx *. ty in
+  out.Device_model.cur <- (w00 *. f00) +. (w10 *. f10) +. (w01 *. f01) +. (w11 *. f11);
   out.Device_model.dsrc <- (w00 *. d00) +. (w10 *. d10) +. (w01 *. d01) +. (w11 *. d11);
   out.Device_model.dsnk <-
     (((1.0 -. tx) *. (f01 -. f00)) +. (tx *. (f11 -. f10))) /. sax.Interp.step
@@ -234,10 +241,11 @@ let to_device_model ?(miller_factor = 1.0) (tech : Tech.t) ~nmos ~pmos =
     | Device.Pmos -> transistor_iv pmos device tv
     | Device.Wire -> analytic.Device_model.iv device tv
   in
-  (* (dI/dVsrc, dI/dVsnk) from the fast table derivatives, with the same
-     terminal-symmetry and polarity normalization as [transistor_iv]: the
-     raw (dvd, dvs) pair arrives in [out] (scratch) and is rescaled and
-     swapped in place. *)
+  (* The current and (dI/dVsrc, dI/dVsnk) from the fast table lookup,
+     with the same terminal-symmetry and polarity normalization as
+     [transistor_iv]: the raw current and (dvd, dvs) pair arrive in [out]
+     (scratch) and are rescaled, signed and swapped in place, the current
+     exactly as [transistor_iv] scales and signs [lookup]. *)
   let transistor_derivs_into table device (tv : Device_model.terminal_voltages)
       (out : Device_model.derivs) =
     let scale = geometry_scale table device in
@@ -246,12 +254,14 @@ let to_device_model ?(miller_factor = 1.0) (tech : Tech.t) ~nmos ~pmos =
       if tv.src >= tv.snk then begin
         lookup_derivs_into table ~vg:tv.input ~vs:tv.snk ~vd:tv.src out;
         let dvd = out.Device_model.dsrc and dvs = out.Device_model.dsnk in
+        out.Device_model.cur <- scale *. out.Device_model.cur;
         out.Device_model.dsrc <- scale *. dvd;
         out.Device_model.dsnk <- scale *. dvs
       end
       else begin
         lookup_derivs_into table ~vg:tv.input ~vs:tv.src ~vd:tv.snk out;
         let dvd = out.Device_model.dsrc and dvs = out.Device_model.dsnk in
+        out.Device_model.cur <- -.(scale *. out.Device_model.cur);
         out.Device_model.dsrc <- -.(scale *. dvs);
         out.Device_model.dsnk <- -.(scale *. dvd)
       end
@@ -261,12 +271,14 @@ let to_device_model ?(miller_factor = 1.0) (tech : Tech.t) ~nmos ~pmos =
       if b >= a then begin
         lookup_derivs_into table ~vg:g ~vs:a ~vd:b out;
         let dvd = out.Device_model.dsrc and dvs = out.Device_model.dsnk in
+        out.Device_model.cur <- scale *. out.Device_model.cur;
         out.Device_model.dsrc <- -.(scale *. dvs);
         out.Device_model.dsnk <- -.(scale *. dvd)
       end
       else begin
         lookup_derivs_into table ~vg:g ~vs:b ~vd:a out;
         let dvd = out.Device_model.dsrc and dvs = out.Device_model.dsnk in
+        out.Device_model.cur <- -.(scale *. out.Device_model.cur);
         out.Device_model.dsrc <- scale *. dvd;
         out.Device_model.dsnk <- scale *. dvs
       end

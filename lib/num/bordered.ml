@@ -18,8 +18,10 @@ let to_mat t =
 
 (* In-place block elimination over the first [n + 1] entries of
    capacity-sized buffers; the arithmetic of [solve], allocation-free.
-   [cp]/[dp] are the Thomas scratch, [y]/[z] hold the two tridiagonal
-   solves, the solution lands in [x.(0 .. n)]. *)
+   The tridiagonal core is eliminated once, its coefficients in [cp] and
+   its pivots in [dp], and both right-hand sides substitute on it: [y]
+   and [z] hold the two tridiagonal solves, the solution lands in
+   [x.(0 .. n)]. *)
 let solve_into ~n ~lower ~diag ~upper ~last_col ~last_row ~corner ~cp ~dp ~y ~z
     ~b ~x =
   Vec.check_prefix1 "Bordered.solve_into" n lower;
@@ -39,8 +41,9 @@ let solve_into ~n ~lower ~diag ~upper ~last_col ~last_row ~corner ~cp ~dp ~y ~z
   end
   else begin
     let g = Vec.unsafe_get b n in
-    Tridiag.solve_into ~n ~lower ~diag ~upper ~cp ~dp ~b ~x:y;
-    Tridiag.solve_into ~n ~lower ~diag ~upper ~cp ~dp ~b:last_col ~x:z;
+    Tridiag.eliminate_into ~n ~lower ~diag ~upper ~piv:dp ~cp;
+    Tridiag.substitute_into ~n ~lower ~piv:dp ~cp ~b ~x:y;
+    Tridiag.substitute_into ~n ~lower ~piv:dp ~cp ~b:last_col ~x:z;
     let schur = corner -. Vec.dot_n n last_row z in
     if Float.abs schur < 1e-300 then raise Singular;
     let xd = (g -. Vec.dot_n n last_row y) /. schur in

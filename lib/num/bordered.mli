@@ -6,8 +6,9 @@
        [ vT d ] [xd] = [g] ]}
 
     with [T] tridiagonal (n x n), [u] the last column, [vT] the last row and
-    [d] the corner scalar. Block elimination needs two tridiagonal solves:
-    [xd = (g - vT T^-1 f) / (d - vT T^-1 u)], [xa = T^-1 (f - u xd)].
+    [d] the corner scalar. Block elimination needs two tridiagonal solves,
+    [xd = (g - vT T^-1 f) / (d - vT T^-1 u)], [xa = T^-1 (f - u xd)],
+    which share one elimination of [T].
     Total cost O(n), the complexity the paper claims for its
     Sherman–Morrison formulation. *)
 
@@ -46,8 +47,9 @@ val solve_into :
 (** Allocation-free block elimination over the first [n + 1] entries of
     capacity-sized buffers — bit-identical to {!solve} on the same system.
     The bands and borders use their first [n] entries; [b], [x] and the
-    scratch vectors [cp]/[dp] (Thomas coefficients) and [y]/[z] (the two
-    tridiagonal solves) use their first [n + 1]. Nothing past those
-    prefixes is read or written.
+    scratch vectors [cp]/[dp] (the core's one Thomas elimination: its
+    coefficients and pivots) and [y]/[z] (the two tridiagonal solves)
+    use their first [n + 1]. Nothing past those prefixes is read or
+    written.
     @raise Singular / Tridiag.Singular as {!solve}.
     @raise Invalid_argument if any buffer is too short. *)

@@ -2,8 +2,9 @@ exception Singular
 
 (* In-place rank-1-update solve over the first [n] entries of
    capacity-sized buffers, with a tridiagonal base matrix, allocation-free.
-   [cp]/[dp] are the Thomas scratch, [y]/[z] hold the two base solves, the
-   solution lands in [x.(0..n-1)]. *)
+   The base matrix is eliminated once, its coefficients in [cp] and its
+   pivots in [dp]; [y]/[z] hold the two base solves, the solution lands in
+   [x.(0..n-1)]. *)
 let solve_tridiag_into ~n ~lower ~diag ~upper ~u ~v ~cp ~dp ~y ~z ~b ~x =
   Vec.check_prefix1 "Sherman_morrison.solve_tridiag_into" n lower;
   Vec.check_prefix1 "Sherman_morrison.solve_tridiag_into" n diag;
@@ -16,8 +17,9 @@ let solve_tridiag_into ~n ~lower ~diag ~upper ~u ~v ~cp ~dp ~y ~z ~b ~x =
   Vec.check_prefix1 "Sherman_morrison.solve_tridiag_into" n z;
   Vec.check_prefix1 "Sherman_morrison.solve_tridiag_into" n b;
   Vec.check_prefix1 "Sherman_morrison.solve_tridiag_into" n x;
-  Tridiag.solve_into ~n ~lower ~diag ~upper ~cp ~dp ~b ~x:y;
-  Tridiag.solve_into ~n ~lower ~diag ~upper ~cp ~dp ~b:u ~x:z;
+  Tridiag.eliminate_into ~n ~lower ~diag ~upper ~piv:dp ~cp;
+  Tridiag.substitute_into ~n ~lower ~piv:dp ~cp ~b ~x:y;
+  Tridiag.substitute_into ~n ~lower ~piv:dp ~cp ~b:u ~x:z;
   let denom = 1.0 +. Vec.dot_n n v z in
   if Float.abs denom < 1e-300 then raise Singular;
   let coeff = Vec.dot_n n v y /. denom in

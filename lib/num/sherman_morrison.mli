@@ -6,7 +6,8 @@
 
     {[ (A + u vT)^-1 b = y - (vT y / (1 + vT z)) z ]}
 
-    with [A y = b] and [A z = u] costs two base solves. *)
+    with [A y = b] and [A z = u] costs two base solves, which share one
+    elimination of [A]. *)
 
 exception Singular
 (** Raised when [1 + vT z] vanishes, i.e. the updated matrix is singular. *)
@@ -33,9 +34,10 @@ val solve_tridiag_into :
   x:Vec.t ->
   unit
 (** The rank-1-update solve over the first [n] entries of capacity-sized
-    buffers, allocation-free. [cp]/[dp] are Thomas scratch, [y]/[z] the
-    two base solves; the solution lands in [x.(0..n-1)]. Nothing past the
-    prefixes is read or written.
+    buffers, allocation-free. [cp]/[dp] hold the base matrix's one Thomas
+    elimination (coefficients and pivots), [y]/[z] the two base solves;
+    the solution lands in [x.(0..n-1)]. Nothing past the prefixes is read
+    or written.
     @raise Singular when [1 + vT z] vanishes.
     @raise Tridiag.Singular on a zero pivot of the base matrix.
     @raise Invalid_argument if any buffer is shorter than [n]. *)

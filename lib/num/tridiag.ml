@@ -29,38 +29,60 @@ let to_mat t =
       else if j = i + 1 then t.upper.{i}
       else 0.0)
 
-(* In-place Thomas kernel over the first [n] entries of capacity-sized
-   buffers: exactly the arithmetic of [solve], allocation-free. [cp]/[dp]
-   hold the forward sweep's modified coefficients, [x] receives the
-   solution; entries past [n] are never read or written. The prefix
+(* The Thomas algorithm over the first [n] entries of capacity-sized
+   buffers, allocation-free, in two halves: [eliminate_into] factors the
+   matrix alone (the pivots into [piv], the modified upper coefficients
+   into [cp]), and [substitute_into] runs the forward and back
+   substitution of one right-hand side on that factorization. A caller
+   with several right-hand sides on one matrix eliminates once; each
+   right-hand side sees the operations of a full sweep in the same
+   order. Entries past [n] are never read or written, and the prefix
    checks are hoisted here so the sweep loops index unchecked. *)
-let solve_into ~n ~lower ~diag ~upper ~cp ~dp ~b ~x =
-  Vec.check_prefix1 "Tridiag.solve_into" n lower;
-  Vec.check_prefix1 "Tridiag.solve_into" n diag;
-  Vec.check_prefix1 "Tridiag.solve_into" n upper;
-  Vec.check_prefix1 "Tridiag.solve_into" n cp;
-  Vec.check_prefix1 "Tridiag.solve_into" n dp;
-  Vec.check_prefix1 "Tridiag.solve_into" n b;
-  Vec.check_prefix1 "Tridiag.solve_into" n x;
+let eliminate_into ~n ~lower ~diag ~upper ~piv ~cp =
+  Vec.check_prefix1 "Tridiag.eliminate_into" n lower;
+  Vec.check_prefix1 "Tridiag.eliminate_into" n diag;
+  Vec.check_prefix1 "Tridiag.eliminate_into" n upper;
+  Vec.check_prefix1 "Tridiag.eliminate_into" n piv;
+  Vec.check_prefix1 "Tridiag.eliminate_into" n cp;
   if n > 0 then begin
     let d0 = Vec.unsafe_get diag 0 in
     if Float.abs d0 < 1e-300 then raise (Singular 0);
+    Vec.unsafe_set piv 0 d0;
     Vec.unsafe_set cp 0 (Vec.unsafe_get upper 0 /. d0);
-    Vec.unsafe_set dp 0 (Vec.unsafe_get b 0 /. d0);
     for i = 1 to n - 1 do
-      let li = Vec.unsafe_get lower i in
-      let denom = Vec.unsafe_get diag i -. (li *. Vec.unsafe_get cp (i - 1)) in
+      let denom =
+        Vec.unsafe_get diag i -. (Vec.unsafe_get lower i *. Vec.unsafe_get cp (i - 1))
+      in
       if Float.abs denom < 1e-300 then raise (Singular i);
-      if i < n - 1 then Vec.unsafe_set cp i (Vec.unsafe_get upper i /. denom);
-      Vec.unsafe_set dp i
-        ((Vec.unsafe_get b i -. (li *. Vec.unsafe_get dp (i - 1))) /. denom)
-    done;
-    Vec.unsafe_set x (n - 1) (Vec.unsafe_get dp (n - 1));
-    for i = n - 2 downto 0 do
-      Vec.unsafe_set x i
-        (Vec.unsafe_get dp i -. (Vec.unsafe_get cp i *. Vec.unsafe_get x (i + 1)))
+      Vec.unsafe_set piv i denom;
+      if i < n - 1 then Vec.unsafe_set cp i (Vec.unsafe_get upper i /. denom)
     done
   end
+
+(* The forward pass writes its modified right-hand side into [x], and the
+   back pass overwrites it in place with the solution; [b] may be [x]. *)
+let substitute_into ~n ~lower ~piv ~cp ~b ~x =
+  Vec.check_prefix1 "Tridiag.substitute_into" n lower;
+  Vec.check_prefix1 "Tridiag.substitute_into" n piv;
+  Vec.check_prefix1 "Tridiag.substitute_into" n cp;
+  Vec.check_prefix1 "Tridiag.substitute_into" n b;
+  Vec.check_prefix1 "Tridiag.substitute_into" n x;
+  if n > 0 then begin
+    Vec.unsafe_set x 0 (Vec.unsafe_get b 0 /. Vec.unsafe_get piv 0);
+    for i = 1 to n - 1 do
+      Vec.unsafe_set x i
+        ((Vec.unsafe_get b i -. (Vec.unsafe_get lower i *. Vec.unsafe_get x (i - 1)))
+        /. Vec.unsafe_get piv i)
+    done;
+    for i = n - 2 downto 0 do
+      Vec.unsafe_set x i
+        (Vec.unsafe_get x i -. (Vec.unsafe_get cp i *. Vec.unsafe_get x (i + 1)))
+    done
+  end
+
+let solve_into ~n ~lower ~diag ~upper ~cp ~dp ~b ~x =
+  eliminate_into ~n ~lower ~diag ~upper ~piv:dp ~cp;
+  substitute_into ~n ~lower ~piv:dp ~cp ~b ~x
 
 let solve t b =
   let n = dim t in

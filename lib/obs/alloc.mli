@@ -1,13 +1,16 @@
-(** Allocation accounting on top of [Gc.quick_stat] and [Gc.minor_words].
+(** Allocation accounting on top of [Gc.minor_words], [Gc.counters] and
+    [Gc.quick_stat].
 
-    Both read domain-local counters without walking the heap, so sampling
-    is cheap enough for per-solve deltas. Minor words come from
-    [Gc.minor_words] (precise — reads the allocation pointer) rather than
-    [quick_stat], whose counters only refresh at minor collections and
-    would round any delta smaller than the young generation down to
-    zero. Counters are per-domain in OCaml 5: a [sample]/[since] pair
-    taken on the solving domain measures exactly that domain's
-    allocation. *)
+    All three read domain-local counters without walking the heap, so
+    sampling is cheap enough for per-solve deltas. The word counts are
+    exact: minor words come from [Gc.minor_words], which reads the
+    allocation pointer, and promoted and major words from [Gc.counters],
+    whose major words include blocks allocated straight into the major
+    heap since the last major slice. [Gc.quick_stat]'s own word counts
+    only move at minor collections and major slices, so it supplies just
+    the collection counts. Counters are per-domain in OCaml 5: a
+    [sample]/[since] pair taken on the solving domain measures exactly
+    that domain's allocation. *)
 
 type sample = {
   minor_words : float;  (** words allocated in the minor heap *)
@@ -20,9 +23,20 @@ type sample = {
 val sample : unit -> sample
 (** Current cumulative counters for the calling domain. *)
 
+type words = { minor : float; promoted : float; major : float }
+(** The word counts of a {!sample} alone. *)
+
+val words : unit -> words
+(** The calling domain's cumulative word counts, read as {!sample} reads
+    them but without its [Gc.quick_stat]: for callers that report no
+    collection count, such as the solver's per-solve accounting. *)
+
+val words_since : words -> words
+(** [words_since w0] is the word delta from [w0] to now. *)
+
 val since : sample -> sample
 (** [since s0] is the counter delta from [s0] to now. The delta includes
-    the few words [quick_stat] itself allocates — noise of ~10 words,
+    the few words the sampling itself allocates — noise of ~10 words,
     irrelevant at per-solve granularity. *)
 
 val flush_domain : unit -> unit

@@ -208,6 +208,56 @@ let test_lookup_with_derivs_consistent () =
   Alcotest.(check bool) "dvs negative (raising source reduces current)" true
     (d.Device_model.dsnk < 0.0)
 
+(* ---------- the current of the derivative call ---------- *)
+
+(* [iv_derivatives_into] leaves the current [iv] returns in [cur], bit
+   for bit: the QWM solver takes a Newton iterate's currents and
+   Jacobian entries from that one call. *)
+let cur_bits_match (model : Device_model.t) dev (tv : Device_model.terminal_voltages) =
+  let d = Device_model.derivs () in
+  model.Device_model.iv_derivatives_into dev tv d;
+  Int64.equal (Int64.bits_of_float d.Device_model.cur)
+    (Int64.bits_of_float (model.Device_model.iv dev tv))
+
+let fused_devices =
+  [ Device.nmos ~w:2e-6 tech; Device.pmos ~w:3e-6 tech; Device.wire ~w:0.6e-6 ~l:80e-6 ]
+
+(* Every grid knot exactly, off-grid voltages, and voltages below 0 and
+   above VDD, in every combination of gate, src and snk: both terminal
+   orders and equal terminals, for each polarity and for a wire. *)
+let test_fused_current_bit_identical () =
+  let vg_axis, _ = Table_model.grid (Lazy.force table_n) in
+  let knots = List.init vg_axis.Tqwm_num.Interp.count (Tqwm_num.Interp.knot vg_axis) in
+  let volts = knots @ [ -0.4; -0.05; 0.137; 1.2345; 2.71; 3.2999; 3.35; 3.8 ] in
+  List.iter
+    (fun (name, model) ->
+      List.iter
+        (fun (dev : Device.t) ->
+          List.iter
+            (fun input ->
+              List.iter
+                (fun src ->
+                  List.iter
+                    (fun snk ->
+                      let tv = { Device_model.input; src; snk } in
+                      if not (cur_bits_match model dev tv) then
+                        Alcotest.failf "%s %s: cur <> iv at input %h, src %h, snk %h" name
+                          (Device.kind_to_string dev.Device.kind) input src snk)
+                    volts)
+                volts)
+            volts)
+        fused_devices)
+    [ ("table", Lazy.force table_model); ("analytic", golden) ]
+
+let prop_fused_current_bit_identical =
+  QCheck2.Test.make ~name:"derivs.cur is iv bit for bit" ~count:2000
+    QCheck2.Gen.(
+      quad (oneofl fused_devices) (float_range (-0.5) 3.8) (float_range (-0.5) 3.8)
+        (float_range (-0.5) 3.8))
+    (fun (dev, input, src, snk) ->
+      let tv = { Device_model.input; src; snk } in
+      cur_bits_match (Lazy.force table_model) dev tv && cur_bits_match golden dev tv)
+
 let test_table_threshold_interpolation () =
   let t = Lazy.force table_n in
   List.iter
@@ -330,6 +380,8 @@ let () =
           prop prop_table_dvd_matches_fd;
           prop prop_table_analytic_derivs_match_fd;
           quick "with_derivs consistent" test_lookup_with_derivs_consistent;
+          quick "fused current bit-identical" test_fused_current_bit_identical;
+          prop prop_fused_current_bit_identical;
           quick "threshold interpolation" test_table_threshold_interpolation;
           quick "fit parameters" test_table_fit_parameters;
           quick "geometry scaling" test_table_geometry_scaling;

@@ -257,6 +257,170 @@ let prop_sherman_morrison_solve_into =
         ~y:(scratch ()) ~z:(scratch ()) ~b:(with_slack rng b) ~x;
       bits_equal_prefix n x_ref x)
 
+(* ---------- One elimination, two substitutions ----------
+
+   [Bordered.solve_into] and [Sherman_morrison.solve_tridiag_into]
+   eliminate their tridiagonal matrix once and substitute both
+   right-hand sides on it. Each right-hand side must still see exactly
+   the arithmetic of a full Thomas sweep of its own: the references
+   below run two textbook sweeps, elimination and substitution
+   interleaved, on plain float arrays, and the kernels must match them
+   bit for bit, on NaN-poisoned slack buffers, and raise the same
+   exception on the same singular inputs. *)
+
+let thomas_sweep ~n ~lower ~diag ~upper b =
+  let cp = Array.make n 0.0 and dp = Array.make n 0.0 and x = Array.make n 0.0 in
+  if n > 0 then begin
+    let d0 = diag.(0) in
+    if Float.abs d0 < 1e-300 then raise (Tridiag.Singular 0);
+    cp.(0) <- upper.(0) /. d0;
+    dp.(0) <- b.(0) /. d0;
+    for i = 1 to n - 1 do
+      let denom = diag.(i) -. (lower.(i) *. cp.(i - 1)) in
+      if Float.abs denom < 1e-300 then raise (Tridiag.Singular i);
+      if i < n - 1 then cp.(i) <- upper.(i) /. denom;
+      dp.(i) <- (b.(i) -. (lower.(i) *. dp.(i - 1))) /. denom
+    done;
+    x.(n - 1) <- dp.(n - 1);
+    for i = n - 2 downto 0 do
+      x.(i) <- dp.(i) -. (cp.(i) *. x.(i + 1))
+    done
+  end;
+  x
+
+let dot_prefix n x y =
+  let s = ref 0.0 in
+  for i = 0 to n - 1 do
+    s := !s +. (x.(i) *. y.(i))
+  done;
+  !s
+
+let bordered_two_sweeps ~n ~lower ~diag ~upper ~last_col ~last_row ~corner b =
+  if n = 0 then begin
+    if Float.abs corner < 1e-300 then raise Bordered.Singular;
+    [| b.(0) /. corner |]
+  end
+  else begin
+    let y = thomas_sweep ~n ~lower ~diag ~upper b in
+    let z = thomas_sweep ~n ~lower ~diag ~upper last_col in
+    let schur = corner -. dot_prefix n last_row z in
+    if Float.abs schur < 1e-300 then raise Bordered.Singular;
+    let xd = (b.(n) -. dot_prefix n last_row y) /. schur in
+    Array.init (n + 1) (fun i -> if i = n then xd else y.(i) -. (z.(i) *. xd))
+  end
+
+let sherman_morrison_two_sweeps ~n ~lower ~diag ~upper ~u ~v b =
+  let y = thomas_sweep ~n ~lower ~diag ~upper b in
+  let z = thomas_sweep ~n ~lower ~diag ~upper u in
+  let denom = 1.0 +. dot_prefix n v z in
+  if Float.abs denom < 1e-300 then raise Sherman_morrison.Singular;
+  let coeff = dot_prefix n v y /. denom in
+  Array.init n (fun i -> y.(i) -. (coeff *. z.(i)))
+
+(* a solve's solution bits, or the exception it raised *)
+let outcome f =
+  match f () with
+  | x -> Ok (Array.map Int64.bits_of_float x)
+  | exception Tridiag.Singular i -> Error (Printf.sprintf "Tridiag.Singular %d" i)
+  | exception Bordered.Singular -> Error "Bordered.Singular"
+  | exception Sherman_morrison.Singular -> Error "Sherman_morrison.Singular"
+
+(* A random diagonally dominant tridiagonal matrix as float arrays; one
+   case in three has an exact zero pivot at a random row. *)
+let random_bands rng n =
+  let g () = QCheck2.Gen.generate1 ~rand:rng (QCheck2.Gen.float_range (-1.0) 1.0) in
+  let lower = Array.init n (fun i -> if i = 0 then 0.0 else g ()) in
+  let diag = Array.init n (fun _ -> 4.0 +. Float.abs (g ())) in
+  let upper = Array.init n (fun i -> if i = n - 1 then 0.0 else g ()) in
+  if n > 0 && Random.State.int rng 3 = 0 then begin
+    let k = Random.State.int rng n in
+    lower.(k) <- 0.0;
+    diag.(k) <- 0.0
+  end;
+  (lower, diag, upper)
+
+let poisoned rng a = with_slack rng (Vec.of_array a)
+
+let prefix_array n (v : Vec.t) = Array.init n (fun i -> v.{i})
+
+let prop_bordered_eliminates_once =
+  QCheck2.Test.make ~name:"bordered eliminate-once matches two Thomas sweeps" ~count:1000
+    QCheck2.Gen.(pair (int_range 0 12) (int_bound 100000))
+    (fun (n, seed) ->
+      let rng = Random.State.make [| seed; 59 |] in
+      let g () = QCheck2.Gen.generate1 ~rand:rng (QCheck2.Gen.float_range (-1.0) 1.0) in
+      let lower, diag, upper = random_bands rng n in
+      let last_col = Array.init n (fun _ -> g ()) in
+      let last_row = Array.init n (fun _ -> g ()) in
+      let b = Array.init (n + 1) (fun _ -> 3.0 *. g ()) in
+      let corner =
+        (* one case in four: a Schur complement of exactly zero *)
+        match thomas_sweep ~n ~lower ~diag ~upper last_col with
+        | z when Random.State.int rng 4 = 0 -> dot_prefix n last_row z
+        | _ | (exception Tridiag.Singular _) -> 5.0 +. Float.abs (g ())
+      in
+      let expected =
+        outcome (fun () ->
+            bordered_two_sweeps ~n ~lower ~diag ~upper ~last_col ~last_row ~corner b)
+      in
+      let scratch () = nan_filled (n + 1 + Random.State.int rng 3) in
+      let x = scratch () in
+      let actual =
+        outcome (fun () ->
+            Bordered.solve_into ~n ~lower:(poisoned rng lower) ~diag:(poisoned rng diag)
+              ~upper:(poisoned rng upper) ~last_col:(poisoned rng last_col)
+              ~last_row:(poisoned rng last_row) ~corner ~cp:(scratch ()) ~dp:(scratch ())
+              ~y:(scratch ()) ~z:(scratch ()) ~b:(poisoned rng b) ~x;
+            prefix_array (n + 1) x)
+      in
+      expected = actual)
+
+let prop_sherman_morrison_eliminates_once =
+  QCheck2.Test.make ~name:"sherman-morrison eliminate-once matches two Thomas sweeps"
+    ~count:1000
+    QCheck2.Gen.(pair (int_range 1 12) (int_bound 100000))
+    (fun (n, seed) ->
+      let rng = Random.State.make [| seed; 61 |] in
+      let g () = QCheck2.Gen.generate1 ~rand:rng (QCheck2.Gen.float_range (-0.3) 0.3) in
+      let lower, diag, upper = random_bands rng n in
+      let u = Array.init n (fun _ -> g ()) and v = Array.init n (fun _ -> g ()) in
+      let b = Array.init n (fun _ -> 10.0 *. g ()) in
+      let expected =
+        outcome (fun () -> sherman_morrison_two_sweeps ~n ~lower ~diag ~upper ~u ~v b)
+      in
+      let scratch () = nan_filled (n + Random.State.int rng 3) in
+      let x = scratch () in
+      let actual =
+        outcome (fun () ->
+            Sherman_morrison.solve_tridiag_into ~n ~lower:(poisoned rng lower)
+              ~diag:(poisoned rng diag) ~upper:(poisoned rng upper) ~u:(poisoned rng u)
+              ~v:(poisoned rng v) ~cp:(scratch ()) ~dp:(scratch ()) ~y:(scratch ())
+              ~z:(scratch ()) ~b:(poisoned rng b) ~x;
+            prefix_array n x)
+      in
+      expected = actual)
+
+(* A rank-1 update that makes the matrix exactly singular: [A = 2I],
+   [u = e0], [v = -2 e0], so [1 + vT A^-1 u = 0]. *)
+let test_sherman_morrison_singular_update () =
+  let n = 3 in
+  let lower = [| 0.0; 0.0; 0.0 |] and diag = [| 2.0; 2.0; 2.0 |] in
+  let upper = [| 0.0; 0.0; 0.0 |] in
+  let u = [| 1.0; 0.0; 0.0 |] and v = [| -2.0; 0.0; 0.0 |] and b = [| 1.0; 1.0; 1.0 |] in
+  let vec = Vec.of_array in
+  let scratch () = nan_filled n in
+  Alcotest.(check (result (array int64) string))
+    "reference raises" (Error "Sherman_morrison.Singular")
+    (outcome (fun () -> sherman_morrison_two_sweeps ~n ~lower ~diag ~upper ~u ~v b));
+  Alcotest.(check (result (array int64) string))
+    "kernel raises" (Error "Sherman_morrison.Singular")
+    (outcome (fun () ->
+         let x = scratch () in
+         Sherman_morrison.solve_tridiag_into ~n ~lower:(vec lower) ~diag:(vec diag)
+           ~upper:(vec upper) ~u:(vec u) ~v:(vec v) ~cp:(scratch ()) ~dp:(scratch ())
+           ~y:(scratch ()) ~z:(scratch ()) ~b:(vec b) ~x;
+         prefix_array n x))
+
 let prop_lu_factorize_into =
   QCheck2.Test.make
     ~name:"factorize_into/solve_factored_into in a poisoned capacity matrix is bit-identical"
@@ -518,6 +682,12 @@ let () =
           prop prop_sherman_morrison_solve_into;
           prop prop_lu_factorize_into;
           prop prop_tridiag_solve_into_views;
+        ] );
+      ( "eliminate once",
+        [
+          prop prop_bordered_eliminates_once;
+          prop prop_sherman_morrison_eliminates_once;
+          quick "sherman-morrison singular update" test_sherman_morrison_singular_update;
         ] );
       ( "newton",
         [

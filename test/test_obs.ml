@@ -803,6 +803,24 @@ let test_alloc_delta_tracks_allocation () =
     && d.Alloc.minor_collections >= 0
     && d.Alloc.major_collections >= 0)
 
+(* An array of more than 256 words is allocated straight into the major
+   heap. [since] and [words_since] must count it at once: [Gc.quick_stat]'s
+   [major_words] would not move until the next major slice. *)
+let test_alloc_sees_direct_major_allocation () =
+  let words = 10_000 in
+  let s0 = Alloc.sample () in
+  let a = Sys.opaque_identity (Array.make words 0) in
+  let d = Alloc.since s0 in
+  ignore (Sys.opaque_identity a);
+  if d.Alloc.major_words < float_of_int words then
+    Alcotest.failf "since: %.0f major words for a %d-word array" d.Alloc.major_words words;
+  let w0 = Alloc.words () in
+  let b = Sys.opaque_identity (Array.make words 0) in
+  let dw = Alloc.words_since w0 in
+  ignore (Sys.opaque_identity b);
+  if dw.Alloc.major < float_of_int words then
+    Alcotest.failf "words_since: %.0f major words for a %d-word array" dw.Alloc.major words
+
 let test_alloc_json_shape () =
   let keys doc =
     match doc with
@@ -1041,6 +1059,8 @@ let () =
           Alcotest.test_case "delta tracks a sub-minor-heap allocation" `Quick
             test_alloc_delta_tracks_allocation;
           Alcotest.test_case "json shape" `Quick test_alloc_json_shape;
+          Alcotest.test_case "delta sees a direct major allocation" `Quick
+            test_alloc_sees_direct_major_allocation;
         ] );
       ( "newton",
         [ Alcotest.test_case "stalled flag" `Quick test_newton_stalled ] );

@@ -237,6 +237,91 @@ let test_workspace_reuse_bit_identical () =
         (run ~workspace:ws () = reference))
     [ Config.Bordered; Config.Sherman_morrison; Config.Dense_lu ]
 
+(* ---------- bit identity ---------- *)
+
+(* A digest of everything a solve computes: the [%h] text of each delay,
+   slew, critical time and node-quadratic coefficient, and the regions,
+   Newton iterations, residuals and bisections it took. A change that
+   only makes the solver faster must leave every digest below as it is. *)
+let solver_digest ?config scenarios =
+  let b = Buffer.create 65536 in
+  let float x = Printf.bprintf b "%h;" x in
+  let option = function Some x -> float x | None -> Buffer.add_string b "none;" in
+  List.iter
+    (fun scenario ->
+      let r = qwm_report ?config scenario in
+      Printf.bprintf b "%s:" scenario.Scenario.name;
+      option r.Qwm.delay;
+      option r.Qwm.slew;
+      List.iter float r.Qwm.critical_times;
+      List.iter
+        (fun (name, q) ->
+          Buffer.add_string b name;
+          List.iter
+            (fun (p : Waveform.piece) ->
+              List.iter float
+                [ p.Waveform.t0; p.Waveform.dt; p.Waveform.v0; p.Waveform.dv; p.Waveform.ddv ])
+            (Waveform.quadratic_pieces q))
+        r.Qwm.node_quadratics;
+      let s = r.Qwm.stats in
+      Printf.bprintf b "%d;%d;%d;%d\n" s.Qwm_solver.regions s.Qwm_solver.newton_iterations
+        s.Qwm_solver.residuals s.Qwm_solver.bisections)
+    scenarios;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* The audit catalog's 14 stages, the random stacks, and the paths the
+   catalog does not reach: pull-up chains, ramp inputs (a moving gate
+   during a region), the linear waveform model and the two other
+   linear solvers. *)
+let test_solver_digest () =
+  (* 36 Table II stacks, six per length 5..10, from a fixed seed *)
+  let stacks =
+    let rng = Random.State.make [| 29; 0xd16e |] in
+    List.concat_map
+      (fun len ->
+        List.init 6 (fun _ ->
+            Random_circuits.stack_scenario tech ~len ~seed:(Random.State.bits rng)))
+      [ 5; 6; 7; 8; 9; 10 ]
+  in
+  let with_solver linear_solver = { Config.default with Config.linear_solver } in
+  let ramp rise_time scenario = Scenario.with_ramp_input ~rise_time scenario in
+  let variants =
+    [
+      Scenario.nor_rising ~n:2 tech;
+      Scenario.nor_rising ~n:3 tech;
+      Scenario.aoi21_falling tech;
+      Scenario.oai21_rising tech;
+      ramp 60e-12 (Scenario.nand_falling ~n:3 tech);
+      ramp 200e-12 (Scenario.stack_falling ~widths:(Array.make 3 1.6e-6) tech);
+      ramp 80e-12 (Scenario.decoder ~levels:2 tech);
+    ]
+  in
+  let stack8 = [ Random_circuits.stack_scenario tech ~len:8 ~seed:2 ] in
+  List.iter
+    (fun (what, expected, digest) ->
+      Alcotest.(check string) (what ^ " digest") expected (Lazy.force digest))
+    [
+      ( "audit catalog",
+        "ec5de1fd2d3cb908ee8c70c06cfc2b2d",
+        lazy (solver_digest (List.concat_map snd (Tqwm_audit.Audit.catalog tech))) );
+      ("random stacks", "fdaf53171a2dfb74a5a22fd60a0f0042", lazy (solver_digest stacks));
+      ( "pull-up, complex and ramp stages",
+        "484b3379c8449966bc265104ec191858",
+        lazy (solver_digest variants) );
+      ( "linear waveform model",
+        "39afcb2b92ebf495ffe334a4bd74ddbf",
+        lazy
+          (solver_digest
+             ~config:{ Config.default with Config.waveform_model = Config.Linear }
+             (Scenario.nand_falling ~n:3 tech :: stack8)) );
+      ( "Sherman-Morrison solver",
+        "21deea6bb98dc0671e68eabbd0e933ab",
+        lazy (solver_digest ~config:(with_solver Config.Sherman_morrison) stack8) );
+      ( "dense LU solver",
+        "9b8da0e900fc1613ff80f61a0cf04f4e",
+        lazy (solver_digest ~config:(with_solver Config.Dense_lu) stack8) );
+    ]
+
 (* the committed ceilings, shape-checked before any test reads one *)
 let alloc_budget =
   lazy
@@ -291,9 +376,10 @@ let device_calls (s : Qwm_solver.stats) =
 (* The solver's deterministic work per region — Newton iterations and
    device-model calls — must stay within the committed ceilings of
    ALLOC_budget.json's [solver_work_per_region]. A start that wastes
-   attempts, a line search that keeps iterating after it stalled or an
-   estimator that crawls shows up here on any host, however noisy its
-   clock. *)
+   attempts, a line search that keeps iterating after it stalled, an
+   estimator that crawls, or a Jacobian or estimator step that queries
+   the table again where its residual's one call per edge already did,
+   shows up here on any host, however noisy its clock. *)
 let test_work_budget () =
   List.iter
     (fun (name, scenario) ->
@@ -726,6 +812,7 @@ let () =
           quick "all paths identical" test_linear_solvers_identical;
           quick "workspace reuse bit-identical" test_workspace_reuse_bit_identical;
         ] );
+      ("bit identity", [ quick "solver digest" test_solver_digest ]);
       ( "workspace",
         [
           quick "allocation within ALLOC_budget.json" test_alloc_budget;
